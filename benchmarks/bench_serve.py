@@ -242,7 +242,7 @@ def _run_load(port: int, layout_path: str | list[str], clients: int,
 def _bench_served(ckpt: str, layout_path: str, max_batch: int) -> dict:
     tcp = _TcpServer(ckpt, max_batch=max_batch)
     try:
-        # one warm-up job pays binding + conv planning outside the clock
+        # one warm-up job pays binding + capture tracing outside the clock
         warm = ServeClient.connect("127.0.0.1", tcp.port, timeout=30.0)
         warm.fill(layout_path=layout_path, method="neurfill-pkb",
                   model=MODEL_NAME, score=False, timeout=600.0)
@@ -268,7 +268,7 @@ def _bench_mode(ckpt: str, layout_paths: list[str],
     tcp = _TcpServer(ckpt, max_batch=1, worker_mode=worker_mode,
                      shards=shards, workers=workers)
     try:
-        # warm every layout once: binding + conv planning off the clock
+        # warm every layout once: binding + capture tracing off the clock
         warm = ServeClient.connect("127.0.0.1", tcp.port, timeout=30.0)
         for path in layout_paths:
             warm.fill(layout_path=path, method="neurfill-pkb",

@@ -8,7 +8,7 @@ Subpackages
 ``repro.cmp``
     Full-chip CMP simulator (contact mechanics, DSH, Preston).
 ``repro.nn``
-    Numpy autodiff engine, conv layers, UNet, optimizers.
+    Numpy autodiff engine, conv layers, UNet, Adam.
 ``repro.surrogate``
     The CMP neural network: extraction + UNet + objective layers.
 ``repro.optimize``

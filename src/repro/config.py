@@ -9,7 +9,6 @@ units the paper reports (e.g. ``DeltaH`` in Angstroms in Table III).
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import numpy as np
 
@@ -24,50 +23,6 @@ DEFAULT_NUM_LAYERS: int = 3
 
 #: Default seed used by deterministic example scripts and benchmarks.
 DEFAULT_SEED: int = 2021
-
-
-#: Environment variable forcing a single conv backend (``im2col``, ``fft``
-#: or ``matmul``); unset/empty/``auto`` lets the plan cache decide.
-CONV_BACKEND_ENV: str = "REPRO_CONV_BACKEND"
-
-#: Environment variable overriding where conv dispatch plans persist.
-#: Set to ``off`` (or empty) to disable persistence entirely.
-CONV_PLAN_CACHE_ENV: str = "REPRO_CONV_PLAN_CACHE"
-
-_CONV_BACKENDS = ("im2col", "fft", "matmul")
-
-
-def conv_backend_override() -> str | None:
-    """The backend forced via ``REPRO_CONV_BACKEND``, or ``None`` for auto.
-
-    Raises:
-        ValueError: if the variable is set to an unknown backend name.
-    """
-    value = os.environ.get(CONV_BACKEND_ENV, "").strip().lower()
-    if value in ("", "auto"):
-        return None
-    if value not in _CONV_BACKENDS:
-        raise ValueError(
-            f"{CONV_BACKEND_ENV}={value!r}: expected one of "
-            f"{_CONV_BACKENDS + ('auto',)}"
-        )
-    return value
-
-
-def conv_plan_cache_path() -> Path | None:
-    """Where calibrated conv dispatch plans persist between runs.
-
-    ``REPRO_CONV_PLAN_CACHE`` overrides the default
-    ``~/.cache/repro/conv_plans.json``; the values ``off``, ``none`` or an
-    empty string disable persistence (returns ``None``).
-    """
-    value = os.environ.get(CONV_PLAN_CACHE_ENV)
-    if value is not None:
-        if value.strip().lower() in ("", "off", "none", "0"):
-            return None
-        return Path(value).expanduser()
-    return Path("~/.cache/repro/conv_plans.json").expanduser()
-
 
 #: Environment variable toggling captured-graph replay of the surrogate
 #: (``repro.nn.capture``).  On by default: replays are bitwise identical

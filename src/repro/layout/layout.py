@@ -61,10 +61,15 @@ class LayerWindows:
             arr = getattr(self, label)
             if arr.shape != shape:
                 raise ValueError(f"{label} shape {arr.shape} != density shape {shape}")
-        if np.any(self.density < 0) or np.any(self.density > 1):
+        # NaN fails every comparison, so finiteness is checked first.
+        for label in ("density", "slack", "wire_perimeter", "wire_width"):
+            arr = getattr(self, label)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{label} must be finite")
+            if np.any(arr < 0):
+                raise ValueError(f"{label} must be non-negative")
+        if np.any(self.density > 1):
             raise ValueError("density must lie in [0, 1]")
-        if np.any(self.slack < 0):
-            raise ValueError("slack areas must be non-negative")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -118,9 +123,12 @@ class Layout:
         return np.array([layer.trench_depth for layer in self.layers])
 
     def validate_fill(self, fill: np.ndarray, atol: float = 1e-6) -> None:
-        """Raise :class:`ValueError` unless ``fill`` satisfies Eq. 5d bounds."""
+        """Raise :class:`ValueError` unless ``fill`` is finite and within
+        the Eq. 5d bounds."""
         if fill.shape != self.shape:
             raise ValueError(f"fill shape {fill.shape} != layout shape {self.shape}")
+        if not np.all(np.isfinite(fill)):
+            raise ValueError("fill must be finite")
         slack = self.slack_stack()
         if np.any(fill < -atol) or np.any(fill > slack + atol):
             worst = float(np.max(np.maximum(fill - slack, -fill)))

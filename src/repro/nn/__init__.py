@@ -1,25 +1,11 @@
-"""Neural-network substrate: numpy autodiff, layers, UNet, optimizers."""
+"""Neural-network substrate: numpy autodiff, layers, UNet, Adam."""
 
 from . import dispatch, functional
-from .conv import avg_pool2d, conv2d, conv_transpose2d, max_pool2d, upsample2x
-from .init import kaiming_normal, xavier_uniform
-from .loss import l1_loss, mse_loss, relative_l2_loss
-from .modules import (
-    BatchNorm2d,
-    GroupNorm,
-    Conv2d,
-    ConvTranspose2d,
-    LeakyReLU,
-    Linear,
-    MaxPool2d,
-    Module,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Tanh,
-    Upsample2x,
-)
-from .optim import SGD, Adam, CosineLR, LrScheduler, Optimizer, StepLR, clip_grad_norm
+from .conv import conv2d, max_pool2d, upsample2x
+from .init import kaiming_normal
+from .loss import mse_loss
+from .modules import BatchNorm2d, Conv2d, Module, ReLU, Sequential
+from .optim import Adam
 from .serial import load_module, save_module
 from .tensor import Tensor, compute_dtype, get_default_dtype, set_default_dtype
 from .unet import DoubleConv, UNet
@@ -28,41 +14,22 @@ __all__ = [
     "Adam",
     "BatchNorm2d",
     "Conv2d",
-    "ConvTranspose2d",
-    "CosineLR",
-    "GroupNorm",
     "DoubleConv",
-    "LeakyReLU",
-    "Linear",
-    "LrScheduler",
-    "MaxPool2d",
     "Module",
-    "Optimizer",
     "ReLU",
-    "SGD",
     "Sequential",
-    "StepLR",
-    "Sigmoid",
-    "Tanh",
     "Tensor",
     "UNet",
-    "Upsample2x",
-    "avg_pool2d",
-    "clip_grad_norm",
     "compute_dtype",
     "conv2d",
-    "conv_transpose2d",
     "dispatch",
     "functional",
     "get_default_dtype",
     "kaiming_normal",
-    "l1_loss",
     "load_module",
     "max_pool2d",
     "mse_loss",
-    "relative_l2_loss",
     "save_module",
     "set_default_dtype",
     "upsample2x",
-    "xavier_uniform",
 ]

@@ -2,19 +2,18 @@
 
 Forward passes and their adjoints all reduce to the two primitives of
 :mod:`repro.nn.dispatch` (valid cross-correlation and its kernel-shaped
-adjoint), which routes each call through the best of three backends —
-im2col-einsum, FFT, or shifted matmul — selected per shape by a cached
-plan.  Backward closures deliberately retain **no** padded-input copy:
-the padded map and its windows are recomputed from ``x.data`` on demand,
-so the forward graph of a deep network holds one set of activations, not
-two.
+adjoint), which runs each call on im2col-einsum or shifted matmul as a
+pure shape rule decides.  Backward closures deliberately retain **no**
+padded-input copy: the padded map and its windows are recomputed from
+``x.data`` on demand, so the forward graph of a deep network holds one
+set of activations, not two.
 
 Under graph capture the trade flips: padded/dilated scratch maps *are*
 retained (they become arena workspaces whose zero borders never change),
 and replay closures refresh only the interiors before re-running the
-dispatcher with ``out=`` into the original output buffers.  Replays hit
-the same plan-cache key as the trace, so the backend — and therefore the
-bit pattern — is identical.
+dispatcher with ``out=`` into the original output buffers.  Replays
+present the same shapes as the trace, so the rule picks the same backend
+and the bit pattern is identical.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ def _pad_spatial(values: Array, padding: int) -> Array:
 
 
 def _dilate_pad(values: Array, kh: int, kw: int, stride: int) -> Array:
-    """Stride-dilated, (k-1)-padded map — the shared core of every
-    scatter-style conv adjoint/forward.
+    """Stride-dilated, (k-1)-padded map — the core of the conv input
+    adjoint.
 
     Inserting ``stride - 1`` zeros between entries and padding by the
     kernel size minus one turns a strided scatter into a dense gather:
@@ -194,85 +193,6 @@ def conv2d(
     return out
 
 
-def conv_transpose2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 2,
-) -> Tensor:
-    """Transposed convolution (a.k.a. up-convolution).
-
-    ``x (B,C,H,W)``, ``weight (C,O,kh,kw)`` — torch's ConvTranspose2d
-    convention — producing ``(B, O, (H-1)*stride + kh, ...)``.
-    """
-    _check_4d(x, "x")
-    B, C, H, W = x.shape
-    Cw, O, kh, kw = weight.shape
-    if Cw != C:
-        raise ValueError(f"channel mismatch: input {C}, weight expects {Cw}")
-
-    # Scatter as a dense gather: correlate the dilated input with the
-    # flipped kernel, (C, O) transposed into corr2d's (out, in) order.
-    recorder = capture_recorder()
-    dp = _dilate_pad(x.data, kh, kw, stride)
-    fw = _flip_transpose(weight.data)
-    corr = dispatch.corr2d(dp, fw, 1, tag="fwd")
-    if bias is not None:
-        out_data = corr + bias.data[None, :, None, None]
-    else:
-        out_data = corr
-    if recorder is None:
-        del dp, fw
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = Tensor(out_data, _parents=parents)
-    bws = None if recorder is None else recorder.register_workspace({})
-
-    def backward(grad: Array) -> None:
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
-        if weight.requires_grad:
-            # gw[c, o, i, j] = sum_b,h,w x[b,c,h,w] grad[b,o,hs+i,ws+j]:
-            # the weight-grad primitive with input and gradient roles
-            # swapped returns the (C, O, kh, kw) layout directly.
-            weight._accumulate(
-                dispatch.corr2d_weight_grad(x.data, grad, kh, kw, stride,
-                                            tag="bwd_weight")
-            )
-        if x.requires_grad:
-            # Strided gather of the upstream gradient: a plain strided
-            # correlation with the weight read as (out=C, in=O).
-            gx = dispatch.corr2d(grad, weight.data, stride, tag="bwd_input",
-                                 out=None if bws is None else bws.get("gx"),
-                                 workspace=bws)
-            if bws is not None:
-                bws["gx"] = gx
-            x._accumulate(gx)
-
-    out._backward = backward
-    if recorder is not None:
-        recorder.note_workspace(
-            dp.nbytes + fw.nbytes + (corr.nbytes if bias is not None else 0)
-        )
-        fws = recorder.register_workspace({})
-
-        def replay() -> None:
-            # Interior strided slots of the dilate-padded map; the zero
-            # lattice between them never changes.
-            dp[:, :, kh - 1 : kh - 1 + (H - 1) * stride + 1 : stride,
-               kw - 1 : kw - 1 + (W - 1) * stride + 1 : stride] = x.data
-            np.copyto(fw, weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-            if bias is None:
-                dispatch.corr2d(dp, fw, 1, tag="fwd", out=out.data,
-                                workspace=fws)
-            else:
-                dispatch.corr2d(dp, fw, 1, tag="fwd", out=corr, workspace=fws)
-                np.add(corr, bias.data[None, :, None, None], out=out.data)
-
-        out._replay = replay
-    return out
-
-
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     """Max pooling; input H, W must be divisible by the kernel when
     ``stride == kernel`` (the only mode the UNet uses)."""
@@ -341,35 +261,6 @@ def upsample2x(x: Tensor) -> Tensor:
 
         def replay() -> None:
             out.data.reshape(B, C, H, 2, W, 2)[...] = x.data[:, :, :, None, :, None]
-
-        out._replay = replay
-    return out
-
-
-def avg_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
-    """Non-overlapping average pooling."""
-    _check_4d(x, "x")
-    B, C, H, W = x.shape
-    if H % kernel or W % kernel:
-        raise ValueError(f"H, W must be divisible by {kernel}, got {H}x{W}")
-    Ho, Wo = H // kernel, W // kernel
-    out = Tensor(
-        x.data.reshape(B, C, Ho, kernel, Wo, kernel).mean(axis=(3, 5)),
-        _parents=(x,),
-    )
-    scale = 1.0 / (kernel * kernel)
-
-    def backward(grad: Array) -> None:
-        if x.requires_grad:
-            g = np.repeat(np.repeat(grad, kernel, axis=2), kernel, axis=3) * scale
-            x._accumulate(g)
-
-    out._backward = backward
-    if capture_recorder() is not None:
-
-        def replay() -> None:
-            np.mean(x.data.reshape(B, C, Ho, kernel, Wo, kernel), axis=(3, 5),
-                    out=out.data)
 
         out._replay = replay
     return out

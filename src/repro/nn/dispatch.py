@@ -1,79 +1,45 @@
-"""Shape-aware kernel dispatch for the conv hot paths (plan once, reuse).
+"""Shape-rule kernel dispatch for the conv hot paths.
 
-Every convolution in this code base — ``conv2d``/``conv_transpose2d``
-forwards *and* their input/weight adjoints — reduces to two primitives:
+Every convolution in this code base — ``conv2d`` forwards *and* its
+input/weight adjoints — reduces to two primitives:
 
 * :func:`corr2d` — valid 2-D cross-correlation of a (pre-padded) input
   with a kernel stack;
 * :func:`corr2d_weight_grad` — the correlation of an upstream gradient
   with the input windows that produces a kernel-shaped gradient.
 
-Each primitive has three interchangeable backends:
+Each primitive has two interchangeable backends:
 
 ``im2col``
-    The original :func:`numpy.lib.stride_tricks.sliding_window_view` +
-    ``einsum`` formulation.  Robust for every shape/stride; the parity
-    reference the other backends are validated against.
-``fft``
-    ``rfft2`` pointwise products (stride 1 only).  Kernel transforms are
-    cached per ``(kernel bytes, fft shape)``, so repeated calls — e.g.
-    the tile loop of full-chip inference — pay the kernel FFT once.
-    Wins by orders of magnitude for large kernels on large maps.
+    The :func:`numpy.lib.stride_tricks.sliding_window_view` + ``einsum``
+    formulation.  Robust for every shape/stride; the parity reference
+    the other backend is validated against.
 ``matmul``
     Channels-last shifted-GEMM accumulation; degenerates to a single
-    matmul for 1x1 kernels (the pointwise fast path).  Wins for
-    single-image large-map 3x3 convs where the im2col window copy
-    dominates.
+    matmul for 1x1 kernels (the pointwise fast path).  Wins for the
+    small kernels the UNet runs, where the im2col window copy dominates.
 
-Backend selection follows the cuDNN/FFTW idiom: the first call for a new
-``(op, shape, kernel, stride, dtype)`` key above a size threshold runs a
-one-shot micro-benchmark of every eligible backend, records the winner in
-a plan cache (persisted to disk, see
-:func:`repro.config.conv_plan_cache_path`), and every later call with the
-same key dispatches straight to the winner.  Below the threshold a
-deterministic heuristic applies (``matmul`` for 1x1 kernels and for
-forward correlations with kernels up to 3x3, otherwise ``im2col``),
-which keeps small-problem numerics bit-stable run to run.
-``REPRO_CONV_BACKEND`` forces one backend globally (falling back to
-``im2col`` when the forced backend does not support the call, e.g. FFT
-with stride > 1).
-
-Caveat: the kernel-FFT cache keys on the kernel's bytes, so it is exact
-even if a weight array is mutated in place; entries are evicted FIFO to
-bound memory (full-map transforms can be large).
+A pure shape rule picks the backend (:func:`_heuristic`): ``matmul`` for
+1x1 kernels and for forward correlations with kernels up to 3x3,
+``im2col`` otherwise.  The choice depends only on the op and the kernel
+shape — never on timing, the host or a file — so a call gives the same
+bits in every process.  Decisions are memoised per
+``(op, shape, kernel, stride, dtype)`` key; :func:`plan_table` exposes
+them to benches and tests.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..config import conv_backend_override, conv_plan_cache_path
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 
 Array = np.ndarray
-
-#: Names of the selectable backends (parity-tested against each other).
-BACKENDS: tuple[str, ...] = ("im2col", "fft", "matmul")
-
-#: Padded-map cell count below which calibration is skipped and the
-#: deterministic heuristic applies.  128x128 keeps every test-sized
-#: problem on the bit-stable im2col path.
-CALIBRATE_MIN_CELLS: int = 128 * 128
-
-#: Maximum number of cached kernel FFTs (each can be full-map sized).
-_KFFT_MAX_ENTRIES: int = 8
-
-_PLAN_FILE_VERSION = 1
-
-_plans: dict[str, dict] = {}
-_persisted_loaded = False
-_kernel_ffts: dict[tuple, Array] = {}
 
 
 def _workspace_buffer(workspace: dict | None, name: str, shape: tuple,
@@ -146,37 +112,6 @@ def _corr_matmul(xp: Array, w: Array, stride: int, out: Array | None = None,
     return acc_t.copy() if workspace is not None else np.ascontiguousarray(acc_t)
 
 
-def _kernel_rfft2(w: Array, fft_shape: tuple[int, int], conj: bool) -> Array:
-    w = np.ascontiguousarray(w)
-    key = (w.tobytes(), w.shape, str(w.dtype), fft_shape, conj)
-    hit = _kernel_ffts.get(key)
-    if hit is not None:
-        return hit
-    fw = np.fft.rfft2(w, s=fft_shape)
-    if conj:
-        np.conj(fw, out=fw)
-    while len(_kernel_ffts) >= _KFFT_MAX_ENTRIES:
-        _kernel_ffts.pop(next(iter(_kernel_ffts)))
-    _kernel_ffts[key] = fw
-    return fw
-
-
-def _corr_fft(xp: Array, w: Array, stride: int, out: Array | None = None,
-              workspace: dict | None = None) -> Array:
-    if stride != 1:
-        raise ValueError("fft backend supports stride 1 only")
-    B, C, H, W = xp.shape
-    O, _, kh, kw = w.shape
-    fx = np.fft.rfft2(xp)
-    fw = _kernel_rfft2(w, (H, W), conj=True)
-    fy = np.einsum("bchw,ochw->bohw", fx, fw, optimize=True)
-    res = np.fft.irfft2(fy, s=(H, W))[:, :, : H - kh + 1, : W - kw + 1]
-    if out is not None:
-        np.copyto(out, res)
-        return out
-    return np.ascontiguousarray(res.astype(xp.dtype, copy=False))
-
-
 # ----------------------------------------------------------------------
 # weight-gradient primitive
 #   gw[o, c, i, j] = sum_{b,h,w} g[b, o, h, w] * xp[b, c, h*s + i, w*s + j]
@@ -204,37 +139,20 @@ def _wgrad_matmul(g: Array, xp: Array, kh: int, kw: int, stride: int,
     return gw
 
 
-def _wgrad_fft(g: Array, xp: Array, kh: int, kw: int, stride: int,
-               out: Array | None = None,
-               workspace: dict | None = None) -> Array:
-    if stride != 1:
-        raise ValueError("fft backend supports stride 1 only")
-    H, W = xp.shape[2:]
-    fx = np.fft.rfft2(xp)
-    fg = np.conj(np.fft.rfft2(g, s=(H, W)))
-    fw = np.einsum("bchw,bohw->ochw", fx, fg, optimize=True)
-    gw = np.fft.irfft2(fw, s=(H, W))[:, :, :kh, :kw]
-    if out is not None:
-        np.copyto(out, gw)
-        return out
-    return np.ascontiguousarray(gw.astype(xp.dtype, copy=False))
-
-
 _CORR_BACKENDS: dict[str, Callable[..., Array]] = {
     "im2col": _corr_im2col,
     "matmul": _corr_matmul,
-    "fft": _corr_fft,
 }
 _WGRAD_BACKENDS: dict[str, Callable[..., Array]] = {
     "im2col": _wgrad_im2col,
     "matmul": _wgrad_matmul,
-    "fft": _wgrad_fft,
 }
 
 
 # ----------------------------------------------------------------------
-# plan cache
+# plan table
 # ----------------------------------------------------------------------
+_plans: dict[str, dict] = {}
 _key_memo: dict[tuple, str] = {}
 
 
@@ -249,9 +167,10 @@ def _plan_key(op: str, B: int, C: int, H: int, W: int, O: int,
 
 
 def _heuristic(op: str, kh: int, kw: int) -> str:
-    # Forward correlations: the shifted-GEMM backend beats im2col's
-    # window materialisation for small kernels (one GEMM per tap, no
-    # column copy), and degenerates to a single matmul for 1x1.  The
+    # The shape rule, applied at every map size.  Forward correlations:
+    # the shifted-GEMM backend beats im2col's window materialisation for
+    # small kernels (one GEMM per tap, no column copy), and degenerates
+    # to a single matmul for 1x1.  The
     # weight-grad adjoint contracts over the batch *and* both spatial
     # axes, which the einsum formulation handles in one fused pass, so
     # it stays on im2col except for pointwise kernels.
@@ -262,128 +181,32 @@ def _heuristic(op: str, kh: int, kw: int) -> str:
     return "im2col"
 
 
-def _eligible(stride: int) -> tuple[str, ...]:
-    return BACKENDS if stride == 1 else ("im2col", "matmul")
+def _dispatch(op: str, key: str, kh: int, kw: int,
+              run: Callable[[str, Array | None], Array], tag: str = "",
+              out: Array | None = None) -> Array:
+    """Run ``run(backend, out)`` with the rule's backend for ``key``.
 
-
-def _load_persisted() -> None:
-    global _persisted_loaded
-    if _persisted_loaded:
-        return
-    _persisted_loaded = True
-    path = conv_plan_cache_path()
-    if path is None or not path.exists():
-        return
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return
-    # Timings shift across numpy/BLAS builds; stale plans are dropped.
-    if data.get("version") != _PLAN_FILE_VERSION or data.get("numpy") != np.__version__:
-        return
-    for key, plan in data.get("plans", {}).items():
-        if plan.get("backend") in BACKENDS and key not in _plans:
-            _plans[key] = {**plan, "source": "persisted"}
-
-
-def _save_persisted() -> None:
-    path = conv_plan_cache_path()
-    if path is None:
-        return
-    payload = {
-        "version": _PLAN_FILE_VERSION,
-        "numpy": np.__version__,
-        "plans": {
-            key: {k: v for k, v in plan.items() if k != "source"}
-            for key, plan in _plans.items()
-            if plan.get("source") in ("calibrated", "persisted")
-        },
-    }
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, indent=1) + "\n")
-        tmp.replace(path)
-    except OSError:
-        pass
-
-
-def _calibrate(key: str, eligible: tuple[str, ...],
-               run: Callable[[str], Array]) -> tuple[str, Array]:
-    """Run every eligible backend once on the live call, keep the winner."""
-    timings: dict[str, float] = {}
-    results: dict[str, Array] = {}
-    for name in eligible:
-        t0 = time.perf_counter()
-        results[name] = run(name)
-        timings[name] = time.perf_counter() - t0
-    best = min(timings, key=timings.get)
-    reference = results["im2col"]
-    max_dev = max(
-        float(np.max(np.abs(results[name] - reference))) if name != "im2col" else 0.0
-        for name in eligible
-    )
-    _plans[key] = {
-        "backend": best,
-        "timings_ms": {k: round(v * 1e3, 4) for k, v in timings.items()},
-        "max_abs_dev": max_dev,
-        "source": "calibrated",
-    }
-    _save_persisted()
-    return best, results[best]
-
-
-def _run_observed(op: str, tag: str, key: str, backend: str,
-                  run: Callable[[str], Array]) -> Array:
-    """Execute ``run(backend)``; when obs is enabled, time it and record
-    a per-op span plus aggregate call counts / latency.
-
-    The disabled path is the plain call — :func:`_dispatch` only routes
-    through here after checking ``obs_trace.active()``, so tracing off
-    costs nothing and perturbs nothing (timing adds no arithmetic to the
-    conv result either way).
+    When obs is enabled the call is also timed and recorded as a per-op
+    span plus aggregate call counts / latency.  Tracing off costs
+    nothing and perturbs nothing: timing adds no arithmetic to the conv
+    result either way.
     """
+    plan = _plans.get(key)
+    if plan is None:
+        plan = _plans[key] = {"backend": _heuristic(op, kh, kw),
+                              "source": "heuristic"}
+    backend = plan["backend"]
     tracer = obs_trace.active()
     if tracer is None:
-        return run(backend)
+        return run(backend, out)
     t0 = time.perf_counter()
-    out = run(backend)
+    result = run(backend, out)
     dur = time.perf_counter() - t0
     name = f"nn.{op}.{tag}" if tag else f"nn.{op}"
     tracer.record_span(name, "nn", dur, backend=backend, key=key)
     registry = obs_metrics.registry()
     registry.incr(f"{name}.calls")
     registry.record_latency(name, dur)
-    return out
-
-
-def _dispatch(op: str, key: str, cells: int, kh: int, kw: int, stride: int,
-              run: Callable[[str, Array | None], Array], tag: str = "",
-              out: Array | None = None) -> Array:
-    if obs_trace.active() is not None:
-        inner = run
-        run = lambda backend, dst: _run_observed(
-            op, tag, key, backend, lambda name: inner(name, dst)
-        )
-    override = conv_backend_override()
-    if override is not None:
-        if override not in _eligible(stride):
-            override = "im2col"
-        return run(override, out)
-    _load_persisted()
-    plan = _plans.get(key)
-    if plan is not None:
-        return run(plan["backend"], out)
-    if cells < CALIBRATE_MIN_CELLS:
-        backend = _heuristic(op, kh, kw)
-        _plans[key] = {"backend": backend, "source": "heuristic"}
-        return run(backend, out)
-    # Calibration runs every backend; each must get its own result array,
-    # so `out` is only filled from the winner afterwards.
-    _, result = _calibrate(key, _eligible(stride), lambda name: run(name, None))
-    if out is not None:
-        np.copyto(out, result)
-        return out
     return result
 
 
@@ -394,8 +217,8 @@ def corr2d(xp: Array, w: Array, stride: int = 1, tag: str = "",
            out: Array | None = None, workspace: dict | None = None) -> Array:
     """Valid cross-correlation ``xp (B,C,H,W) * w (O,C,kh,kw)``.
 
-    ``xp`` must already carry any zero padding; the selected backend is
-    shape-planned (see module docstring).  ``tag`` labels the call for
+    ``xp`` must already carry any zero padding; the shape rule picks the
+    backend (see module docstring).  ``tag`` labels the call for
     observability only (``"fwd"`` / ``"bwd_input"`` from the conv
     layers); it never affects dispatch or numerics.  ``out`` receives the
     result in place and ``workspace`` (a caller-owned dict) preserves the
@@ -407,7 +230,7 @@ def corr2d(xp: Array, w: Array, stride: int = 1, tag: str = "",
     O, _, kh, kw = w.shape
     key = _plan_key("corr", B, C, H, W, O, kh, kw, stride, xp.dtype)
     return _dispatch(
-        "corr", key, H * W, kh, kw, stride,
+        "corr", key, kh, kw,
         lambda name, dst: _CORR_BACKENDS[name](xp, w, stride, out=dst,
                                                workspace=workspace),
         tag=tag, out=out,
@@ -423,7 +246,7 @@ def corr2d_weight_grad(g: Array, xp: Array, kh: int, kw: int,
     O = g.shape[1]
     key = _plan_key("wgrad", B, C, H, W, O, kh, kw, stride, xp.dtype)
     return _dispatch(
-        "wgrad", key, H * W, kh, kw, stride,
+        "wgrad", key, kh, kw,
         lambda name, dst: _WGRAD_BACKENDS[name](g, xp, kh, kw, stride, out=dst,
                                                 workspace=workspace),
         tag=tag, out=out,
@@ -431,32 +254,11 @@ def corr2d_weight_grad(g: Array, xp: Array, kh: int, kw: int,
 
 
 def plan_table() -> dict[str, dict]:
-    """A copy of the in-memory plan cache (for benches and tests)."""
+    """A copy of the memoised backend decisions (for benches and tests)."""
     return {key: dict(plan) for key, plan in _plans.items()}
 
 
-def warm_plan_cache() -> int:
-    """Eagerly load persisted dispatch plans; returns the plan count.
-
-    Called at the start of forked serve worker processes so children
-    reuse the plans the parent (or a previous run) already calibrated
-    instead of re-benchmarking every backend once per fork.  A no-op
-    when plans were already loaded (fork inherits the parent's table).
-    """
-    _load_persisted()
-    return len(_plans)
-
-
-def clear_caches(reload_persisted: bool = True) -> None:
-    """Drop in-memory plans and cached kernel FFTs.
-
-    Args:
-        reload_persisted: when True (default), the on-disk plan file is
-            re-read lazily on the next dispatch; pass False to also skip
-            that (fully cold state, used by tests).
-    """
-    global _persisted_loaded
+def clear_caches() -> None:
+    """Drop the memoised plan decisions and plan keys."""
     _plans.clear()
-    _kernel_ffts.clear()
     _key_memo.clear()
-    _persisted_loaded = not reload_persisted

@@ -1,8 +1,10 @@
 """Functional ops on :class:`~repro.nn.tensor.Tensor`.
 
-These mirror the torch functions the paper names in Eq. 10 — ``VAR``,
-``SUM``, ``ABS``, ``MEAN``, ``ONES``, ``SIGMOID`` — plus the activations
-and tensor surgery (concat, pad) the UNet needs.
+The paper's Eq. 10 names torch's ``VAR``, ``SUM``, ``ABS``, ``MEAN`` and
+``SIGMOID``; the first four are :class:`~repro.nn.tensor.Tensor` methods,
+and this module holds the rest the surrogate runs: ``sigmoid``, the
+``maximum``/``minimum`` hinges, ReLU and the tensor surgery (concat,
+pad) the UNet needs.
 
 Under graph capture (:mod:`repro.nn.capture`) each op additionally
 installs a ``_replay`` closure that recomputes its output — and any
@@ -45,29 +47,6 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    scale = np.where(x.data > 0, 1.0, negative_slope)
-    out = Tensor(x.data * scale, _parents=(x,))
-
-    def backward(grad: Array) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * scale)
-
-    out._backward = backward
-    if capture_recorder() is not None:
-        mask = np.empty(x.data.shape, dtype=bool)
-        _note(mask)
-
-        def replay() -> None:
-            np.greater(x.data, 0, out=mask)
-            np.copyto(scale, negative_slope)
-            np.copyto(scale, 1.0, where=mask)
-            np.multiply(x.data, scale, out=out.data)
-
-        out._replay = replay
-    return out
-
-
 def sigmoid(x: Tensor) -> Tensor:
     value = 1.0 / (1.0 + np.exp(-np.clip(x.data, -60.0, 60.0)))
     out = Tensor(value, _parents=(x,))
@@ -89,55 +68,6 @@ def sigmoid(x: Tensor) -> Tensor:
             np.exp(tmp, out=tmp)
             np.add(1.0, tmp, out=tmp)
             np.divide(1.0, tmp, out=value)
-
-        out._replay = replay
-    return out
-
-
-def tanh(x: Tensor) -> Tensor:
-    value = np.tanh(x.data)
-    out = Tensor(value, _parents=(x,))
-
-    def backward(grad: Array) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * (1.0 - value**2))
-
-    out._backward = backward
-    if capture_recorder() is not None:
-        out._replay = lambda: np.tanh(x.data, out=value)
-    return out
-
-
-def softplus(x: Tensor, beta: float = 1.0) -> Tensor:
-    """Numerically stable ``log(1 + exp(beta x)) / beta``."""
-    z = beta * x.data
-    value = np.where(z > 30, z, np.log1p(np.exp(np.minimum(z, 30)))) / beta
-    out = Tensor(value, _parents=(x,))
-    sig = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
-
-    def backward(grad: Array) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * sig)
-
-    out._backward = backward
-    if capture_recorder() is not None:
-        branch = np.empty_like(z)
-        high = np.empty(z.shape, dtype=bool)
-        _note(z, branch, high, sig)
-
-        def replay() -> None:
-            np.multiply(beta, x.data, out=z)
-            np.minimum(z, 30, out=branch)
-            np.exp(branch, out=branch)
-            np.log1p(branch, out=branch)
-            np.greater(z, 30, out=high)
-            np.copyto(branch, z, where=high)
-            np.divide(branch, beta, out=value)
-            np.clip(z, -60.0, 60.0, out=branch)
-            np.negative(branch, out=branch)
-            np.exp(branch, out=branch)
-            np.add(1.0, branch, out=branch)
-            np.divide(1.0, branch, out=sig)
 
         out._replay = replay
     return out
@@ -185,30 +115,6 @@ def minimum(x: Tensor, other) -> Tensor:
         def replay() -> None:
             np.minimum(x.data, other.data, out=out.data)
             np.less_equal(x.data, other.data, out=take_x)
-
-        out._replay = replay
-    return out
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp with pass-through gradient inside the interval."""
-    out = Tensor(np.clip(x.data, lo, hi), _parents=(x,))
-    inside = np.asarray((x.data >= lo) & (x.data <= hi))
-
-    def backward(grad: Array) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * inside)
-
-    out._backward = backward
-    if capture_recorder() is not None:
-        below = np.empty(x.data.shape, dtype=bool)
-        _note(below)
-
-        def replay() -> None:
-            np.clip(x.data, lo, hi, out=out.data)
-            np.greater_equal(x.data, lo, out=inside)
-            np.less_equal(x.data, hi, out=below)
-            np.logical_and(inside, below, out=inside)
 
         out._replay = replay
     return out
@@ -267,13 +173,3 @@ def pad2d(x: Tensor, pad: tuple[int, int, int, int]) -> Tensor:
             out.data[..., top : top + h, left : left + w], x.data
         )
     return out
-
-
-def mean_over(x: Tensor, axis, keepdims: bool = False) -> Tensor:
-    """Alias for :meth:`Tensor.mean` (parity with the paper's MEAN)."""
-    return x.mean(axis=axis, keepdims=keepdims)
-
-
-def ones(shape) -> Tensor:
-    """Constant ones tensor (the paper's ONES helper)."""
-    return Tensor(np.ones(shape))

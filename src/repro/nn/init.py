@@ -14,13 +14,3 @@ def kaiming_normal(shape: tuple[int, ...], fan_in: int,
         raise ValueError(f"fan_in must be positive, got {fan_in}")
     rng = rng_from_seed(rng)
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
-def xavier_uniform(shape: tuple[int, ...], fan_in: int, fan_out: int,
-                   rng: np.random.Generator | int | None = None) -> np.ndarray:
-    """Glorot uniform initialisation."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fans must be positive")
-    rng = rng_from_seed(rng)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)

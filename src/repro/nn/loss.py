@@ -1,4 +1,4 @@
-"""Loss functions for surrogate pre-training."""
+"""Loss function for surrogate pre-training."""
 
 from __future__ import annotations
 
@@ -11,19 +11,3 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
     diff = pred - target
     return (diff * diff).mean()
-
-
-def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error."""
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
-    return (pred - target).abs().mean()
-
-
-def relative_l2_loss(pred: Tensor, target: Tensor, eps: float = 1e-8) -> Tensor:
-    """MSE normalised by the target energy; scale-free training signal."""
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
-    diff = pred - target
-    denom = (target * target).mean().item() + eps
-    return (diff * diff).mean() * (1.0 / denom)

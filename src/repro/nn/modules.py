@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import functional as F
-from .conv import conv2d, conv_transpose2d, max_pool2d, upsample2x
+from .conv import conv2d
 from .init import kaiming_normal
 from .tensor import Tensor
 
@@ -160,42 +160,6 @@ class Conv2d(Module):
                       padding=self.padding)
 
 
-class ConvTranspose2d(Module):
-    """Transposed convolution (stride-2 up-convolution by default)."""
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 2,
-                 stride: int = 2, bias: bool = True, rng=None):
-        super().__init__()
-        fan_in = in_channels * kernel_size * kernel_size
-        self.weight = Tensor(
-            kaiming_normal((in_channels, out_channels, kernel_size, kernel_size),
-                           fan_in, rng),
-            requires_grad=True,
-        )
-        self.bias = Tensor(np.zeros(out_channels), requires_grad=True) if bias else None
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return conv_transpose2d(x, self.weight, self.bias, stride=self.stride)
-
-
-class Linear(Module):
-    def __init__(self, in_features: int, out_features: int, bias: bool = True, rng=None):
-        super().__init__()
-        self.weight = Tensor(
-            kaiming_normal((in_features, out_features), in_features, rng),
-            requires_grad=True,
-        )
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True) if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
-
 class BatchNorm2d(Module):
     """Batch normalisation over (B, H, W) per channel with running stats."""
 
@@ -224,77 +188,9 @@ class BatchNorm2d(Module):
         return xn * self.gamma.reshape(1, -1, 1, 1) + self.beta.reshape(1, -1, 1, 1)
 
 
-class GroupNorm(Module):
-    """Group normalisation (Wu & He 2018): batch-size independent.
-
-    Preferable to BatchNorm when the surrogate is evaluated one layout at
-    a time inside an optimizer — statistics never depend on what else is
-    in the batch, so train and inference behaviour coincide exactly.
-    """
-
-    def __init__(self, num_groups: int, num_channels: int, eps: float = 1e-5):
-        super().__init__()
-        if num_channels % num_groups:
-            raise ValueError(
-                f"{num_channels} channels not divisible by {num_groups} groups"
-            )
-        self.num_groups = num_groups
-        self.num_channels = num_channels
-        self.eps = eps
-        self.gamma = Tensor(np.ones(num_channels), requires_grad=True)
-        self.beta = Tensor(np.zeros(num_channels), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4:
-            raise ValueError(f"GroupNorm expects 4-D input, got {x.shape}")
-        B, C, H, W = x.shape
-        if C != self.num_channels:
-            raise ValueError(f"expected {self.num_channels} channels, got {C}")
-        g = self.num_groups
-        grouped = x.reshape(B, g, C // g, H, W)
-        mean = grouped.mean(axis=(2, 3, 4), keepdims=True)
-        var = grouped.var(axis=(2, 3, 4), keepdims=True)
-        normed = (grouped - mean) / ((var + self.eps) ** 0.5)
-        out = normed.reshape(B, C, H, W)
-        return out * self.gamma.reshape(1, -1, 1, 1) + self.beta.reshape(1, -1, 1, 1)
-
-
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.relu(x)
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.leaky_relu(x, self.negative_slope)
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.sigmoid(x)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.tanh(x)
-
-
-class MaxPool2d(Module):
-    def __init__(self, kernel: int = 2):
-        super().__init__()
-        self.kernel = kernel
-
-    def forward(self, x: Tensor) -> Tensor:
-        return max_pool2d(x, self.kernel)
-
-
-class Upsample2x(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return upsample2x(x)
 
 
 class Sequential(Module):

@@ -1,5 +1,4 @@
-"""First-order optimizers for network training (SGD with momentum, Adam),
-learning-rate schedulers and gradient clipping."""
+"""Adam, the optimizer of surrogate pre-training (paper Eq. 20)."""
 
 from __future__ import annotations
 
@@ -8,76 +7,18 @@ import numpy as np
 from .tensor import Tensor
 
 
-def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
-    """Scale gradients in place so their global L2 norm is <= ``max_norm``.
+class Adam:
+    """Adam with bias correction (Kingma & Ba, 2015)."""
 
-    Returns the pre-clip norm (useful for logging divergence).
-    """
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    norm = float(np.sqrt(total))
-    if norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
-        for p in params:
-            if p.grad is not None:
-                p.grad = p.grad * scale
-    return norm
-
-
-class Optimizer:
-    """Base optimizer over a list of parameter tensors."""
-
-    def __init__(self, params: list[Tensor], lr: float):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3,
+                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
+                 weight_decay: float = 0.0):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
         self.lr = lr
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with classical momentum."""
-
-    def __init__(self, params: list[Tensor], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            v *= self.momentum
-            v += g
-            p.data = p.data - self.lr * v
-
-
-class Adam(Optimizer):
-    """Adam with bias correction (Kingma & Ba, 2015)."""
-
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
         b1, b2 = betas
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
             raise ValueError(f"betas must be in [0, 1), got {betas}")
@@ -88,6 +29,10 @@ class Adam(Optimizer):
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._scratch = [np.empty_like(p.data) for p in self.params]
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
 
     def step(self) -> None:
         """One Adam update, written with in-place numpy ops.
@@ -120,53 +65,3 @@ class Adam(Optimizer):
             np.divide(m, s, out=s)
             s *= self.lr / bc1
             p.data -= s
-
-
-class LrScheduler:
-    """Base learning-rate scheduler; call :meth:`step` once per epoch."""
-
-    def __init__(self, optimizer: Optimizer):
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> float:
-        self.epoch += 1
-        self.optimizer.lr = self._lr_at(self.epoch)
-        return self.optimizer.lr
-
-    def _lr_at(self, epoch: int) -> float:
-        raise NotImplementedError
-
-
-class StepLR(LrScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.5):
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if not 0 < gamma <= 1:
-            raise ValueError("gamma must be in (0, 1]")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def _lr_at(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
-class CosineLR(LrScheduler):
-    """Cosine annealing from the base rate to ``min_lr`` over ``t_max``."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, min_lr: float = 0.0):
-        super().__init__(optimizer)
-        if t_max <= 0:
-            raise ValueError("t_max must be positive")
-        self.t_max = t_max
-        self.min_lr = min_lr
-
-    def _lr_at(self, epoch: int) -> float:
-        progress = min(epoch, self.t_max) / self.t_max
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (
-            1.0 + np.cos(np.pi * progress)
-        )

@@ -14,8 +14,6 @@ exact parity is wanted).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..config import rng_from_seed
 from . import functional as F
 from .conv import max_pool2d, upsample2x
@@ -59,23 +57,16 @@ class UNet(Module):
         depth: number of down/up-sampling stages.
         rng: seed or generator for weight init (deterministic if given).
         batch_norm: include BatchNorm2d in conv blocks.
-        up_mode: decoder upsampling — ``"upsample"`` (nearest-neighbour +
-            3x3 conv, artefact-free default) or ``"transpose"`` (stride-2
-            transposed convolution, the original Ronneberger
-            up-convolution).
     """
 
     def __init__(self, in_channels: int, out_channels: int = 1,
                  base_channels: int = 8, depth: int = 2, rng=None,
-                 batch_norm: bool = True, up_mode: str = "upsample"):
+                 batch_norm: bool = True):
         super().__init__()
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
-        if up_mode not in ("upsample", "transpose"):
-            raise ValueError(f"unknown up_mode {up_mode!r}")
         rng = rng_from_seed(rng)
         self.depth = depth
-        self.up_mode = up_mode
 
         chans = [base_channels * (2**i) for i in range(depth + 1)]
         self.encoders = [
@@ -86,18 +77,10 @@ class UNet(Module):
         self.bottleneck = DoubleConv(chans[depth - 1], chans[depth],
                                      rng=rng, batch_norm=batch_norm)
         # Decoder: upsample, reduce channels, concat skip, double conv.
-        if up_mode == "transpose":
-            from .modules import ConvTranspose2d
-            self.up_convs = [
-                ConvTranspose2d(chans[i + 1], chans[i], kernel_size=2,
-                                stride=2, rng=rng)
-                for i in reversed(range(depth))
-            ]
-        else:
-            self.up_convs = [
-                Conv2d(chans[i + 1], chans[i], 3, padding=1, rng=rng)
-                for i in reversed(range(depth))
-            ]
+        self.up_convs = [
+            Conv2d(chans[i + 1], chans[i], 3, padding=1, rng=rng)
+            for i in reversed(range(depth))
+        ]
         self.decoders = [
             DoubleConv(2 * chans[i], chans[i], rng=rng, batch_norm=batch_norm)
             for i in reversed(range(depth))
@@ -122,24 +105,13 @@ class UNet(Module):
         x = self.bottleneck(x)
         for up_conv, decoder, skip in zip(self.up_convs, self.decoders,
                                           reversed(skips)):
-            if self.up_mode == "transpose":
-                x = up_conv(x)
-            else:
-                x = up_conv(upsample2x(x))
+            x = up_conv(upsample2x(x))
             x = decoder(F.concat([skip, x], axis=1))
         x = self.head(x)
 
         if pad_h or pad_w:
             x = x[:, :, :H, :W]
         return x
-
-    def receptive_field(self) -> int:
-        """Approximate receptive field in windows (for locality checks)."""
-        # Each DoubleConv adds 4 to the field at its scale; scales stack.
-        field = 4
-        for i in range(self.depth):
-            field = field * 2 + 8
-        return field
 
     @property
     def alignment(self) -> int:
@@ -167,9 +139,6 @@ class UNet(Module):
         span += 2 * jump * self.bottleneck.receptive_radius()
         for up_conv, decoder in zip(self.up_convs, self.decoders):
             jump //= 2
-            if self.up_mode == "upsample":
-                span += 2 * jump * up_conv.receptive_radius
-            # transpose mode: kernel == stride == 2 maps each output to
-            # exactly one input, adding no reach.
+            span += 2 * jump * up_conv.receptive_radius
             span += 2 * jump * decoder.receptive_radius()
         return (span + 1) // 2

@@ -13,8 +13,7 @@ Transport is one duplex pipe per child carrying the *protocol's own*
 line encoding: the parent sends ``encode(request.to_wire())`` bytes; the
 child answers with ``encode({...})`` frames —
 
-* ``{"kind": "ready", "pid": ..., "plans": N}`` once booted (``plans``
-  counts warm conv-dispatch plans, see :func:`_child_bootstrap`);
+* ``{"kind": "ready", "pid": ...}`` once booted;
 * ``{"kind": "hb", "pid": ...}`` heartbeats from a dedicated thread,
   flowing even while the main thread is deep in a fill;
 * ``{"kind": "result", "job": id, "status": "done"|"error", ...}`` with
@@ -42,7 +41,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..lifecycle.monitor import ShadowExecutor
 from . import protocol
@@ -86,28 +85,6 @@ def _mp_context():
     return multiprocessing.get_context("spawn")
 
 
-def _child_bootstrap() -> int:
-    """Per-fork initialisation; returns the number of warm conv plans.
-
-    Validates ``REPRO_CONV_BACKEND`` eagerly (a typo should fail the
-    worker at boot, not the first job) and force-loads the persisted
-    conv dispatch plan cache (``~/.cache/repro/conv_plans.json`` or
-    ``REPRO_CONV_PLAN_CACHE``) so a child reuses calibrated plans
-    instead of re-benchmarking every backend once per fork.  The file is
-    re-read even if the parent had already loaded it — fork inherits the
-    parent's loaded-guard, and the file on disk (written by any process,
-    possibly after the parent loaded) is the authoritative plan set.
-    When persistence is disabled the inherited in-memory table is kept.
-    """
-    from ..config import conv_backend_override, conv_plan_cache_path
-    from ..nn import dispatch
-
-    conv_backend_override()
-    if conv_plan_cache_path() is not None:
-        dispatch.clear_caches(reload_persisted=True)
-    return dispatch.warm_plan_cache()
-
-
 def _worker_main(conn, spec: WorkerSpec) -> None:
     """Child entry point: execute request lines until the pipe closes."""
     # The child never traces/aggregates for the parent; start its global
@@ -115,7 +92,6 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
     from ..obs import metrics as obs_metrics
     obs_metrics.reset()
 
-    plans = _child_bootstrap()
     registry = ModelRegistry(max_bound=spec.max_bound_networks)
     for name, directory, *rest in spec.models:
         registry.register(name, directory,
@@ -178,7 +154,7 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
         send({"kind": "control_ok", "action": "swap", "model": name,
               "generation": registry.generation_of(name)})
 
-    send({"kind": "ready", "pid": os.getpid(), "plans": plans})
+    send({"kind": "ready", "pid": os.getpid()})
 
     stop = threading.Event()
 
@@ -237,7 +213,6 @@ class _WorkerHandle:
         self.process = None
         self.conn = None
         self.pid: int | None = None
-        self.boot_plans = 0
         self.last_heartbeat: float | None = None
         self.jobs = 0
         self.in_use = False
@@ -266,7 +241,6 @@ class _WorkerHandle:
                         f"worker {self.index} closed its pipe during boot")
                 if message.get("kind") == "ready":
                     self.pid = int(message.get("pid") or process.pid)
-                    self.boot_plans = int(message.get("plans") or 0)
                     self.last_heartbeat = time.monotonic()
                     return
             elif not process.is_alive():
@@ -396,8 +370,7 @@ class _WorkerHandle:
         age = (None if self.last_heartbeat is None
                else round(time.monotonic() - self.last_heartbeat, 3))
         return {"index": self.index, "pid": self.pid, "alive": self.alive,
-                "jobs": self.jobs, "heartbeat_age_s": age,
-                "boot_plans": self.boot_plans}
+                "jobs": self.jobs, "heartbeat_age_s": age}
 
 
 class ProcessWorkerPool:

@@ -81,6 +81,47 @@ class TestLayout:
             lay.validate_fill(ok[:1])
 
 
+class TestNonFiniteInputs:
+    """NaN passes every ``x < 0`` style bound check, so it needs its own."""
+
+    @staticmethod
+    def _layer_with(label, value):
+        arrays = {
+            "density": np.full((4, 5), 0.4),
+            "slack": np.full((4, 5), 2000.0),
+            "wire_perimeter": np.full((4, 5), 1000.0),
+            "wire_width": np.full((4, 5), 0.2),
+        }
+        arrays[label][1, 2] = value
+        return LayerWindows(name="M1", **arrays)
+
+    def test_nan_density_rejected(self):
+        with pytest.raises(ValueError, match="density must be finite"):
+            self._layer_with("density", np.nan)
+
+    def test_nan_slack_rejected(self):
+        with pytest.raises(ValueError, match="slack must be finite"):
+            self._layer_with("slack", np.nan)
+
+    def test_inf_width_rejected(self):
+        with pytest.raises(ValueError, match="wire_width must be finite"):
+            self._layer_with("wire_width", np.inf)
+
+    @pytest.mark.parametrize("label", ["wire_perimeter", "wire_width"])
+    def test_negative_wire_stats_rejected(self, label):
+        with pytest.raises(ValueError, match=f"{label} must be non-negative"):
+            self._layer_with(label, -1.0)
+
+    def test_nan_fill_rejected(self):
+        lay = make_layout()
+        fill = np.full(lay.shape, 1000.0)
+        fill[0, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="fill must be finite"):
+            lay.validate_fill(fill)
+        with pytest.raises(ValueError, match="fill must be finite"):
+            apply_fill(lay, fill)
+
+
 class TestApplyFill:
     def test_no_fill_returns_original_features(self):
         lay = make_layout()

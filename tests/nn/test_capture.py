@@ -14,13 +14,7 @@ import pytest
 
 from repro.nn import functional as F
 from repro.nn.capture import CaptureMiss, CapturedGraph
-from repro.nn.conv import (
-    avg_pool2d,
-    conv2d,
-    conv_transpose2d,
-    max_pool2d,
-    upsample2x,
-)
+from repro.nn.conv import conv2d, max_pool2d, upsample2x
 from repro.nn.tensor import Tensor
 
 
@@ -78,13 +72,9 @@ class TestOpParity:
          lambda t: (t["x"].transpose(1, 0, 2) * t["x"].transpose(1, 0, 2)).sum()),
         ("getitem", lambda t: (t["x"][1:, :, ::2] ** 2.0).sum()),
         ("relu", lambda t: F.relu(t["x"] - 1.0).sum()),
-        ("leaky_relu", lambda t: F.leaky_relu(t["x"] - 1.0, 0.1).sum()),
         ("sigmoid", lambda t: F.sigmoid(t["x"] - 1.0).sum()),
-        ("tanh", lambda t: F.tanh(t["x"]).sum()),
-        ("softplus", lambda t: F.softplus(t["x"] - 1.0).sum()),
         ("maximum", lambda t: F.maximum(t["x"] - 1.0, 0.0).sum()),
         ("minimum", lambda t: F.minimum(t["x"], t["y"]).sum()),
-        ("clip", lambda t: F.clip(t["x"], 0.5, 1.5).sum()),
         ("concat",
          lambda t: F.concat([t["x"], t["x"] * 2.0], axis=1).sum()),
         ("pad2d", lambda t: (F.pad2d(t["x"], (1, 2, 0, 1)) ** 2.0).sum()),
@@ -111,18 +101,12 @@ class TestOpParity:
         ("conv", lambda t, w, b: conv2d(t["x"], w, b, padding=1).sum()),
         ("conv_stride",
          lambda t, w, b: conv2d(t["x"], w, None, stride=2, padding=1).sum()),
-        ("convT", lambda t, w2, b: conv_transpose2d(
-            t["x"], w2, b, stride=2).sum()),
         ("maxpool", lambda t, w, b: max_pool2d(t["x"], 2).sum()),
-        ("avgpool", lambda t, w, b: avg_pool2d(t["x"], 2).sum()),
         ("upsample", lambda t, w, b: (upsample2x(t["x"]) ** 2.0).sum()),
     ])
     def test_conv_families(self, name, fn):
         rng = np.random.default_rng(11)
-        if name == "convT":
-            w = Tensor(rng.standard_normal((3, 2, 2, 2)), requires_grad=True)
-        else:
-            w = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal(2), requires_grad=True)
 
         def build(tensors):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, avg_pool2d, conv2d, conv_transpose2d, max_pool2d, upsample2x
+from repro.nn import Tensor, conv2d, max_pool2d, upsample2x
 
 from .gradcheck import check_grad
 
@@ -85,45 +85,6 @@ class TestConv2dGrad:
         check_grad(lambda t: conv2d(x, w, t, padding=1), rng.normal(size=3))
 
 
-class TestConvTranspose2d:
-    def test_upsamples_shape(self):
-        x = Tensor(np.ones((1, 3, 5, 6)))
-        w = Tensor(np.ones((3, 2, 2, 2)))
-        out = conv_transpose2d(x, w, stride=2)
-        assert out.shape == (1, 2, 10, 12)
-
-    def test_is_adjoint_of_conv(self):
-        """<conv(x), y> == <x, conv_T(y)> for matching weights."""
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(1, 2, 6, 6))
-        w = rng.normal(size=(3, 2, 2, 2))  # (O, C, kh, kw) for conv
-        y = rng.normal(size=(1, 3, 3, 3))
-        fwd = conv2d(Tensor(x), Tensor(w), stride=2).data
-        # conv_transpose weight layout is (C_in=O, C_out=C, kh, kw).
-        adj = conv_transpose2d(Tensor(y), Tensor(w), stride=2).data
-        assert float((fwd * y).sum()) == pytest.approx(float((x * adj).sum()), rel=1e-10)
-
-    def test_grad_x_and_w(self):
-        rng = np.random.default_rng(7)
-        w = Tensor(rng.normal(size=(2, 3, 2, 2)))
-        check_grad(lambda t: conv_transpose2d(t, w, stride=2),
-                   rng.normal(size=(1, 2, 3, 3)), rtol=1e-3, atol=1e-5)
-        x = Tensor(rng.normal(size=(1, 2, 3, 3)))
-        check_grad(lambda t: conv_transpose2d(x, t, stride=2),
-                   rng.normal(size=(2, 3, 2, 2)), rtol=1e-3, atol=1e-5)
-
-    def test_grad_bias(self):
-        rng = np.random.default_rng(8)
-        x = Tensor(rng.normal(size=(1, 2, 3, 3)))
-        w = Tensor(rng.normal(size=(2, 3, 2, 2)))
-        check_grad(lambda t: conv_transpose2d(x, w, t, stride=2), rng.normal(size=3))
-
-    def test_channel_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            conv_transpose2d(Tensor(np.ones((1, 2, 3, 3))),
-                             Tensor(np.ones((3, 2, 2, 2))))
-
-
 class TestMaxPool:
     def test_forward(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
@@ -160,16 +121,3 @@ class TestUpsampleAvgPool:
 
     def test_upsample_gradcheck(self):
         check_grad(upsample2x, np.random.default_rng(10).normal(size=(1, 2, 3, 3)))
-
-    def test_avg_pool_forward(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = avg_pool2d(Tensor(x), 2)
-        np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_grad(self):
-        check_grad(lambda t: avg_pool2d(t, 2),
-                   np.random.default_rng(11).normal(size=(1, 1, 4, 4)))
-
-    def test_avg_pool_indivisible_rejected(self):
-        with pytest.raises(ValueError):
-            avg_pool2d(Tensor(np.ones((1, 1, 5, 4))), 2)

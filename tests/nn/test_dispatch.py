@@ -1,34 +1,42 @@
-"""Backend parity suite for the shape-aware conv dispatch layer.
+"""Backend parity suite for the shape-rule conv dispatch layer.
 
-Every backend (im2col / fft / matmul) must produce the same forward
-values AND the same input/weight/bias adjoints, across strides 1-2,
-paddings 0-2, odd shapes and 1x1/2x2/3x3 kernels.  The im2col path is
-the reference (it is the seed implementation, already validated against
-brute-force loops in test_conv.py).
+Both backends (im2col / matmul) must produce the same forward values AND
+the same input/weight/bias adjoints, across strides 1-2, paddings 0-2,
+odd shapes and 1x1/2x2/3x3 kernels.  The im2col path is the reference
+(it is the seed implementation, already validated against brute-force
+loops in test_conv.py).  A backend is forced by monkeypatching the shape
+rule for the duration of a test.
 """
 
-import json
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.config import CONV_BACKEND_ENV, CONV_PLAN_CACHE_ENV, conv_backend_override
-from repro.nn import Tensor, conv2d, conv_transpose2d
+import repro
+from repro.nn import Tensor, conv2d
 from repro.nn import dispatch
 
 
 @pytest.fixture(autouse=True)
-def _isolated_dispatch(monkeypatch):
-    """Each test starts with cold caches and no persistence."""
-    monkeypatch.setenv(CONV_PLAN_CACHE_ENV, "off")
-    monkeypatch.delenv(CONV_BACKEND_ENV, raising=False)
+def _isolated_dispatch():
+    """Each test starts and ends with an empty plan table."""
     dispatch.clear_caches()
     yield
     dispatch.clear_caches()
 
 
+def _force(monkeypatch, backend):
+    monkeypatch.setattr(dispatch, "_heuristic", lambda op, kh, kw: backend)
+    dispatch.clear_caches()
+
+
 def _conv_case(backend, monkeypatch, *, shape, wshape, stride, padding):
-    monkeypatch.setenv(CONV_BACKEND_ENV, backend)
+    _force(monkeypatch, backend)
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=shape), requires_grad=True)
     w = Tensor(rng.normal(size=wshape), requires_grad=True)
@@ -39,7 +47,7 @@ def _conv_case(backend, monkeypatch, *, shape, wshape, stride, padding):
 
 
 class TestConv2dBackendParity:
-    @pytest.mark.parametrize("backend", ["fft", "matmul"])
+    @pytest.mark.parametrize("backend", ["matmul"])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("shape,wshape", [
@@ -61,46 +69,17 @@ class TestConv2dBackendParity:
                                        err_msg=f"{backend}/{name}")
 
 
-def _convt_case(backend, monkeypatch, *, shape, wshape, stride):
-    monkeypatch.setenv(CONV_BACKEND_ENV, backend)
-    rng = np.random.default_rng(3)
-    x = Tensor(rng.normal(size=shape), requires_grad=True)
-    w = Tensor(rng.normal(size=wshape), requires_grad=True)
-    b = Tensor(rng.normal(size=wshape[1]), requires_grad=True)
-    out = conv_transpose2d(x, w, b, stride=stride)
-    out.backward(rng.normal(size=out.shape))
-    return out.data, x.grad, w.grad, b.grad
-
-
-class TestConvTranspose2dBackendParity:
-    @pytest.mark.parametrize("backend", ["fft", "matmul"])
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("shape,wshape", [
-        ((2, 3, 5, 6), (3, 4, 2, 2)),
-        ((1, 2, 7, 4), (2, 3, 3, 3)),
-    ])
-    def test_forward_and_adjoints_match_im2col(self, backend, stride, shape,
-                                               wshape, monkeypatch):
-        ref = _convt_case("im2col", monkeypatch,
-                          shape=shape, wshape=wshape, stride=stride)
-        got = _convt_case(backend, monkeypatch,
-                          shape=shape, wshape=wshape, stride=stride)
-        for r, g, name in zip(ref, got, ("out", "dx", "dw", "db")):
-            np.testing.assert_allclose(g, r, rtol=1e-9, atol=1e-9,
-                                       err_msg=f"{backend}/{name}")
-
-
 class TestFloat32Parity:
-    @pytest.mark.parametrize("backend", ["fft", "matmul"])
+    @pytest.mark.parametrize("backend", ["matmul"])
     def test_forward_close_in_float32(self, backend, monkeypatch):
         from repro.nn import compute_dtype
         rng = np.random.default_rng(11)
         x = rng.normal(size=(1, 2, 8, 8)).astype(np.float32)
         w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
         with compute_dtype("float32"):
-            monkeypatch.setenv(CONV_BACKEND_ENV, "im2col")
+            _force(monkeypatch, "im2col")
             ref = conv2d(Tensor(x), Tensor(w), padding=1)
-            monkeypatch.setenv(CONV_BACKEND_ENV, backend)
+            _force(monkeypatch, backend)
             got = conv2d(Tensor(x), Tensor(w), padding=1)
         assert ref.dtype == np.float32 and got.dtype == np.float32
         np.testing.assert_allclose(got.data, ref.data, rtol=1e-4, atol=1e-4)
@@ -128,103 +107,55 @@ class TestPlanCache:
         assert by_key[("wgrad", "3x3")]["backend"] == "im2col"
         assert all(p["source"] == "heuristic" for p in plans.values())
 
-    def test_calibration_above_threshold_records_timings(self):
+    def test_rule_ignores_map_size(self):
+        """Large maps get the same shape rule as small ones: no timing."""
         rng = np.random.default_rng(0)
-        side = int(np.sqrt(dispatch.CALIBRATE_MIN_CELLS))
-        xp = rng.normal(size=(1, 1, side, side))
-        w = rng.normal(size=(1, 1, 3, 3))
-        out = dispatch.corr2d(xp, w)
-        (plan,) = dispatch.plan_table().values()
-        assert plan["source"] == "calibrated"
-        assert plan["backend"] in dispatch.BACKENDS
-        assert set(plan["timings_ms"]) == set(dispatch.BACKENDS)
-        assert plan["max_abs_dev"] < 1e-6
-        # Replays dispatch to the recorded winner and stay bit-identical
-        # run to run within a session.
-        np.testing.assert_array_equal(out, dispatch.corr2d(xp, w))
-
-    def test_override_env_beats_plan(self, monkeypatch):
-        rng = np.random.default_rng(0)
-        xp = rng.normal(size=(1, 1, 16, 16))
-        w = rng.normal(size=(1, 1, 3, 3))
-        dispatch.corr2d(xp, w)
-        monkeypatch.setenv(CONV_BACKEND_ENV, "fft")
-        dispatch.clear_caches()
-        out = dispatch.corr2d(xp, w)
-        assert dispatch.plan_table() == {}  # forced: no plan recorded
-        ref = dispatch._corr_fft(xp, w, 1)
-        np.testing.assert_array_equal(out, ref)
-
-    def test_forced_backend_falls_back_when_ineligible(self, monkeypatch):
-        # FFT cannot do stride 2; the dispatcher silently uses im2col.
-        monkeypatch.setenv(CONV_BACKEND_ENV, "fft")
-        rng = np.random.default_rng(0)
-        xp = rng.normal(size=(1, 1, 8, 8))
-        w = rng.normal(size=(1, 1, 3, 3))
-        out = dispatch.corr2d(xp, w, stride=2)
-        np.testing.assert_array_equal(out, dispatch._corr_im2col(xp, w, 2))
-
-    def test_invalid_override_rejected(self, monkeypatch):
-        monkeypatch.setenv(CONV_BACKEND_ENV, "winograd")
-        with pytest.raises(ValueError):
-            conv_backend_override()
-
-    def test_plan_persistence_roundtrip(self, monkeypatch, tmp_path):
-        plan_file = tmp_path / "plans.json"
-        monkeypatch.setenv(CONV_PLAN_CACHE_ENV, str(plan_file))
-        dispatch.clear_caches()
-        rng = np.random.default_rng(0)
-        side = int(np.sqrt(dispatch.CALIBRATE_MIN_CELLS))
-        xp = rng.normal(size=(1, 1, side, side))
-        w = rng.normal(size=(1, 1, 3, 3))
-        dispatch.corr2d(xp, w)
-        assert plan_file.exists()
-        saved = json.loads(plan_file.read_text())
-        assert saved["numpy"] == np.__version__
-        (key,) = saved["plans"].keys()
-
-        # A cold process (cleared caches) reuses the persisted plan
-        # without re-calibrating.
-        dispatch.clear_caches()
-        dispatch.corr2d(xp, w)
-        assert dispatch.plan_table()[key]["source"] == "persisted"
-
-    def test_stale_numpy_version_invalidates(self, monkeypatch, tmp_path):
-        plan_file = tmp_path / "plans.json"
-        plan_file.write_text(json.dumps({
-            "version": 1, "numpy": "0.0.0",
-            "plans": {"corr|b1c1h8w8o1k3x3s1|float64": {"backend": "fft"}},
-        }))
-        monkeypatch.setenv(CONV_PLAN_CACHE_ENV, str(plan_file))
-        dispatch.clear_caches()
-        rng = np.random.default_rng(0)
-        dispatch.corr2d(rng.normal(size=(1, 1, 8, 8)),
-                        rng.normal(size=(1, 1, 3, 3)))
-        assert all(p["source"] == "heuristic"
-                   for p in dispatch.plan_table().values())
+        xp = rng.normal(size=(1, 2, 160, 160))
+        dispatch.corr2d(xp, rng.normal(size=(3, 2, 3, 3)))
+        dispatch.corr2d_weight_grad(rng.normal(size=(1, 3, 158, 158)), xp,
+                                    3, 3)
+        plans = dispatch.plan_table()
+        assert sorted(p["backend"] for p in plans.values()) == [
+            "im2col", "matmul"]
+        assert all(p == {"backend": p["backend"], "source": "heuristic"}
+                   for p in plans.values())
 
 
-class TestKernelFftCache:
-    def test_repeated_fft_calls_reuse_kernel_transform(self, monkeypatch):
-        monkeypatch.setenv(CONV_BACKEND_ENV, "fft")
-        rng = np.random.default_rng(0)
-        xp = rng.normal(size=(1, 2, 12, 12))
-        w = rng.normal(size=(3, 2, 3, 3))
-        first = dispatch.corr2d(xp, w)
-        assert len(dispatch._kernel_ffts) == 1
-        second = dispatch.corr2d(xp, w)
-        assert len(dispatch._kernel_ffts) == 1
-        np.testing.assert_array_equal(first, second)
+# One cold interpreter: a fixed-seed depth-2 surrogate on a 160x160
+# design-A layout, one evaluate (value and gradient), hashed.
+_COLD_EVALUATE = """
+import hashlib
+import numpy as np
+from repro.layout import make_design_a
+from repro.nn import UNet
+from repro.surrogate import (
+    NUM_FEATURE_CHANNELS, CmpNeuralNetwork, HeightNormalizer,
+    PlanarityWeights)
 
-    def test_cache_is_content_keyed(self, monkeypatch):
-        # In-place mutation of a kernel must not serve a stale transform.
-        monkeypatch.setenv(CONV_BACKEND_ENV, "fft")
-        rng = np.random.default_rng(0)
-        xp = rng.normal(size=(1, 1, 10, 10))
-        w = rng.normal(size=(1, 1, 3, 3))
-        before = dispatch.corr2d(xp, w)
-        w[0, 0, 0, 0] += 1.0
-        after = dispatch.corr2d(xp, w)
-        assert not np.allclose(before, after)
-        np.testing.assert_allclose(after, dispatch._corr_im2col(xp, w, 1),
-                                   rtol=1e-9, atol=1e-9)
+layout = make_design_a(rows=160, cols=160)
+unet = UNet(NUM_FEATURE_CHANNELS, 1, base_channels=4, depth=2, rng=0)
+net = CmpNeuralNetwork(layout, unet, HeightNormalizer(6000.0, 40.0))
+fill = np.random.default_rng(5).random(layout.shape) * layout.slack_stack()
+ev = net.evaluate(fill, PlanarityWeights(0.2, 100.0, 0.2, 1000.0, 0.15, 10.0))
+digest = hashlib.sha256(np.float64(ev.s_plan).tobytes())
+digest.update(np.ascontiguousarray(ev.heights).tobytes())
+digest.update(np.ascontiguousarray(ev.gradient).tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestColdCacheCrossProcess:
+    def test_fresh_processes_give_identical_bits(self, tmp_path):
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        digests = []
+        for run in range(2):
+            home = tmp_path / f"home{run}"
+            home.mkdir()
+            env = dict(os.environ, HOME=str(home), PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", _COLD_EVALUATE], env=env,
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == len(hashlib.sha256().hexdigest())
+        assert digests[0] == digests[1]

@@ -18,11 +18,6 @@ class TestActivations:
     def test_relu_grad(self):
         check_grad(F.relu, np.array([-1.0, 0.5, 2.0]))
 
-    def test_leaky_relu(self):
-        out = F.leaky_relu(Tensor([-2.0, 2.0]), 0.1)
-        np.testing.assert_allclose(out.data, [-0.2, 2.0])
-        check_grad(lambda t: F.leaky_relu(t, 0.1), np.array([-1.0, 0.5]))
-
     def test_sigmoid_forward_range(self):
         out = F.sigmoid(Tensor([-100.0, 0.0, 100.0]))
         np.testing.assert_allclose(out.data, [0.0, 0.5, 1.0], atol=1e-10)
@@ -36,22 +31,6 @@ class TestActivations:
         out.sum().backward()
         assert np.all(np.isfinite(out.data))
         assert np.all(np.isfinite(t.grad))
-
-    def test_tanh_grad(self):
-        check_grad(F.tanh, np.array([-1.0, 0.3, 2.0]))
-
-    def test_softplus_matches_reference(self):
-        x = np.array([-5.0, 0.0, 5.0])
-        np.testing.assert_allclose(
-            F.softplus(Tensor(x)).data, np.log1p(np.exp(x)), rtol=1e-10
-        )
-
-    def test_softplus_grad(self):
-        check_grad(F.softplus, np.array([-2.0, 0.1, 3.0]))
-
-    def test_softplus_large_input_linear(self):
-        out = F.softplus(Tensor([100.0]))
-        assert out.data[0] == pytest.approx(100.0)
 
 
 class TestMinMaxClip:
@@ -73,13 +52,6 @@ class TestMinMaxClip:
             F.minimum(Tensor([1.0, 5.0]), 3.0).data, [1, 3]
         )
         check_grad(lambda t: F.minimum(t, 1.0), np.array([0.0, 2.0]))
-
-    def test_clip_forward_and_grad(self):
-        out = F.clip(Tensor([-2.0, 0.5, 9.0]), 0.0, 1.0)
-        np.testing.assert_allclose(out.data, [0, 0.5, 1])
-        t = Tensor([-2.0, 0.5, 9.0], requires_grad=True)
-        F.clip(t, 0.0, 1.0).sum().backward()
-        np.testing.assert_allclose(t.grad, [0, 1, 0])
 
 
 class TestConcatPad:
@@ -115,8 +87,3 @@ class TestConcatPad:
     def test_pad2d_negative_rejected(self):
         with pytest.raises(ValueError):
             F.pad2d(Tensor(np.ones((1, 1, 2, 2))), (-1, 0, 0, 0))
-
-    def test_ones_and_mean_over(self):
-        assert F.ones((2, 3)).shape == (2, 3)
-        x = Tensor(np.arange(6.0).reshape(2, 3))
-        np.testing.assert_allclose(F.mean_over(x, axis=1).data, [1.0, 4.0])

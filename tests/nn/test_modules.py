@@ -6,13 +6,9 @@ import pytest
 from repro.nn import (
     BatchNorm2d,
     Conv2d,
-    ConvTranspose2d,
-    Linear,
-    MaxPool2d,
     Module,
     ReLU,
     Sequential,
-    Sigmoid,
     Tensor,
     load_module,
     save_module,
@@ -104,29 +100,6 @@ class TestStateDict:
         np.testing.assert_allclose(a(x).data, b(x).data)
 
 
-class TestLinear:
-    def test_forward_shape(self):
-        lin = Linear(3, 5, rng=0)
-        out = lin(Tensor(np.ones((2, 3))))
-        assert out.shape == (2, 5)
-
-    def test_trains_on_regression(self):
-        from repro.nn import Adam, mse_loss
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(64, 2))
-        true_w = np.array([[1.5], [-2.0]])
-        y = X @ true_w + 0.3
-        lin = Linear(2, 1, rng=0)
-        opt = Adam(lin.parameters(), lr=0.05)
-        for _ in range(300):
-            opt.zero_grad()
-            loss = mse_loss(lin(Tensor(X)), Tensor(y))
-            loss.backward()
-            opt.step()
-        np.testing.assert_allclose(lin.weight.data, true_w, atol=0.05)
-        np.testing.assert_allclose(lin.bias.data, [0.3], atol=0.05)
-
-
 class TestBatchNorm:
     def test_normalises_in_train_mode(self):
         bn = BatchNorm2d(3)
@@ -169,16 +142,3 @@ class TestSequentialMisc:
         net = tiny_net()
         assert len(net) == 4
         assert isinstance(net[2], ReLU)
-
-    def test_maxpool_module(self):
-        out = MaxPool2d(2)(Tensor(np.arange(16.0).reshape(1, 1, 4, 4)))
-        assert out.shape == (1, 1, 2, 2)
-
-    def test_sigmoid_module(self):
-        out = Sigmoid()(Tensor(np.zeros((1, 1))))
-        assert out.data[0, 0] == 0.5
-
-    def test_conv_transpose_module(self):
-        m = ConvTranspose2d(2, 3, rng=0)
-        out = m(Tensor(np.ones((1, 2, 4, 4))))
-        assert out.shape == (1, 3, 8, 8)

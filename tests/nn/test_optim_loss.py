@@ -1,61 +1,14 @@
-"""Tests for optimizers and loss functions."""
+"""Tests for the Adam optimizer and the MSE loss."""
 
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Tensor, l1_loss, mse_loss, relative_l2_loss
+from repro.nn import Adam, Tensor, mse_loss
 
 
 def rosenbrock(t: Tensor) -> Tensor:
     x, y = t[0], t[1]
     return (1 - x) ** 2 + (y - x**2) ** 2 * 100.0
-
-
-class TestSGD:
-    def test_quadratic_convergence(self):
-        x = Tensor([5.0, -3.0], requires_grad=True)
-        opt = SGD([x], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            (x * x).sum().backward()
-            opt.step()
-        np.testing.assert_allclose(x.data, [0, 0], atol=1e-6)
-
-    def test_momentum_accelerates(self):
-        def loss_after(momentum, steps=50):
-            x = Tensor([5.0], requires_grad=True)
-            opt = SGD([x], lr=0.01, momentum=momentum)
-            for _ in range(steps):
-                opt.zero_grad()
-                (x * x).sum().backward()
-                opt.step()
-            return abs(float(x.data[0]))
-
-        assert loss_after(0.9) < loss_after(0.0)
-
-    def test_weight_decay_shrinks(self):
-        x = Tensor([1.0], requires_grad=True)
-        opt = SGD([x], lr=0.1, weight_decay=1.0)
-        opt.zero_grad()
-        # Zero loss gradient; decay alone should shrink the weight.
-        (x * 0.0).sum().backward()
-        opt.step()
-        assert abs(float(x.data[0])) < 1.0
-
-    def test_invalid_params(self):
-        x = Tensor([1.0], requires_grad=True)
-        with pytest.raises(ValueError):
-            SGD([x], lr=-1)
-        with pytest.raises(ValueError):
-            SGD([x], lr=0.1, momentum=1.5)
-        with pytest.raises(ValueError):
-            SGD([], lr=0.1)
-
-    def test_skips_parameters_without_grad(self):
-        x = Tensor([1.0], requires_grad=True)
-        opt = SGD([x], lr=0.1)
-        opt.step()  # no backward happened; should be a no-op
-        np.testing.assert_allclose(x.data, [1.0])
 
 
 class TestAdam:
@@ -84,6 +37,19 @@ class TestAdam:
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError):
             Adam([x], betas=(1.0, 0.9))
+
+    def test_invalid_params(self):
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(ValueError):
+            Adam([x], lr=-1)
+        with pytest.raises(ValueError):
+            Adam([], lr=0.1)
+
+    def test_skips_parameters_without_grad(self):
+        x = Tensor([1.0], requires_grad=True)
+        opt = Adam([x], lr=0.1)
+        opt.step()  # no backward happened; should be a no-op
+        np.testing.assert_allclose(x.data, [1.0])
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_inplace_step_matches_textbook_update(self, weight_decay):
@@ -132,19 +98,6 @@ class TestLosses:
         mse_loss(a, Tensor([0.0, 0.0])).backward()
         np.testing.assert_allclose(a.grad, [1.0, 2.0])  # 2x/n
 
-    def test_l1_value(self):
-        assert l1_loss(Tensor([1.0, -2.0]), Tensor([0.0, 0.0])).item() == pytest.approx(1.5)
-
-    def test_relative_l2(self):
-        pred = Tensor([2.0, 0.0])
-        target = Tensor([1.0, 1.0])
-        # mse = ((1)^2 + (1)^2)/2 = 1; target energy = 1 -> ratio 1
-        assert relative_l2_loss(pred, target).item() == pytest.approx(1.0, rel=1e-6)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mse_loss(Tensor([1.0]), Tensor([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            l1_loss(Tensor([1.0]), Tensor([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            relative_l2_loss(Tensor([1.0]), Tensor([1.0, 2.0]))

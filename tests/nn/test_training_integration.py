@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    SGD,
     Adam,
     BatchNorm2d,
     Conv2d,
@@ -87,7 +86,6 @@ class TestBatchNormBehaviour:
 
 class TestOptimizerRobustness:
     @pytest.mark.parametrize("opt_cls,kwargs", [
-        (SGD, {"lr": 0.05, "momentum": 0.9}),
         (Adam, {"lr": 0.05}),
     ])
     def test_both_optimizers_solve_least_squares(self, opt_cls, kwargs):

@@ -36,7 +36,8 @@ class TestShapes:
     def test_receptive_field_grows_with_depth(self):
         shallow = UNet(in_channels=1, depth=1, base_channels=2, rng=0)
         deep = UNet(in_channels=1, depth=3, base_channels=2, rng=0)
-        assert deep.receptive_field() > shallow.receptive_field()
+        assert (deep.receptive_field_radius()
+                > shallow.receptive_field_radius())
 
 
 class TestTraining:
@@ -80,42 +81,3 @@ class TestTraining:
         assert x.grad is not None
         assert x.grad.shape == (1, 1, 8, 8)
         assert np.any(x.grad != 0)
-
-
-class TestUpModes:
-    def test_transpose_mode_shapes(self):
-        net = UNet(in_channels=2, base_channels=4, depth=2, rng=0,
-                   up_mode="transpose")
-        x = Tensor(np.random.default_rng(0).normal(size=(1, 2, 12, 12)))
-        assert net(x).shape == (1, 1, 12, 12)
-
-    def test_transpose_mode_gradients_flow(self):
-        net = UNet(in_channels=1, base_channels=2, depth=1, rng=0,
-                   up_mode="transpose")
-        x = Tensor(np.random.default_rng(1).normal(size=(1, 1, 8, 8)),
-                   requires_grad=True)
-        net(x).sum().backward()
-        assert x.grad is not None
-        missing = [n for n, p in net.named_parameters() if p.grad is None]
-        assert not missing
-
-    def test_transpose_mode_trains(self):
-        rng = np.random.default_rng(0)
-        net = UNet(in_channels=1, base_channels=4, depth=1, rng=1,
-                   up_mode="transpose")
-        x = Tensor(rng.normal(size=(1, 1, 8, 8)))
-        target = Tensor(rng.normal(size=(1, 1, 8, 8)))
-        opt = Adam(net.parameters(), lr=1e-2)
-        first = None
-        for _ in range(200):
-            opt.zero_grad()
-            loss = mse_loss(net(x), target)
-            if first is None:
-                first = loss.item()
-            loss.backward()
-            opt.step()
-        assert loss.item() < 0.3 * first
-
-    def test_invalid_up_mode(self):
-        with pytest.raises(ValueError):
-            UNet(in_channels=1, up_mode="magic")

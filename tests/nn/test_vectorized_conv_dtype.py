@@ -1,10 +1,10 @@
-"""Vectorised conv adjoints vs explicit scatter loops, and dtype modes.
+"""Vectorised conv adjoint vs an explicit scatter loop, and dtype modes.
 
-``conv2d``'s input gradient and ``conv_transpose2d``'s forward share one
-dilate-pad-flip einsum formulation; these tests pin it against the naive
-loop implementations it replaced, including the awkward stride-2 shapes
-where the dilated gradient does not cover the padded input.  The dtype
-tests cover the opt-in float32 compute mode.
+``conv2d``'s input gradient is a dilate-pad-flip correlation; these
+tests pin it against the naive loop implementation it replaced,
+including the awkward stride-2 shapes where the dilated gradient does
+not cover the padded input.  The dtype tests cover the opt-in float32
+compute mode.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.nn import (
     UNet,
     compute_dtype,
     conv2d,
-    conv_transpose2d,
     get_default_dtype,
     set_default_dtype,
 )
@@ -38,20 +37,6 @@ def brute_conv2d_input_grad(grad, w, x_shape, stride, padding):
     return gx
 
 
-def brute_conv_transpose2d(x, w, stride):
-    """Scatter-loop transposed convolution forward."""
-    B, C, H, W = x.shape
-    _, O, kh, kw = w.shape
-    out = np.zeros((B, O, (H - 1) * stride + kh, (W - 1) * stride + kw))
-    for bb in range(B):
-        for c in range(C):
-            for i in range(H):
-                for j in range(W):
-                    out[bb, :, i * stride : i * stride + kh,
-                        j * stride : j * stride + kw] += x[bb, c, i, j] * w[c]
-    return out
-
-
 class TestVectorizedConvAdjoint:
     # Heights 6 and 7 at stride 2 respectively do and do not make the
     # dilated upstream gradient cover the padded input exactly — both
@@ -70,15 +55,6 @@ class TestVectorizedConvAdjoint:
         out.backward(upstream)
         expected = brute_conv2d_input_grad(upstream, w, x.shape, stride, padding)
         np.testing.assert_allclose(xt.grad, expected, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("stride,kh", [(1, 3), (2, 2), (2, 3), (3, 2)])
-    def test_transpose_forward_matches_scatter_loop(self, stride, kh):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 3, 4, 5))
-        w = rng.normal(size=(3, 2, kh, kh))
-        out = conv_transpose2d(Tensor(x), Tensor(w), stride=stride)
-        np.testing.assert_allclose(out.data, brute_conv_transpose2d(x, w, stride),
-                                   rtol=1e-12, atol=1e-12)
 
 
 class TestComputeDtype:

@@ -1,4 +1,4 @@
-"""Process worker mode: parity, crash containment, warm-state propagation.
+"""Process worker mode: parity and crash containment.
 
 These tests fork real worker children.  The crash tests monkeypatch
 ``JobExecutor.execute`` at class level *before* ``server.start()`` — the
@@ -164,83 +164,4 @@ class TestWorkerCrash:
         finally:
             if sentinel.exists():
                 sentinel.unlink()
-            server.shutdown(timeout=30.0)
-
-
-class TestConvPlanPropagation:
-    def test_forked_worker_uses_persisted_plan(
-            self, tmp_path, layout_file, monkeypatch):
-        """Satellite 6: children load the persisted conv plan cache at
-        boot instead of re-benchmarking per fork, and honor the plan."""
-        from repro.nn import dispatch
-
-        key = dispatch._plan_key("corr", 1, 1, 16, 16, 1, 3, 3, 1,
-                                 np.dtype("float64"))
-        plan_file = tmp_path / "conv_plans.json"
-        plan_file.write_text(json.dumps({
-            "version": 1,
-            "numpy": np.__version__,
-            "plans": {key: {"backend": "fft", "timings_ms": {},
-                            "max_abs_dev": 0.0}},
-        }))
-        monkeypatch.setenv("REPRO_CONV_PLAN_CACHE", str(plan_file))
-        # Cold parent state: prove the CHILD loads the file itself via
-        # warm_plan_cache() rather than inheriting a warm table.
-        dispatch.clear_caches(reload_persisted=False)
-
-        def diagnostic(self, request):
-            table_at_boot = dispatch.plan_table()
-            x = np.zeros((1, 1, 16, 16))
-            w = np.ones((1, 1, 3, 3))
-            dispatch.corr2d(x, w)
-            plan = dispatch.plan_table().get(key) or {}
-            return {
-                "pid": os.getpid(),
-                "loaded_at_boot": key in table_at_boot,
-                "backend": plan.get("backend"),
-                "source": plan.get("source"),
-            }
-
-        monkeypatch.setattr(ExecutorClass, "execute", diagnostic)
-        server = FillServer(serve_config=ServeConfig(
-            workers=1, queue_capacity=4, max_batch=1,
-            worker_mode="process"))
-        server.start()
-        try:
-            assert server._pool.describe()[0]["boot_plans"] >= 1
-            collector = Collector()
-            submit(server, collector, "probe",
-                   params={"layout_path": layout_file, "method": "lin"})
-            result = collector.wait_for("probe", "done")["result"]
-            assert result["pid"] != os.getpid()
-            assert result["loaded_at_boot"] is True
-            assert result["source"] == "persisted"  # not re-benchmarked
-            assert result["backend"] == "fft"       # the plan is honored
-        finally:
-            server.shutdown(timeout=30.0)
-            dispatch.clear_caches(reload_persisted=True)
-
-    def test_backend_override_validated_in_child_env(
-            self, tmp_path, layout_file, monkeypatch):
-        """REPRO_CONV_BACKEND reaches forked workers (env is inherited)."""
-        monkeypatch.setenv("REPRO_CONV_BACKEND", "matmul")
-
-        def probe(self, request):
-            from repro.config import conv_backend_override
-            return {"pid": os.getpid(),
-                    "override": conv_backend_override()}
-
-        monkeypatch.setattr(ExecutorClass, "execute", probe)
-        server = FillServer(serve_config=ServeConfig(
-            workers=1, queue_capacity=4, max_batch=1,
-            worker_mode="process"))
-        server.start()
-        try:
-            collector = Collector()
-            submit(server, collector, "env",
-                   params={"layout_path": layout_file, "method": "lin"})
-            result = collector.wait_for("env", "done")["result"]
-            assert result["override"] == "matmul"
-            assert result["pid"] != os.getpid()
-        finally:
             server.shutdown(timeout=30.0)

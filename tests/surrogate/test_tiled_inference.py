@@ -16,9 +16,9 @@ from repro.nn import UNet
 from repro.surrogate import NUM_FEATURE_CHANNELS, CmpNeuralNetwork, HeightNormalizer
 
 
-def _network(layout, depth=1, up_mode="upsample", seed=0):
+def _network(layout, depth=1, seed=0):
     unet = UNet(in_channels=NUM_FEATURE_CHANNELS, out_channels=1,
-                base_channels=4, depth=depth, rng=seed, up_mode=up_mode)
+                base_channels=4, depth=depth, rng=seed)
     return CmpNeuralNetwork(layout, unet, HeightNormalizer(mean=6000.0, std=40.0))
 
 
@@ -52,13 +52,6 @@ class TestTiledMatchesMonolithic:
         # 50x46 is not a multiple of 2**depth: the monolithic forward
         # zero-pads to the alignment and so must every boundary tile.
         net = _network(make_design_a(rows=50, cols=46))
-        fill = _random_fill(net.layout)
-        mono = net.predict_heights(fill)
-        tiled = net.predict_heights_tiled(fill, tile=16)
-        assert _rel_err(tiled, mono) <= 1e-6
-
-    def test_transpose_up_mode(self):
-        net = _network(make_design_a(rows=32, cols=32), up_mode="transpose")
         fill = _random_fill(net.layout)
         mono = net.predict_heights(fill)
         tiled = net.predict_heights_tiled(fill, tile=16)
@@ -120,18 +113,10 @@ class TestReceptiveFieldMetadata:
 
     def test_exact_radius_known_values(self):
         # Span recursion over 3x3 double-convs: depth 1 -> 10, depth 2 -> 25
-        # (upsample mode; the bilinear up-path convs widen the field).
+        # (the up-path convs widen the field).
         unet1 = UNet(in_channels=2, out_channels=1, base_channels=4,
                      depth=1, rng=0)
         unet2 = UNet(in_channels=2, out_channels=1, base_channels=4,
                      depth=2, rng=0)
         assert unet1.receptive_field_radius() == 10
         assert unet2.receptive_field_radius() == 25
-
-    def test_transpose_mode_is_narrower(self):
-        up = UNet(in_channels=2, out_channels=1, base_channels=4,
-                  depth=1, rng=0, up_mode="upsample")
-        tr = UNet(in_channels=2, out_channels=1, base_channels=4,
-                  depth=1, rng=0, up_mode="transpose")
-        # k=s=2 transpose convs add no span; the 3x3 up-path conv does.
-        assert tr.receptive_field_radius() < up.receptive_field_radius()

@@ -7,10 +7,10 @@ transport:
   micro-batch coalescing on (``max_batch=16``) and off (``max_batch=1``),
   reporting throughput and client-observed p50/p95/p99 latency plus the
   server's micro-batch size histogram;
-* the same fill workload across the three worker topologies — thread
-  pool, forked process pool (``worker_mode=process``) and the
-  fingerprint-sharded fleet (``shards=N``) — so the GIL-escape win is
-  measured on the same jobs;
+* the same fill workload on both backends of the one ``FillServer``
+  front end — the thread pool and the forked process pool
+  (``worker_mode=process``) — so the GIL-escape win is measured on the
+  same jobs;
 * the same job as sequential *cold* CLI invocations (one fresh
   ``python -m repro fill --model ...`` process per job — each pays
   interpreter start, model load and score calibration).
@@ -26,7 +26,9 @@ Environment knobs:
 
 * ``NEURFILL_BENCH_SMOKE=1`` shrinks the grid and the client matrix so
   the whole file runs in CI; the >=2x served-vs-cold-CLI throughput
-  assertion only applies in full mode.
+  assertion only applies in full mode, and the process-vs-thread gates
+  (>=3x peak throughput, 1-client p95 within 1.25x + 50 ms) only in
+  full mode on a host with >= 4 cores.
 * Fill jobs are compute-bound, so this bench is meaningless on a
   single-core box: it asserts ``os.cpu_count() > 1`` up front.  Set
   ``NEURFILL_BENCH_ALLOW_SINGLE_CORE=1`` to record numbers anyway (the
@@ -47,15 +49,7 @@ from _common import write_output
 from repro.layout import save_layout
 from repro.layout.designs import DESIGN_BUILDERS
 from repro.nn import UNet
-from repro.serve import (
-    FillServer,
-    ModelRegistry,
-    ServeClient,
-    ServeConfig,
-    ShardRouter,
-    rendezvous_shard,
-    routing_key,
-)
+from repro.serve import FillServer, ModelRegistry, ServeClient, ServeConfig
 from repro.serve.server import serve_tcp
 from repro.surrogate import (
     NUM_FEATURE_CHANNELS,
@@ -77,13 +71,11 @@ if SMOKE:
     CONCURRENCY = (1, 4)
     JOBS_PER_CLIENT = 1
     CLI_INVOCATIONS = 2
-    SHARDS = 2
 else:
     GRID = 12
     CONCURRENCY = (1, 4, 16)
     JOBS_PER_CLIENT = 2
     CLI_INVOCATIONS = 16
-    SHARDS = max(2, min(4, CPU_COUNT))
 
 WORKERS = 16
 MODEL_NAME = "pkb"
@@ -106,48 +98,32 @@ def _workspace(tmp_root: Path) -> tuple[str, str]:
 
 
 def _mode_layouts(tmp_root: Path, count: int) -> list[str]:
-    """Distinct layouts (distinct fingerprints) for the sharded bench.
-
-    Keeps generating past ``count`` if rendezvous happens to pin every
-    path to one shard — the scaling comparison needs >= 2 shards busy.
-    """
+    """Distinct layouts (distinct fingerprints) for the backend bench."""
     paths: list[str] = []
-    covered: set[int] = set()
-    for k in range(count + 16):
-        if len(paths) >= count and len(covered) >= min(2, SHARDS):
-            break
+    for k in range(count):
         layout = DESIGN_BUILDERS["A"](rows=GRID, cols=GRID, seed=100 + k)
         path = tmp_root / f"serve_bench_mode_{k}.json"
         save_layout(layout, str(path))
         paths.append(str(path))
-        covered.add(rendezvous_shard(
-            routing_key({"layout_path": str(path)}), SHARDS))
     return paths
 
 
 class _TcpServer:
     """An in-process ``serve_tcp`` on an ephemeral port.
 
-    ``worker_mode``/``shards`` pick the topology: a thread-pool
-    ``FillServer``, a forked-process pool, or (``shards > 1``) the
-    fingerprint-sharded ``ShardRouter`` fleet.
+    ``worker_mode`` picks the backend: the thread pool or the forked
+    process pool.
     """
 
     def __init__(self, ckpt: str, max_batch: int,
-                 worker_mode: str = "thread", shards: int = 1,
-                 workers: int = WORKERS):
-        config = ServeConfig(workers=workers, queue_capacity=64,
+                 worker_mode: str = "thread"):
+        config = ServeConfig(workers=WORKERS, queue_capacity=64,
                              max_batch=max_batch, flush_ms=2.0,
-                             allow_train=False, worker_mode=worker_mode,
-                             shards=shards)
-        if shards > 1:
-            self.server = ShardRouter(serve_config=config,
-                                      model_specs=[(MODEL_NAME, ckpt)])
-        else:
-            registry = ModelRegistry()
-            registry.register(MODEL_NAME, ckpt)
-            self.server = FillServer(registry=registry, serve_config=config,
-                                     model_specs=[(MODEL_NAME, ckpt)])
+                             allow_train=False, worker_mode=worker_mode)
+        registry = ModelRegistry()
+        registry.register(MODEL_NAME, ckpt)
+        self.server = FillServer(registry=registry, serve_config=config,
+                                 model_specs=[(MODEL_NAME, ckpt)])
         self._address = None
         self._ready = threading.Event()
 
@@ -187,8 +163,7 @@ def _run_load(port: int, layout_path: str | list[str], clients: int,
     """``clients`` connections, each submitting jobs back to back.
 
     ``layout_path`` may be a list; client ``i`` then works on layout
-    ``i % len(layouts)`` so the sharded fleet sees distinct fingerprints
-    (a single layout would pin every job to one shard by design).
+    ``i % len(layouts)``.
     """
     layouts = [layout_path] if isinstance(layout_path, str) else layout_path
     latencies: list[float] = []
@@ -261,12 +236,10 @@ def _bench_served(ckpt: str, layout_path: str, max_batch: int) -> dict:
 
 
 def _bench_mode(ckpt: str, layout_paths: list[str],
-                worker_mode: str, shards: int) -> dict:
-    """One topology over the same layouts/client matrix (``max_batch=1``
+                worker_mode: str) -> dict:
+    """One backend over the same layouts/client matrix (``max_batch=1``
     everywhere so coalescing never confounds the comparison)."""
-    workers = WORKERS if shards == 1 else max(1, WORKERS // shards)
-    tcp = _TcpServer(ckpt, max_batch=1, worker_mode=worker_mode,
-                     shards=shards, workers=workers)
+    tcp = _TcpServer(ckpt, max_batch=1, worker_mode=worker_mode)
     try:
         # warm every layout once: binding + capture tracing off the clock
         warm = ServeClient.connect("127.0.0.1", tcp.port, timeout=30.0)
@@ -276,21 +249,9 @@ def _bench_mode(ckpt: str, layout_paths: list[str],
         warm.close(wait_proc=False)
         runs = [_run_load(tcp.port, layout_paths, c, JOBS_PER_CLIENT)
                 for c in CONCURRENCY]
-        stats = tcp.stats()
     finally:
         tcp.stop()
-    out = {
-        "worker_mode": worker_mode,
-        "shards": shards,
-        "workers_per_shard": workers,
-        "runs": runs,
-    }
-    if shards > 1:
-        out["per_shard_completed"] = [
-            (s.get("counters") or {}).get("completed", 0)
-            for s in stats.get("per_shard", [])
-        ]
-    return out
+    return {"worker_mode": worker_mode, "workers": WORKERS, "runs": runs}
 
 
 def _bench_simulate(ckpt: str, layout_path: str) -> dict:
@@ -363,12 +324,9 @@ def test_serve_throughput(benchmark, tmp_path):
 
     modes = None
     if has_fork:
-        layouts = _mode_layouts(tmp_path, max(4, 2 * SHARDS))
-        modes = {
-            "thread": _bench_mode(ckpt, layouts, "thread", shards=1),
-            "process": _bench_mode(ckpt, layouts, "process", shards=1),
-            "sharded": _bench_mode(ckpt, layouts, "thread", shards=SHARDS),
-        }
+        layouts = _mode_layouts(tmp_path, 4)
+        modes = {mode: _bench_mode(ckpt, layouts, mode)
+                 for mode in ("thread", "process")}
 
     report = {
         "smoke": SMOKE,
@@ -376,7 +334,6 @@ def test_serve_throughput(benchmark, tmp_path):
         "numpy": np.__version__,
         "grid": GRID,
         "workers": WORKERS,
-        "shards": SHARDS,
         "jobs_per_client": JOBS_PER_CLIENT,
         "served_batched": batched,
         "served_unbatched": unbatched,
@@ -392,16 +349,13 @@ def test_serve_throughput(benchmark, tmp_path):
         report["peak_process_vs_thread_speedup"] = round(
             modes["process"]["runs"][-1]["throughput_jobs_per_s"]
             / peak_thread, 2)
-        report["peak_sharded_vs_thread_speedup"] = round(
-            modes["sharded"]["runs"][-1]["throughput_jobs_per_s"]
-            / peak_thread, 2)
     if CPU_COUNT == 1:
         report["note"] = (
-            "single-core host: fill jobs are compute-bound so no serving "
-            "topology (threads, forked processes, or shards) can "
+            "single-core host: fill jobs are compute-bound so neither "
+            "serving backend (threads or forked processes) can "
             "parallelise them here; mode speedups reflect IPC overhead "
-            "only, not the multi-core scaling the process/sharded paths "
-            "exist for.  The amortisation win is measured by "
+            "only, not the multi-core scaling the process backend "
+            "exists for.  The amortisation win is measured by "
             "simulate_jobs (resident vs per-process cold start)."
         )
     JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
@@ -421,8 +375,7 @@ def test_serve_throughput(benchmark, tmp_path):
                      f"{block['batch_histogram']}")
     if modes is not None:
         for label, block in modes.items():
-            tag = (f"{label} ({block['shards']}x"
-                   f"{block['workers_per_shard']}w)")
+            tag = f"{label} ({block['workers']}w)"
             for run in block["runs"]:
                 lines.append(
                     f"  mode/{tag:>14} x{run['clients']:>2} clients: "
@@ -430,9 +383,7 @@ def test_serve_throughput(benchmark, tmp_path):
                     f"p50 {run['p50_s']:.2f}s p95 {run['p95_s']:.2f}s"
                 )
         lines.append(
-            f"  peak sharded vs thread: "
-            f"{report['peak_sharded_vs_thread_speedup']:.2f}x, "
-            f"process vs thread: "
+            f"  peak process vs thread: "
             f"{report['peak_process_vs_thread_speedup']:.2f}x"
         )
     lines.append(
@@ -464,10 +415,6 @@ def test_serve_throughput(benchmark, tmp_path):
         for block in modes.values():
             for run in block["runs"]:
                 assert run["throughput_jobs_per_s"] > 0
-        spread = [n for n in modes["sharded"]["per_shard_completed"] if n]
-        assert len(spread) >= 2, (
-            "distinct-fingerprint jobs did not spread across shards"
-        )
     if not SMOKE:
         assert simulate["speedup"] >= 2.0, (
             "resident simulate jobs did not reach 2x over cold CLI"
@@ -481,14 +428,13 @@ def test_serve_throughput(benchmark, tmp_path):
         if modes is not None and CPU_COUNT >= 4:
             # The headline scaling claims need real cores to mean
             # anything; on fewer cores they are recorded but not policed.
-            assert report["peak_sharded_vs_thread_speedup"] >= 3.0, (
-                "sharded fleet did not reach 3x over the thread pool at "
+            assert report["peak_process_vs_thread_speedup"] >= 3.0, (
+                "process pool did not reach 3x over the thread pool at "
                 f"{CONCURRENCY[-1]} clients on {CPU_COUNT} cores"
             )
             thread_p95 = modes["thread"]["runs"][0]["p95_s"]
-            for label in ("process", "sharded"):
-                mode_p95 = modes[label]["runs"][0]["p95_s"]
-                assert mode_p95 <= thread_p95 * 1.25 + 0.05, (
-                    f"{label} p95 regressed at 1 client: "
-                    f"{mode_p95}s vs thread {thread_p95}s"
-                )
+            process_p95 = modes["process"]["runs"][0]["p95_s"]
+            assert process_p95 <= thread_p95 * 1.25 + 0.05, (
+                "process p95 regressed at 1 client: "
+                f"{process_p95}s vs thread {thread_p95}s"
+            )

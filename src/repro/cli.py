@@ -162,17 +162,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="NAME=CKPT_DIR",
                        help="register a surrogate checkpoint (repeatable)")
     serve.add_argument("--workers", type=int, default=None,
-                       help="workers per server/shard "
+                       help="worker threads or forked worker processes "
                             "(default REPRO_SERVE_WORKERS)")
     serve.add_argument("--worker-mode", choices=("thread", "process"),
                        default=None,
                        help="execute jobs on worker threads (coalescing) "
                             "or in forked worker processes (GIL-free; "
                             "default REPRO_SERVE_WORKER_MODE)")
-    serve.add_argument("--shards", type=int, default=None,
-                       help="shard-fleet width; >1 routes jobs to shard "
-                            "processes by layout fingerprint "
-                            "(default REPRO_SERVE_SHARDS)")
     serve.add_argument("--queue-capacity", type=int, default=None,
                        help="bounded queue size before rejection")
     serve.add_argument("--max-batch", type=int, default=None,
@@ -214,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lifecycle = sub.add_parser(
         "lifecycle-status",
-        help="inspect drift/retrain/generation state of a serve fleet")
+        help="inspect drift/retrain/generation state of a server")
     where = lifecycle.add_mutually_exclusive_group(required=True)
     where.add_argument("--dir", dest="lifecycle_dir", metavar="DIR",
                        help="read the persisted lifecycle state file "
@@ -441,7 +437,7 @@ def _cmd_train_surrogate(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .serve import FillServer, ModelRegistry, ServeConfig, ShardRouter
+    from .serve import FillServer, ModelRegistry, ServeConfig
     from .serve.registry import parse_model_spec
     from .serve.server import serve_pipe, serve_tcp
 
@@ -475,8 +471,6 @@ def _cmd_serve(args) -> int:
         overrides["allow_train"] = False
     if args.worker_mode is not None:
         overrides["worker_mode"] = args.worker_mode
-    if args.shards is not None:
-        overrides["shards"] = args.shards
     if args.shadow_rate is not None:
         overrides["shadow_sample_rate"] = args.shadow_rate
     if args.drift_bound is not None:
@@ -490,14 +484,8 @@ def _cmd_serve(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
 
-    if serve_config.shards > 1:
-        server = ShardRouter(serve_config=serve_config,
-                             journal_path=args.journal,
-                             model_specs=model_specs)
-    else:
-        server = FillServer(registry=registry, serve_config=serve_config,
-                            journal_path=args.journal,
-                            model_specs=model_specs)
+    server = FillServer(registry=registry, serve_config=serve_config,
+                        journal_path=args.journal, model_specs=model_specs)
     if args.tcp:
         host, sep, port = args.tcp.rpartition(":")
         if not sep or not port.isdigit():
@@ -511,9 +499,8 @@ def _cmd_serve(args) -> int:
         return serve_tcp(server, host or "127.0.0.1", int(port),
                          ready=announce)
     print("repro serve ready on stdin/stdout "
-          f"({serve_config.shards} shard(s) x {serve_config.workers} "
-          f"{serve_config.worker_mode} workers, queue "
-          f"{serve_config.queue_capacity}, max batch "
+          f"({serve_config.workers} {serve_config.worker_mode} workers, "
+          f"queue {serve_config.queue_capacity}, max batch "
           f"{serve_config.max_batch})", file=sys.stderr)
     return serve_pipe(server)
 

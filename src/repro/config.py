@@ -82,11 +82,6 @@ DEFAULT_SERVE_DRAIN_TIMEOUT_S: float = 30.0
 #: dispatches them to long-lived forked children, GIL-free.
 DEFAULT_SERVE_WORKER_MODE: str = "thread"
 
-#: Shard-fleet width (``REPRO_SERVE_SHARDS``); ``1`` is a single
-#: unsharded server, >1 routes by layout fingerprint across that many
-#: shard processes.
-DEFAULT_SERVE_SHARDS: int = 1
-
 
 def _env_number(name: str, default: float, kind: type,
                 minimum: float) -> float:
@@ -130,11 +125,6 @@ def serve_worker_mode_default() -> str:
         raise ValueError(f"REPRO_SERVE_WORKER_MODE={raw!r}: "
                          "expected 'thread' or 'process'")
     return raw
-
-
-def serve_shards_default() -> int:
-    return int(_env_number("REPRO_SERVE_SHARDS", DEFAULT_SERVE_SHARDS,
-                           int, 1))
 
 
 # ----------------------------------------------------------------------

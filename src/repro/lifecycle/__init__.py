@@ -5,7 +5,7 @@ sampled fraction of served fills is shadow-checked against the real CMP
 simulator (:mod:`~repro.lifecycle.monitor`); sustained residual
 excursions trip a windowed drift statistic, which triggers a background
 retrain on the offending layouts (:mod:`~repro.lifecycle.retrain`);
-validated candidates are hot-swapped into the running fleet without
+validated candidates are hot-swapped into the running server without
 draining (:mod:`~repro.lifecycle.swap` plus the generation-aware
 registry in :mod:`repro.serve.registry`).
 

@@ -16,8 +16,7 @@ Records whose residual exceeds the bound carry an
 simulator's heights — which doubles as the retrain augmentation source
 and the held-out validation pair (the simulator work is already paid).
 Everything has a wire form (plain JSON lists) so forked serve workers
-and shard processes can stream residuals to the parent over the
-existing pipe protocol.
+can stream residuals to the parent over the existing pipe protocol.
 
 This module is deliberately free of ``repro.serve`` imports: the serve
 layer depends on the lifecycle, never the reverse.

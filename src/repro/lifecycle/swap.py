@@ -1,21 +1,19 @@
 """Lifecycle manager: wires monitor -> retrain -> hot swap together.
 
-One :class:`LifecycleManager` lives in each serving front end (the
-single :class:`~repro.serve.server.FillServer`, or the
-:class:`~repro.serve.router.ShardRouter` for a fleet).  It owns the
-drift window, optionally a local shadow executor (thread-mode serving;
-process workers and shards run their own and stream residual records
-up their pipes), and optionally the retrain orchestrator.  When a
-retrain candidate validates, the manager calls the host's ``apply_swap``
-callback — registry rebind plus worker/shard notification — and then
-records the new generation in an atomically-written state file so a
-restarted server resumes serving the latest generation instead of the
-boot checkpoint.
+One :class:`LifecycleManager` lives in the serving front end,
+:class:`~repro.serve.server.FillServer`.  It owns the drift window,
+optionally a local shadow executor (thread-mode serving; forked process
+workers run their own and stream residual records up their pipes), and
+optionally the retrain orchestrator.  When a retrain candidate
+validates, the manager calls the host's ``apply_swap`` callback —
+registry rebind plus worker notification — and then records the new
+generation in an atomically-written state file so a restarted server
+resumes serving the latest generation instead of the boot checkpoint.
 
 The module deliberately knows nothing about sockets, pipes or
 registries: hosts inject callables (``apply_swap``, ``model_info``,
-``journal_reader``, ``residual_forward``), keeping the dependency
-direction serve -> lifecycle.
+``journal_reader``), keeping the dependency direction serve ->
+lifecycle.
 """
 
 from __future__ import annotations
@@ -79,11 +77,11 @@ class LifecycleManager:
             and ``local_shadow`` is requested.
         stats: counter sink (``incr``/``set_gauge`` duck type).
         state_path: where generation state persists; ``None`` disables
-            persistence (shard children — the router owns the state).
+            persistence.
         checkpoint_root: directory for retrained ``gen-NNN`` checkpoints
             (required when ``config.auto_retrain``).
         apply_swap: ``callable(model, directory, generation)`` performing
-            the host-side hot swap (registry + workers/shards).  Raises
+            the host-side hot swap (registry + workers).  Raises
             to veto.  The manager calls :meth:`note_swap` itself after a
             successful retrain promotion; hosts call it for manual swaps.
         model_info: ``callable(name) -> dict`` with at least ``arch``
@@ -93,7 +91,7 @@ class LifecycleManager:
             returning the journalled admission records of offending jobs;
             their layout specs augment the retrain set.
         local_shadow: run a :class:`ShadowExecutor` in this process
-            (thread-mode serving).  Process/shard hosts pass ``False``
+            (thread-mode serving).  Process-mode hosts pass ``False``
             and feed :meth:`observe_wire` from worker frames instead.
     """
 
@@ -101,13 +99,12 @@ class LifecycleManager:
                  state_path: str | Path | None = None,
                  checkpoint_root: str | Path | None = None,
                  apply_swap=None, model_info=None, journal_reader=None,
-                 residual_forward=None, local_shadow: bool = True):
+                 local_shadow: bool = True):
         self.config = config
         self.stats = stats
         self.apply_swap = apply_swap
         self.model_info = model_info
         self.journal_reader = journal_reader
-        self.residual_forward = residual_forward
         self.state_path = Path(state_path) if state_path else None
         self._lock = threading.Lock()
         self._generations: dict[str, dict] = {}
@@ -125,7 +122,7 @@ class LifecycleManager:
                 simulator=simulator,
                 sample_rate=config.shadow_sample_rate,
                 drift_bound=config.drift_bound,
-                sink=self.observe, stats=stats)
+                sink=self.window.observe, stats=stats)
         self.orchestrator: RetrainOrchestrator | None = None
         if config.auto_retrain:
             if checkpoint_root is None:
@@ -143,25 +140,15 @@ class LifecycleManager:
 
     # ------------------------------------------------------------------
     # Residual intake.
-    def observe(self, record: ResidualRecord) -> None:
-        """Fold one residual into the drift window (and forward it)."""
-        if self.residual_forward is not None:
-            try:
-                self.residual_forward(record.to_wire())
-            except Exception:
-                if self.stats is not None:
-                    self.stats.incr("lifecycle.forward_errors")
-        self.window.observe(record)
-
     def observe_wire(self, message: dict) -> None:
-        """Intake for residual frames from worker/shard pipes."""
+        """Intake for residual frames from worker pipes."""
         try:
             record = ResidualRecord.from_wire(message)
         except (KeyError, TypeError, ValueError):
             if self.stats is not None:
                 self.stats.incr("lifecycle.bad_residual_frames")
             return
-        self.observe(record)
+        self.window.observe(record)
 
     # ------------------------------------------------------------------
     # Generation bookkeeping.

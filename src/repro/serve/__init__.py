@@ -5,11 +5,11 @@ calibration on every invocation.  This subsystem keeps surrogates
 resident (model registry), admits work through a bounded priority queue
 with backpressure, coalesces concurrent surrogate evaluations into
 dynamic micro-batches (the PR 1 ``evaluate_batch`` primitive), and
-survives crashes via an accept/done journal.  Execution scales past the
-GIL with ``worker_mode=process`` (a :class:`ProcessWorkerPool` of
-long-lived forked children) and past one process's caches with
-``--shards N`` (a :class:`ShardRouter` fleet routing jobs to shard
-processes by layout fingerprint).  See DESIGN.md "Serving" and
+survives crashes via an accept/done journal.  One front end,
+:class:`FillServer`, runs jobs on one of two backends: its worker
+threads (the default, with cross-job coalescing) or, with
+``worker_mode=process``, a :class:`ProcessWorkerPool` of long-lived
+forked children that scales past the GIL.  See DESIGN.md "Serving" and
 "Process-based serving" for the micro-batching policy, its
 numerical-fidelity contract, and the crash-containment model.
 """
@@ -41,7 +41,6 @@ from .registry import (
     layout_fingerprint,
     parse_model_spec,
 )
-from .router import ShardRouter, rendezvous_shard, routing_key
 from .server import FillServer, ServeConfig, serve_pipe, serve_tcp
 from .stats import LatencyTracker, ServeStats
 
@@ -68,7 +67,6 @@ __all__ = [
     "ServeConfig",
     "ServeError",
     "ServeStats",
-    "ShardRouter",
     "SimulateBatcher",
     "WorkerDiedError",
     "WorkerSpec",
@@ -77,9 +75,7 @@ __all__ = [
     "layout_fingerprint",
     "parse_model_spec",
     "parse_request",
-    "rendezvous_shard",
     "response",
-    "routing_key",
     "serve_pipe",
     "serve_tcp",
     "validate_job",

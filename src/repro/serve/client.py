@@ -212,8 +212,8 @@ class ServeClient:
         """Incremental refill of an edited layout against a parent solve.
 
         Pass the ``layout_fingerprint`` from the parent fill's done
-        payload as ``parent_fingerprint`` so the job lands on the shard/
-        worker holding the parent's cached solution, or supply
+        payload as ``parent_fingerprint`` so the job lands on the worker
+        holding the parent's cached solution, or supply
         ``parent_fill`` + ``parent_layout`` explicitly.
         """
         return self.call("eco", params, priority=priority,
@@ -232,7 +232,7 @@ class ServeClient:
         return bool(self.call("ping", timeout=timeout)["result"]["pong"])
 
     def lifecycle(self, timeout: float | None = None) -> dict:
-        """Drift/retrain/generation status of the server or fleet."""
+        """Drift/retrain/generation status of the server."""
         return self.call("lifecycle", timeout=timeout)["result"]
 
     def swap(self, model: str, directory: str,

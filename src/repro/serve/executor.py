@@ -58,8 +58,8 @@ FILL_METHODS = ("lin", "tao", "cai", "neurfill-pkb", "neurfill-mm")
 def validate_job(request: Request, allow_train: bool = True) -> str | None:
     """Cheap admission-time validation (full errors surface at run).
 
-    Shared by the in-process server and the shard router so a bad job is
-    rejected at the front end instead of travelling to a shard first.
+    The server calls it before journalling, so a bad job is rejected at
+    the front end instead of travelling to a worker first.
     """
     params = request.params
     if "layout" not in params and "layout_path" not in params:
@@ -105,8 +105,6 @@ class JobExecutor:
         max_batch / flush_ms: cross-job micro-batching knobs; pass
             ``max_batch=1`` to disable coalescing (the process-worker
             configuration — a child executor never sees concurrency).
-        shard_id: tag added to ``serve.*`` job spans when this executor
-            lives inside a shard of a :class:`~repro.serve.router.ShardRouter`.
         shadow: optional :class:`~repro.lifecycle.ShadowExecutor`; every
             registered-model fill is offered to it (it samples).  ``None``
             — the default — keeps the fill path exactly the
@@ -122,7 +120,6 @@ class JobExecutor:
                  max_bound_networks: int = 8,
                  max_batch: int = 1,
                  flush_ms: float = 0.0,
-                 shard_id: int | None = None,
                  shadow=None):
         self.registry = registry or ModelRegistry()
         self.simulator = simulator or CmpSimulator()
@@ -132,7 +129,6 @@ class JobExecutor:
         self.max_bound_networks = max_bound_networks
         self.max_batch = max_batch
         self.flush_ms = flush_ms
-        self.shard_id = shard_id
         self.shadow = shadow
         self._layout_cache: OrderedDict[str, tuple[tuple, Layout, str]] = \
             OrderedDict()
@@ -151,10 +147,8 @@ class JobExecutor:
 
     # ------------------------------------------------------------------
     def execute(self, request: Request) -> dict:
-        attrs: dict = {"job_id": request.id}
-        if self.shard_id is not None:
-            attrs["shard"] = self.shard_id
-        with obs_trace.span(f"serve.{request.op}", cat="serve", **attrs):
+        with obs_trace.span(f"serve.{request.op}", cat="serve",
+                            job_id=request.id):
             if request.op == "simulate":
                 return self._simulate_job(request.params)
             if request.op == "eco":
@@ -330,8 +324,8 @@ class JobExecutor:
             "method": result.method,
             "layout": layout.name,
             # The fingerprint keys the cached solution; clients pass it
-            # back as parent_fingerprint on eco jobs, and the shard
-            # router learns cache affinity from it.
+            # back as parent_fingerprint on eco jobs, and the process
+            # pool learns worker affinity from it.
             "layout_fingerprint": fingerprint,
             "quality": result.quality,
             "total_fill": result.total_fill,

@@ -76,10 +76,15 @@ class BoundedJobQueue:
         self._cond = threading.Condition()
 
     # ------------------------------------------------------------------
-    def put(self, job: Job) -> bool:
-        """Enqueue; ``False`` when at capacity or closed (backpressure)."""
+    def put(self, job: Job, bounded: bool = True) -> bool:
+        """Enqueue; ``False`` when at capacity or closed (backpressure).
+
+        ``bounded=False`` skips the capacity check (journal replay: the
+        job was accepted before a crash); later puts still see the queue
+        as full until it drains below capacity.
+        """
         with self._cond:
-            if self._closed or self._live >= self.capacity:
+            if self._closed or (bounded and self._live >= self.capacity):
                 return False
             if job.id in self._by_id:
                 return False  # duplicate ids would make cancel ambiguous

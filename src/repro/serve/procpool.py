@@ -1,8 +1,8 @@
 """Forked worker processes: the GIL-free serve worker pool.
 
-Thread workers (PR 3) share one interpreter, so numpy-heavy fill jobs
-contend on the GIL and throughput flattens as clients grow.  This module
-moves job *execution* — layout load, coefficient calibration, surrogate
+Thread workers share one interpreter, so numpy-heavy fill jobs contend
+on the GIL and throughput flattens as clients grow.  This module moves
+job *execution* — layout load, coefficient calibration, surrogate
 binding, MSP-SQP fill — into long-lived child processes, each owning a
 private warm :class:`~repro.serve.executor.JobExecutor` (its own
 :class:`~repro.serve.registry.ModelRegistry`, layout/coefficient caches,
@@ -14,23 +14,26 @@ line encoding: the parent sends ``encode(request.to_wire())`` bytes; the
 child answers with ``encode({...})`` frames —
 
 * ``{"kind": "ready", "pid": ...}`` once booted;
-* ``{"kind": "hb", "pid": ...}`` heartbeats from a dedicated thread,
-  flowing even while the main thread is deep in a fill;
 * ``{"kind": "result", "job": id, "status": "done"|"error", ...}`` with
   the result payload passed through :func:`~repro.serve.protocol.json_safe`
   — exactly the NaN-safe sanitisation the client response gets, so the
-  bytes a client receives are identical in thread and process mode.
+  bytes a client receives are identical in thread and process mode;
+* ``{"kind": "residual", ...}`` shadow residuals (drift monitor), which
+  can trail a result; the monitor thread forwards those of idle
+  children so they never wait for the child's next job.
 
-Crash containment: a child that dies mid-job (OOM kill, segfault, SIGKILL)
-is detected by the waiting parent thread, the job is failed with the
-distinguishable ``worker_died`` terminal status (never silently lost — a
-client can safely retry, the job did not complete), and the worker slot
-is respawned.  Idle children are watched by a monitor thread and
-respawned on death too.
+Crash containment: a child that dies mid-job (OOM kill, segfault,
+SIGKILL) is detected by the waiting parent thread through pipe EOF or
+``process.is_alive()``.  Its slot is respawned and the job re-runs once
+on the fresh child; only a job whose second run dies too fails with the
+distinguishable ``worker_died`` terminal status (safe to retry — the job
+did not complete), so one crash-prone job cannot crash-loop the pool.
+A closing pool never re-runs.  Idle children that die are respawned by
+the monitor thread.
 
 Children are started with the ``fork`` start method where available
-(PR 1's parallel datagen proved cross-process simulation byte-identical
-under fork); ``spawn`` is the fallback on platforms without it.
+(parallel datagen proved cross-process simulation byte-identical under
+fork); ``spawn`` is the fallback on platforms without it.
 """
 
 from __future__ import annotations
@@ -74,7 +77,6 @@ class WorkerSpec:
     beta_runtime: float = 60.0
     allow_train: bool = True
     max_bound_networks: int = 8
-    heartbeat_s: float = 2.0
     shadow_sample_rate: float = 0.0
     drift_bound: float = 50.0
 
@@ -116,7 +118,7 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
 
     if spec.shadow_sample_rate > 0:
         # Each child samples its own served fills; the parent folds the
-        # streamed residual frames into one fleet-wide drift window.
+        # streamed residual frames into one pool-wide drift window.
         executor.shadow = ShadowExecutor(
             simulator=executor.simulator,
             sample_rate=spec.shadow_sample_rate,
@@ -155,16 +157,6 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
               "generation": registry.generation_of(name)})
 
     send({"kind": "ready", "pid": os.getpid()})
-
-    stop = threading.Event()
-
-    def heartbeat_loop() -> None:
-        while not stop.wait(spec.heartbeat_s):
-            send({"kind": "hb", "pid": os.getpid()})
-
-    hb_thread = threading.Thread(target=heartbeat_loop, daemon=True,
-                                 name="repro-serve-proc-hb")
-    hb_thread.start()
     try:
         while True:
             try:
@@ -194,7 +186,6 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
                 send({"kind": "result", "job": request.id, "status": "done",
                       "result": protocol.json_safe(result)})
     finally:
-        stop.set()
         if executor.shadow is not None:
             executor.shadow.close()
         executor.close()
@@ -213,7 +204,6 @@ class _WorkerHandle:
         self.process = None
         self.conn = None
         self.pid: int | None = None
-        self.last_heartbeat: float | None = None
         self.jobs = 0
         self.in_use = False
         #: Highest pool swap sequence this child has applied (or booted
@@ -241,7 +231,6 @@ class _WorkerHandle:
                         f"worker {self.index} closed its pipe during boot")
                 if message.get("kind") == "ready":
                     self.pid = int(message.get("pid") or process.pid)
-                    self.last_heartbeat = time.monotonic()
                     return
             elif not process.is_alive():
                 raise WorkerDiedError(
@@ -269,11 +258,10 @@ class _WorkerHandle:
         return self.process is not None and self.process.is_alive()
 
     def drain(self) -> None:
-        """Consume queued heartbeats (called before dispatching a job)."""
+        """Consume frames that arrived while idle (trailing residuals)."""
         try:
             while self.conn.poll(0):
                 self._recv()
-                self.last_heartbeat = time.monotonic()
         except (EOFError, OSError):
             pass
 
@@ -307,9 +295,8 @@ class _WorkerHandle:
                 raise WorkerDiedError(
                     f"worker pid {self.pid} died while executing job "
                     f"{request.id!r}")
-            self.last_heartbeat = time.monotonic()
             if message.get("kind") != "result":
-                continue  # heartbeat
+                continue
             if message.get("job") != request.id:
                 continue  # stale frame from a previous incarnation
             if message.get("status") == "done":
@@ -320,8 +307,7 @@ class _WorkerHandle:
         """Send one control frame and wait for its ack.
 
         Only called on a claimed (``in_use``) handle, so no job result
-        can interleave — just heartbeats and residual frames, which the
-        wait loop skips.
+        can interleave — just residual frames, which the wait loop skips.
 
         Raises:
             WorkerDiedError: the child died or timed out mid-control.
@@ -351,7 +337,6 @@ class _WorkerHandle:
             except (EOFError, OSError):
                 raise WorkerDiedError(
                     f"worker pid {self.pid} died during control {action!r}")
-            self.last_heartbeat = time.monotonic()
             if message.get("kind") in ("control_ok", "control_error"):
                 return message
 
@@ -367,14 +352,12 @@ class _WorkerHandle:
                 self.process.join(timeout=timeout)
 
     def describe(self) -> dict:
-        age = (None if self.last_heartbeat is None
-               else round(time.monotonic() - self.last_heartbeat, 3))
         return {"index": self.index, "pid": self.pid, "alive": self.alive,
-                "jobs": self.jobs, "heartbeat_age_s": age}
+                "jobs": self.jobs}
 
 
 class ProcessWorkerPool:
-    """A fixed-size fleet of forked workers behind an acquire/run API.
+    """A fixed-size pool of forked workers behind an acquire/run API.
 
     The server's worker threads call :meth:`run`; each call pins one
     child for the duration of the job, so at most ``workers`` jobs
@@ -427,7 +410,7 @@ class ProcessWorkerPool:
 
     # ------------------------------------------------------------------
     def swap(self, name: str, directory: str, generation: int) -> None:
-        """Broadcast a checkpoint swap to the fleet, without respawning.
+        """Broadcast a checkpoint swap to every child, without respawning.
 
         Idle children reload the checkpoint immediately over their
         control channel; children busy with a job are caught up lazily
@@ -500,6 +483,10 @@ class ProcessWorkerPool:
         that completed that layout's fill — its private executor holds
         the cached parent solution; any other child would reject the
         warm-start.  Other jobs take the first free worker.
+
+        If the child dies mid-job, the slot is respawned and the job
+        re-runs once on the fresh child; a second death (or a death
+        while the pool is closing) raises :class:`WorkerDiedError`.
         """
         prefer = None
         if request.op == "eco":
@@ -509,10 +496,19 @@ class ProcessWorkerPool:
                     prefer = self._affinity.get(parent)
         handle = self._acquire(prefer=prefer)
         try:
-            result = handle.run(request)
-        except WorkerDiedError:
-            self._revive(handle)
-            raise
+            try:
+                result = handle.run(request)
+            except WorkerDiedError:
+                self._revive(handle)
+                if self._closed:
+                    raise
+                if self.stats is not None:
+                    self.stats.incr("redispatched")
+                try:
+                    result = handle.run(request)
+                except WorkerDiedError:
+                    self._revive(handle)
+                    raise
         finally:
             self._release(handle)
         fingerprint = result.get("layout_fingerprint") \
@@ -583,21 +579,22 @@ class ProcessWorkerPool:
             self.stats.incr("worker_respawns")
 
     def _monitor_loop(self) -> None:
-        """Respawn idle workers that died between jobs."""
+        """Respawn idle workers that died between jobs, and forward the
+        residual frames idle children sent after their last result."""
         while True:
             with self._cond:
                 if self._closed:
                     return
-                dead = None
-                for handle in self._handles:
-                    if not handle.in_use and not handle.alive:
-                        handle.in_use = True  # claim for the respawn
-                        dead = handle
-                        break
-            if dead is not None:
-                self._revive(dead)
-                self._release(dead)
-                continue
+                idle = [handle for handle in self._handles
+                        if not handle.in_use]
+                for handle in idle:
+                    handle.in_use = True  # claim for the drain / respawn
+            for handle in idle:
+                if handle.alive:
+                    handle.drain()
+                else:
+                    self._revive(handle)
+                self._release(handle)
             time.sleep(0.5)
 
     # ------------------------------------------------------------------

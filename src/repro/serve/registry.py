@@ -48,9 +48,8 @@ def layout_fingerprint(layout: Layout) -> str:
 def parse_model_spec(spec: str) -> tuple[str, str]:
     """Split a ``NAME=CHECKPOINT_DIR`` CLI spec into its two parts.
 
-    Shared by the registry and the process pool / shard router, which
-    ship specs (not live registries) to child processes that warm-load
-    their own copies.
+    Shared by the registry and the process pool, which ships specs (not
+    live registries) to child processes that warm-load their own copies.
     """
     name, sep, directory = spec.partition("=")
     if not sep or not name or not directory:

@@ -27,9 +27,12 @@ Two worker modes share this skeleton (``ServeConfig.worker_mode``):
   :class:`~repro.serve.procpool.ProcessWorkerPool` of long-lived forked
   children, each owning a private warm executor; numpy-heavy jobs then
   scale across cores instead of contending on the GIL.  A child that
-  dies mid-job yields the distinguishable terminal status
-  ``worker_died`` (safe to retry — the job did not complete) and its
-  slot is respawned.
+  dies mid-job is respawned and the job re-runs once; a job whose
+  second run dies too ends with the distinguishable terminal status
+  ``worker_died`` (safe to retry — the job did not complete).
+
+:meth:`FillServer._execute` is the seam between the two; transport,
+admission, journal, lifecycle and stats are shared.
 
 A dedicated expiry timer retires deadline-passed jobs promptly even
 while every worker is busy — queued jobs no longer wait for a worker to
@@ -106,11 +109,6 @@ class ServeConfig:
     #: jobs); ``process`` dispatches them to forked worker children.
     worker_mode: str = field(
         default_factory=repro_config.serve_worker_mode_default)
-    #: Shard-fleet width for :class:`~repro.serve.router.ShardRouter`;
-    #: 1 means a single unsharded server.
-    shards: int = field(default_factory=repro_config.serve_shards_default)
-    #: Liveness heartbeat period of forked workers (process mode).
-    heartbeat_s: float = 2.0
     #: Fraction of registered-model fills shadow-checked against the
     #: real simulator; 0 (the default) disables the drift monitor and
     #: keeps serving on the exact pre-lifecycle fast path.
@@ -154,11 +152,6 @@ class ServeConfig:
             raise ValueError(
                 f"worker_mode must be one of {WORKER_MODES}, "
                 f"got {self.worker_mode!r}")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.heartbeat_s <= 0:
-            raise ValueError(
-                f"heartbeat_s must be > 0, got {self.heartbeat_s}")
         if not 0.0 <= self.shadow_sample_rate <= 1.0:
             raise ValueError(
                 f"shadow_sample_rate must be in [0, 1], "
@@ -193,22 +186,14 @@ class FillServer:
             shipped to forked workers.  Defaults to the registry's
             registered directories; explicit entries are upgraded to the
             registry's current generation after lifecycle state restore.
-        shard_id: set by :class:`~repro.serve.router.ShardRouter` when
-            this server is one shard of a fleet; tags job spans.
-        residual_sink: optional callable receiving every shadow residual
-            in wire form — the shard router injects this so a fleet's
-            drift window lives in the front end, not per shard.
     """
 
     def __init__(self, registry: ModelRegistry | None = None,
                  serve_config: ServeConfig | None = None,
                  journal_path: str | None = None,
-                 model_specs: list[tuple] | None = None,
-                 shard_id: int | None = None,
-                 residual_sink=None):
+                 model_specs: list[tuple] | None = None):
         self.registry = registry or ModelRegistry()
         self.config = serve_config or ServeConfig()
-        self.shard_id = shard_id
         self.stats = ServeStats()
         self.queue = BoundedJobQueue(self.config.queue_capacity)
         self.simulator = CmpSimulator()
@@ -224,16 +209,13 @@ class FillServer:
                 self.config,
                 simulator=self.simulator,
                 stats=self.stats,
-                # Shards never own state: the router front end does.
                 state_path=(lifecycle_dir / STATE_FILENAME
-                            if lifecycle_dir is not None and shard_id is None
-                            else None),
+                            if lifecycle_dir is not None else None),
                 checkpoint_root=(lifecycle_dir
                                  if self.config.auto_retrain else None),
                 apply_swap=self._do_swap,
                 model_info=self._model_info,
                 journal_reader=self._journal_requests,
-                residual_forward=residual_sink,
                 # Thread mode shadows in-process; process mode shadows in
                 # the forked children (residuals arrive as pipe frames).
                 local_shadow=self.config.worker_mode != "process",
@@ -260,7 +242,6 @@ class FillServer:
             max_bound_networks=self.config.max_bound_networks,
             max_batch=self.config.max_batch,
             flush_ms=self.config.flush_ms,
-            shard_id=shard_id,
             shadow=(self.lifecycle.shadow if self.lifecycle is not None
                     else None),
         )
@@ -286,7 +267,6 @@ class FillServer:
                     beta_runtime=self.config.beta_runtime,
                     allow_train=self.config.allow_train,
                     max_bound_networks=self.config.max_bound_networks,
-                    heartbeat_s=self.config.heartbeat_s,
                     shadow_sample_rate=self.config.shadow_sample_rate,
                     drift_bound=self.config.drift_bound,
                 ),
@@ -295,6 +275,10 @@ class FillServer:
             )
         self._drain_cond = threading.Condition()
         self._inflight = 0
+        #: Ids of jobs queued or in flight; an id is reusable only once
+        #: its job's terminal outcome is journalled.
+        self._live_ids: set[str] = set()
+        self._ids_lock = threading.Lock()
         self._workers: list[threading.Thread] = []
         self._expiry_thread: threading.Thread | None = None
         self._accepting = True
@@ -331,7 +315,7 @@ class FillServer:
             except ProtocolError:
                 continue  # journalled by an incompatible version; drop
             self.stats.incr("resumed")
-            self._admit(request, lambda message: None)
+            self._admit(request, lambda message: None, replayed=True)
         self._resume_specs = []
 
     @property
@@ -396,13 +380,27 @@ class FillServer:
         elif request.op in IMMEDIATE_OPS:
             self._handle_immediate(request, reply)
 
-    def _admit(self, request: Request, reply) -> None:
+    def _admit(self, request: Request, reply, replayed: bool = False) -> None:
+        """Accept or reject one job.
+
+        A duplicate of a queued or in-flight id is rejected before
+        anything is journalled, so its rejection cannot cancel the
+        original's journalled accept.  ``replayed`` jobs come from the
+        crash journal: clients already saw them accepted, so they enter
+        the queue whatever its capacity.
+        """
         if not self._accepting:
             self.stats.incr("rejected")
             reply(response(request.id, "rejected",
                            error="server is shutting down"))
             return
         error = self._validate_job(request)
+        if error is None:
+            with self._ids_lock:
+                if request.id in self._live_ids:
+                    error = f"duplicate job id {request.id!r}"
+                else:
+                    self._live_ids.add(request.id)
         if error is not None:
             self.stats.incr("rejected")
             reply(response(request.id, "rejected", error=error))
@@ -412,7 +410,7 @@ class FillServer:
         job = Job(request=request, reply=reply)
         if job.deadline is None and self.config.default_timeout_s:
             job.deadline = job.accepted_at + self.config.default_timeout_s
-        if self.queue.put(job):
+        if self.queue.put(job, bounded=not replayed):
             self.stats.incr("accepted")
             depth = self.queue.depth()
             self.stats.set_gauge("queue_depth", depth)
@@ -422,13 +420,16 @@ class FillServer:
             self.stats.incr("rejected")
             if self._journal is not None:
                 self._journal.record_done(request.id, "rejected")
+            self._release_id(request.id)
             if self.queue.closed:
                 reason = "server is shutting down"
-            elif self.queue.depth() >= self.queue.capacity:
-                reason = f"queue full (capacity {self.queue.capacity})"
             else:
-                reason = f"duplicate job id {request.id!r}"
+                reason = f"queue full (capacity {self.queue.capacity})"
             reply(response(request.id, "rejected", error=reason))
+
+    def _release_id(self, job_id: str) -> None:
+        with self._ids_lock:
+            self._live_ids.discard(job_id)
 
     def _validate_job(self, request: Request) -> str | None:
         return validate_job(request, allow_train=self.config.allow_train)
@@ -569,8 +570,6 @@ class FillServer:
                 for name, info in self.registry.describe().items()
             },
         }
-        if self.shard_id is not None:
-            result["shard_id"] = self.shard_id
         if self.lifecycle is not None:
             result.update(self.lifecycle.status())
         return result
@@ -590,8 +589,6 @@ class FillServer:
             "models": self.registry.names(),
             "uptime_s": round(time.monotonic() - self._started_at, 3),
         })
-        if self.shard_id is not None:
-            snapshot["shard_id"] = self.shard_id
         if self._pool is not None:
             snapshot["proc_workers"] = self._pool.describe()
         if self.lifecycle is not None:
@@ -672,6 +669,7 @@ class FillServer:
             generation = (result.get("generation")
                           if isinstance(result, dict) else None)
             self._journal.record_done(job.id, status, generation=generation)
+        self._release_id(job.id)
         job.reply(response(job.id, status, result=result, error=error))
 
     # ------------------------------------------------------------------
@@ -700,8 +698,6 @@ def _safe_reply(reply):
 def serve_pipe(server, stdin=None, stdout=None) -> int:
     """Serve line-JSON over stdin/stdout until EOF or a shutdown op.
 
-    ``server`` is a :class:`FillServer` or a
-    :class:`~repro.serve.router.ShardRouter` (same duck-typed surface).
     Protocol traffic owns stdout; anything human-readable must go to
     stderr.  EOF on stdin triggers a graceful drain, so piping a finite
     job list into ``repro serve --pipe`` works as a batch runner.
@@ -737,7 +733,7 @@ def serve_tcp(server, host: str = "127.0.0.1",
     """Serve line-JSON over TCP; one reader thread per connection.
 
     Args:
-        server: a :class:`FillServer` or router (duck-typed).
+        server: the :class:`FillServer` to drive.
         ready: optional callback invoked with the bound ``(host, port)``
             once the socket listens (lets tests/benches use port 0).
     """

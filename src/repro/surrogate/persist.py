@@ -98,15 +98,6 @@ def checkpoint_stamp(directory: str | Path) -> tuple:
     return tuple(stamp)
 
 
-def read_checkpoint_meta(directory: str | Path) -> dict:
-    """The ``surrogate.json`` metadata alone (no weight load).
-
-    Lets the shard router learn a checkpoint's generation without paying
-    a full warm load in the front-end process.
-    """
-    return json.loads((Path(directory) / "surrogate.json").read_text())
-
-
 def save_surrogate(directory: str | Path, unet: UNet,
                    normalizer: HeightNormalizer,
                    base_channels: int, depth: int,

@@ -120,28 +120,6 @@ class TestResidualIntake:
         manager.observe_wire(dict(wire, kind="residual"))
         assert manager.window.status()["m"]["window_exceeded"] == 1
 
-    def test_residual_forward_failure_counted_not_fatal(self):
-        class Stats:
-            def __init__(self):
-                self.counters = {}
-
-            def incr(self, name, value=1):
-                self.counters[name] = self.counters.get(name, 0) + value
-
-            def set_gauge(self, name, value):
-                pass
-
-        stats = Stats()
-
-        def broken_forward(wire):
-            raise BrokenPipeError("shard pipe gone")
-
-        manager = LifecycleManager(lifecycle_config(), stats=stats,
-                                   residual_forward=broken_forward)
-        manager.observe(residual(rmse=1.0))
-        assert stats.counters["lifecycle.forward_errors"] == 1
-        assert manager.window.status()["m"]["observed"] == 1
-
 
 class TestTripPlumbing:
     def test_trip_gathers_arch_and_journal_layouts(self, tmp_path):

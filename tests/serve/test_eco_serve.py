@@ -1,19 +1,14 @@
-"""Serving incremental (ECO) jobs: validation, routing affinity, parity.
+"""Serving incremental (ECO) jobs: validation, worker affinity, parity.
 
-Covers the PR's serve-layer pieces:
+Covers the serve-layer pieces:
 
 * ``validate_job`` admission checks for the ``eco`` op;
-* ``routing_key``'s parent-fingerprint branch — an edited layout hashes
-  differently from its parent, so content routing would strand the edit
-  on a cold shard (the satellite bugfix);
-* the router's learned fingerprint->shard affinity, exercised without
-  spawning processes;
 * executor-level fill -> eco chaining: the cached-parent path and the
   explicit ``parent_fill`` path must produce bitwise-identical fills,
   and the served result must match a direct in-process ``eco_refill``
   with the serve optimizer settings (the CLI parity guarantee);
-* a forked two-shard fleet end-to-end: the eco job must land on the
-  shard holding the parent's cached solution.
+* a two-child process pool end to end: each eco job must land on the
+  child holding its parent's cached solution.
 """
 
 import multiprocessing
@@ -27,16 +22,9 @@ from repro.layout import edit_layout, save_layout
 from repro.layout.designs import DESIGN_BUILDERS
 from repro.nn import UNet
 from repro.optimize import SqpOptimizer
-from repro.serve import (
-    ModelRegistry,
-    ServeConfig,
-    ShardRouter,
-    rendezvous_shard,
-    routing_key,
-)
+from repro.serve import FillServer, ModelRegistry, ServeConfig
 from repro.serve.executor import JobExecutor, validate_job
 from repro.serve.protocol import Request
-from repro.serve.router import _Entry
 from repro.surrogate import (
     NUM_FEATURE_CHANNELS,
     HeightNormalizer,
@@ -44,6 +32,7 @@ from repro.surrogate import (
     save_surrogate,
 )
 
+from .test_procpool import _gate_execute, _wait_until
 from .test_server import Collector, submit
 
 
@@ -103,80 +92,6 @@ class TestValidateJob:
             {"layout_path": "a.json", "parent_fingerprint": "abc"}),
             allow_train=False)
         assert "model" in error
-
-
-class TestRoutingKey:
-    def test_parent_fingerprint_wins_over_layout(self):
-        key = routing_key({"layout_path": "edited.json",
-                           "parent_fingerprint": "abc123"})
-        assert key == "fingerprint:abc123"
-
-    def test_edited_inline_layout_routes_with_its_parent(
-            self, parent_layout, edited_layout):
-        from repro.layout import layout_to_dict
-
-        fingerprint = "deadbeef"
-        parent_key = routing_key(
-            {"layout": layout_to_dict(parent_layout),
-             "parent_fingerprint": fingerprint})
-        edited_key = routing_key(
-            {"layout": layout_to_dict(edited_layout),
-             "parent_fingerprint": fingerprint})
-        assert parent_key == edited_key == f"fingerprint:{fingerprint}"
-        # Without the fingerprint the two layouts hash apart — the bug
-        # this branch fixes.
-        assert routing_key({"layout": layout_to_dict(parent_layout)}) \
-            != routing_key({"layout": layout_to_dict(edited_layout)})
-
-
-class TestRouterAffinity:
-    """Learned fingerprint->shard affinity, no processes spawned."""
-
-    def make_router(self):
-        return ShardRouter(serve_config=ServeConfig(
-            workers=1, queue_capacity=4, max_batch=1, shards=4))
-
-    def complete_fill_on(self, router, shard, fingerprint, rid):
-        router._entries[rid] = _Entry(line="", reply=lambda m: None,
-                                      shard=shard, is_job=True, acked=True)
-        router._outstanding[shard] += 1
-        router._on_shard_message(shard, {
-            "id": rid, "ok": True, "status": "done",
-            "result": {"layout_fingerprint": fingerprint}})
-
-    def test_eco_follows_the_shard_that_solved_the_parent(self):
-        router = self.make_router()
-        # Pick a shard the rendezvous fallback would NOT pick, so a pass
-        # can only come from the learned table.
-        fallback = rendezvous_shard("fingerprint:fp-1", 4)
-        owner = (fallback + 1) % 4
-        self.complete_fill_on(router, owner, "fp-1", "j1")
-        request = eco_request({"layout_path": "a_eco.json",
-                               "parent_fingerprint": "fp-1"})
-        assert router._shard_for(request) == owner
-
-    def test_unknown_fingerprint_falls_back_to_rendezvous(self):
-        router = self.make_router()
-        request = eco_request({"layout_path": "a_eco.json",
-                               "parent_fingerprint": "never-seen"})
-        assert router._shard_for(request) == rendezvous_shard(
-            "fingerprint:never-seen", 4)
-
-    def test_latest_solve_wins(self):
-        router = self.make_router()
-        self.complete_fill_on(router, 1, "fp-2", "j1")
-        self.complete_fill_on(router, 3, "fp-2", "j2")
-        request = eco_request({"layout_path": "a_eco.json",
-                               "parent_fingerprint": "fp-2"})
-        assert router._shard_for(request) == 3
-
-    def test_non_eco_jobs_ignore_the_table(self):
-        router = self.make_router()
-        self.complete_fill_on(router, 2, "fp-3", "j1")
-        request = Request(id="f1", op="fill",
-                          params={"layout_path": "a.json"})
-        assert router._shard_for(request) == rendezvous_shard(
-            routing_key(request.params), 4)
 
 
 class TestExecutorEcoJobs:
@@ -282,35 +197,62 @@ def layout_fingerprint_of(executor, path):
 
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="shard router tests need the fork start method")
-class TestShardedEco:
-    def test_eco_lands_on_the_parent_shard(self, layout_files, checkpoint):
-        parent_path, edited_path = layout_files
-        router = ShardRouter(
-            serve_config=ServeConfig(workers=1, queue_capacity=8,
-                                     max_batch=1, shards=2),
-            model_specs=[("m", checkpoint)])
-        router.start()
+    reason="process worker tests need the fork start method")
+class TestProcessEco:
+    def test_eco_lands_on_the_parent_worker(
+            self, parent_layout, edited_layout, checkpoint, tmp_path,
+            monkeypatch):
+        other_parent = DESIGN_BUILDERS["A"](rows=8, cols=8, seed=7)
+        other_edited = edit_layout(other_parent, 1, slice(2, 4),
+                                   slice(2, 4))
+        paths = {}
+        for name, layout in (("a", parent_layout), ("a_eco", edited_layout),
+                             ("b", other_parent), ("b_eco", other_edited)):
+            paths[name] = str(tmp_path / f"{name}.json")
+            save_layout(layout, paths[name])
+        sentinel, markers = _gate_execute(monkeypatch, tmp_path)
+        registry = ModelRegistry()
+        registry.register("m", checkpoint)
+        server = FillServer(
+            registry=registry,
+            serve_config=ServeConfig(workers=2, queue_capacity=8,
+                                     max_batch=1, worker_mode="process"))
+        server.start()  # forks AFTER the patch: children inherit it
         try:
             collector = Collector()
-            submit(router, collector, "f1", params={
-                "layout_path": parent_path, "method": "neurfill-pkb",
-                "model": "m", "return_fill": True})
-            done = collector.wait_for("f1", "done")
-            fingerprint = done["result"]["layout_fingerprint"]
-            assert router._affinity[fingerprint] in (0, 1)
+            # Hold both parent fills until they sit on distinct children,
+            # so each parent solution is cached in exactly one child.
+            for rid, name in (("fa", "a"), ("fb", "b")):
+                submit(server, collector, rid, params={
+                    "layout_path": paths[name], "method": "neurfill-pkb",
+                    "model": "m"})
 
-            # The parent solution lives only in one shard's executor; a
-            # mis-routed eco would fail with "not cached on this worker".
-            submit(router, collector, "e1", op="eco", params={
-                "layout_path": edited_path, "model": "m",
-                "parent_fingerprint": fingerprint, "return_fill": True})
-            eco_done = collector.wait_for("e1", "done")
-            result = eco_done["result"]
-            assert result["method"] == "neurfill-eco"
-            assert result["eco"]["dirty_windows"] == 4
-            fill = np.asarray(result["fill"], dtype=float)
-            parent_fill = np.asarray(done["result"]["fill"], dtype=float)
-            assert fill.shape == parent_fill.shape
+            def pids_of(rid):
+                return {p.name.rsplit("-", 1)[1]
+                        for p in markers.glob(f"started-{rid}-*")}
+
+            _wait_until(lambda: pids_of("fa") and pids_of("fb"),
+                        message="both parent fills to start")
+            assert pids_of("fa") != pids_of("fb")
+            sentinel.unlink()
+            fingerprints = {
+                rid: collector.wait_for(rid, "done")["result"][
+                    "layout_fingerprint"]
+                for rid in ("fa", "fb")}
+
+            # One eco at a time: a first-free pick would send both to the
+            # same child, and the one whose parent lives elsewhere would
+            # fail with "not cached on this worker".
+            for rid, name, parent in (("ea", "a_eco", "fa"),
+                                      ("eb", "b_eco", "fb")):
+                submit(server, collector, rid, op="eco", params={
+                    "layout_path": paths[name], "model": "m",
+                    "parent_fingerprint": fingerprints[parent]})
+                result = collector.wait_for(rid, "done")["result"]
+                assert result["method"] == "neurfill-eco"
+                assert result["eco"]["dirty_windows"] == 4
+                assert pids_of(rid) == pids_of(parent)
         finally:
-            router.shutdown(timeout=30.0)
+            if sentinel.exists():
+                sentinel.unlink()
+            server.shutdown(timeout=30.0)

@@ -5,14 +5,19 @@ Covers the serve-side half of the lifecycle subsystem:
 * zero-cost guarantee when shadowing is disabled (the default);
 * the ``swap`` op — generation-aware, no-drain, journalled;
 * generation tags on served results and journal ``done`` entries,
-  including replay across generations after a crash;
+  including replay across generations after a crash, in thread and
+  process mode;
 * the closed loop: degraded surrogate -> shadow residuals -> drift trip
-  -> background retrain -> validated hot swap to generation 2.
+  -> background retrain -> validated hot swap to generation 2;
+* process mode: swaps reach every forked child, and residuals of idle
+  children reach the drift window.
 """
 
 import json
+import multiprocessing
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +35,8 @@ from repro.serve import (
 )
 from repro.surrogate import save_surrogate
 from repro.surrogate.network import HeightNormalizer
+
+from .test_procpool import _gate_execute, _wait_until
 
 
 @pytest.fixture(scope="module")
@@ -274,60 +281,76 @@ class TestNoDrainSwap:
             server.shutdown(timeout=30.0)
 
 
+fork_only = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="process worker tests need the fork start method")
+
+
+def _replay_on_restored_generation(ckpt_gen1, ckpt_gen2, layout_dict,
+                                   tmp_path, worker_mode):
+    """Crash journal holds a gen-1 done, a swap marker and a pending job;
+    the restarted server must restore generation 2 from lifecycle state
+    and the replayed job must complete tagged with it."""
+    from repro.lifecycle import STATE_FILENAME, write_state
+
+    journal_path = tmp_path / "journal.jsonl"
+    journal = JobJournal(journal_path)
+    done_request = parse_request(encode(
+        {"id": "old", "op": "fill", "params": fill_params(layout_dict)}))
+    journal.record_accept(done_request)
+    journal.record_done("old", "done", generation=1)
+    journal.record_swap("m", 2, ckpt_gen2)
+    pending = parse_request(encode(
+        {"id": "resume-me", "op": "fill",
+         "params": fill_params(layout_dict)}))
+    journal.record_accept(pending)
+    journal.close()
+
+    lifecycle_dir = tmp_path / "lifecycle"
+    lifecycle_dir.mkdir()
+    write_state(lifecycle_dir / STATE_FILENAME, {"models": {
+        "m": {"directory": ckpt_gen2, "generation": 2, "swaps": 1}}})
+
+    registry = ModelRegistry()
+    registry.register("m", ckpt_gen1)  # boot checkpoint: generation 1
+    server = FillServer(
+        registry=registry,
+        serve_config=ServeConfig(workers=1, max_batch=1,
+                                 worker_mode=worker_mode,
+                                 shadow_sample_rate=1.0,
+                                 drift_bound=1e9,
+                                 lifecycle_dir=str(lifecycle_dir),
+                                 drain_timeout_s=120.0),
+        journal_path=str(journal_path))
+    try:
+        # Restore beat the boot checkpoint before any job ran.
+        assert server.registry.generation_of("m") == 2
+        assert server.lifecycle_status()["models"]["m"]["generation"] == 2
+        server.start()
+        deadline = time.monotonic() + 120.0
+        while time.monotonic() < deadline:
+            dones = {e["id"]: e for e in JobJournal.read_dones(journal_path)}
+            if "resume-me" in dones:
+                break
+            time.sleep(0.05)
+        assert dones["resume-me"]["status"] == "done"
+        assert dones["resume-me"]["generation"] == 2
+    finally:
+        server.shutdown(timeout=30.0)
+
+
 class TestJournalReplayAcrossGenerations:
     def test_resumed_job_runs_on_restored_generation(self, ckpt_gen1,
                                                      ckpt_gen2, layout_dict,
                                                      tmp_path):
-        """Crash journal holds a gen-1 done, a swap marker and a pending
-        job; the restarted server restores generation 2 from lifecycle
-        state and the replayed job completes tagged with it."""
-        from repro.lifecycle import STATE_FILENAME, write_state
+        _replay_on_restored_generation(ckpt_gen1, ckpt_gen2, layout_dict,
+                                       tmp_path, "thread")
 
-        journal_path = tmp_path / "journal.jsonl"
-        journal = JobJournal(journal_path)
-        done_request = parse_request(encode(
-            {"id": "old", "op": "fill", "params": fill_params(layout_dict)}))
-        journal.record_accept(done_request)
-        journal.record_done("old", "done", generation=1)
-        journal.record_swap("m", 2, ckpt_gen2)
-        pending = parse_request(encode(
-            {"id": "resume-me", "op": "fill",
-             "params": fill_params(layout_dict)}))
-        journal.record_accept(pending)
-        journal.close()
-
-        lifecycle_dir = tmp_path / "lifecycle"
-        lifecycle_dir.mkdir()
-        write_state(lifecycle_dir / STATE_FILENAME, {"models": {
-            "m": {"directory": ckpt_gen2, "generation": 2, "swaps": 1}}})
-
-        registry = ModelRegistry()
-        registry.register("m", ckpt_gen1)  # boot checkpoint: generation 1
-        server = FillServer(
-            registry=registry,
-            serve_config=ServeConfig(workers=1, max_batch=1,
-                                     shadow_sample_rate=1.0,
-                                     drift_bound=1e9,
-                                     lifecycle_dir=str(lifecycle_dir),
-                                     drain_timeout_s=120.0),
-            journal_path=str(journal_path))
-        try:
-            # Restore beat the boot checkpoint before any job ran.
-            assert server.registry.generation_of("m") == 2
-            assert server.lifecycle_status()["models"]["m"]["generation"] \
-                == 2
-            server.start()
-            deadline = time.monotonic() + 120.0
-            while time.monotonic() < deadline:
-                dones = {e["id"]: e
-                         for e in JobJournal.read_dones(journal_path)}
-                if "resume-me" in dones:
-                    break
-                time.sleep(0.05)
-            assert dones["resume-me"]["status"] == "done"
-            assert dones["resume-me"]["generation"] == 2
-        finally:
-            server.shutdown(timeout=30.0)
+    @fork_only
+    def test_forked_children_boot_on_restored_generation(
+            self, ckpt_gen1, ckpt_gen2, layout_dict, tmp_path):
+        _replay_on_restored_generation(ckpt_gen1, ckpt_gen2, layout_dict,
+                                       tmp_path, "process")
 
     def test_stale_state_for_vanished_checkpoint_is_ignored(self, ckpt_gen1,
                                                             tmp_path):
@@ -406,9 +429,9 @@ class TestClosedLoopEndToEnd:
             assert post["result"]["generation"] == 2
 
             # ...and the gen-2 checkpoint carries its lineage.
-            from repro.surrogate.persist import read_checkpoint_meta
             gen2_dir = status["generations"]["m"]["directory"]
-            meta = read_checkpoint_meta(gen2_dir)
+            meta = json.loads(
+                (Path(gen2_dir) / "surrogate.json").read_text())
             assert meta["generation"] == 2
             assert meta["parent_generation"] == 1
             assert meta["seed"] == 7
@@ -435,6 +458,7 @@ class TestClosedLoopEndToEnd:
         assert all("generation" in e for e in dones)
 
 
+@fork_only
 class TestProcessModeSwap:
     def test_workers_reload_without_respawn(self, ckpt_gen1, ckpt_gen2,
                                             layout_dict):
@@ -461,5 +485,89 @@ class TestProcessModeSwap:
             assert sorted(h.process.pid
                           for h in server._pool._handles) == pids, \
                 "swap must reload in place, not respawn workers"
+        finally:
+            server.shutdown(timeout=60.0)
+
+    def test_swap_reaches_every_worker(self, ckpt_gen1, ckpt_gen2,
+                                       layout_dict, tmp_path, monkeypatch):
+        sentinel, markers = _gate_execute(monkeypatch, tmp_path)
+        sentinel.unlink()  # open until the post-swap jobs
+        registry = ModelRegistry()
+        registry.register("m", ckpt_gen1)
+        server = FillServer(
+            registry=registry,
+            serve_config=ServeConfig(workers=2, max_batch=1,
+                                     worker_mode="process",
+                                     drain_timeout_s=120.0))
+        server.start()  # forks AFTER the patch: children inherit it
+        try:
+            collector = Collector()
+            submit(server, collector, "j1", params=fill_params(layout_dict))
+            assert collector.wait_for(
+                "j1", "done")["result"]["generation"] == 1
+            pids = {h.process.pid for h in server._pool._handles}
+
+            assert server.swap_model("m", ckpt_gen2) == 2
+
+            # Every child — not just j1's — must now serve generation 2:
+            # hold two jobs until they sit on distinct children.
+            sentinel.write_text("x")
+            for rid in ("j2", "j3"):
+                submit(server, collector, rid,
+                       params=fill_params(layout_dict))
+            _wait_until(
+                lambda: all(list(markers.glob(f"started-{rid}-*"))
+                            for rid in ("j2", "j3")),
+                message="both post-swap jobs to start")
+            owners = {p.name.rsplit("-", 1)[1]
+                      for rid in ("j2", "j3")
+                      for p in markers.glob(f"started-{rid}-*")}
+            assert owners == {str(pid) for pid in pids}
+            sentinel.unlink()
+            for rid in ("j2", "j3"):
+                assert collector.wait_for(
+                    rid, "done")["result"]["generation"] == 2
+
+            # A non-monotonic swap is rejected and changes nothing.
+            submit(server, collector, "sw-bad", op="swap",
+                   params={"model": "m", "directory": ckpt_gen1,
+                           "generation": 2})
+            assert "increase" in collector.wait_for(
+                "sw-bad", "error")["error"]
+            assert server.lifecycle_status()["models"]["m"][
+                "generation"] == 2
+        finally:
+            if sentinel.exists():
+                sentinel.unlink()
+            server.shutdown(timeout=60.0)
+
+
+@fork_only
+class TestProcessModeResiduals:
+    def test_idle_child_residual_reaches_drift_window(self, ckpt_gen1,
+                                                      layout_dict):
+        """A child sends its shadow residual after the result frame; the
+        pool must forward it without waiting for the child's next job."""
+        registry = ModelRegistry()
+        registry.register("m", ckpt_gen1)
+        server = FillServer(
+            registry=registry,
+            serve_config=ServeConfig(workers=1, max_batch=1,
+                                     worker_mode="process",
+                                     shadow_sample_rate=1.0,
+                                     drift_bound=1e9))
+        server.start()
+        try:
+            collector = Collector()
+            submit(server, collector, "j1", params=fill_params(layout_dict))
+            collector.wait_for("j1", "done")
+            deadline = time.monotonic() + 10.0
+            drift = {}
+            while time.monotonic() < deadline:
+                drift = server.lifecycle_status()["drift"].get("m") or {}
+                if drift.get("observed"):
+                    break
+                time.sleep(0.05)
+            assert drift.get("observed") == 1, drift
         finally:
             server.shutdown(timeout=60.0)

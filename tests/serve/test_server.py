@@ -4,6 +4,8 @@ Requests are driven through ``handle_line`` with a collecting reply
 callback, which is exactly how the pipe/TCP transports call it.
 """
 
+import json
+import sys
 import threading
 import time
 
@@ -18,6 +20,7 @@ from repro.serve import (
     ModelRegistry,
     ServeConfig,
     encode,
+    parse_request,
 )
 
 
@@ -141,6 +144,16 @@ class TestRejection:
         submit(server, collector, "j1", params={"method": "lin"})
         collector.wait_for("j1", "rejected", timeout=5.0)
 
+    def test_duplicate_id_rejected(self, server, layout_file):
+        collector = Collector()
+        params = {"layout_path": layout_file, "method": "lin",
+                  "score": False}
+        submit(server, collector, "dup", params=params)
+        submit(server, collector, "dup", params=params)
+        rejected = collector.wait_for("dup", "rejected", timeout=10.0)
+        assert "duplicate" in rejected["error"]
+        collector.wait_for("dup", "done")
+
 
 class BlockingExecute:
     """Patches ``_execute`` so workers block until released."""
@@ -181,6 +194,102 @@ class TestBackpressure:
         finally:
             blocker.release.set()
             server.shutdown(timeout=10.0)
+
+
+class TestDuplicateIds:
+    """An id is taken from admission until its terminal outcome."""
+
+    params = {"method": "lin", "score": False}
+
+    def make_server(self, tmp_path):
+        server = FillServer(
+            serve_config=ServeConfig(workers=1, queue_capacity=4,
+                                     max_batch=1),
+            journal_path=str(tmp_path / "journal.jsonl"))
+        return server, BlockingExecute(server)
+
+    def test_duplicate_of_queued_job_keeps_its_journal_accept(
+            self, tmp_path, layout_file):
+        server, blocker = self.make_server(tmp_path)
+        server.start()
+        try:
+            collector = Collector()
+            params = dict(self.params, layout_path=layout_file)
+            submit(server, collector, "running", params=params)
+            assert blocker.entered.wait(timeout=10.0)
+            submit(server, collector, "q", params=params)
+            collector.wait_for("q", "accepted", timeout=5.0)
+            submit(server, collector, "q", params=params)
+            rejected = collector.wait_for("q", "rejected", timeout=5.0)
+            assert "duplicate" in rejected["error"]
+            # A crash now must still resume the job the client saw
+            # accepted: the duplicate's rejection is not journalled.
+            pending = JobJournal.read_pending(tmp_path / "journal.jsonl")
+            assert sorted(spec["id"] for spec in pending) == ["q", "running"]
+            blocker.release.set()
+            collector.wait_for("q", "done")
+        finally:
+            blocker.release.set()
+            server.shutdown(timeout=10.0)
+
+    def test_duplicate_of_running_job_rejected(self, tmp_path, layout_file):
+        server, blocker = self.make_server(tmp_path)
+        server.start()
+        try:
+            collector = Collector()
+            params = dict(self.params, layout_path=layout_file)
+            submit(server, collector, "running", params=params)
+            assert blocker.entered.wait(timeout=10.0)
+            submit(server, collector, "running", params=params)
+            rejected = collector.wait_for("running", "rejected", timeout=5.0)
+            assert "duplicate" in rejected["error"]
+            blocker.release.set()
+            collector.wait_for("running", "done")
+            assert collector.statuses("running") == ["accepted", "rejected",
+                                                     "done"]
+            # The id is free again once the job's outcome is journalled.
+            submit(server, collector, "running", params=params)
+            deadline = time.monotonic() + 30.0
+            while collector.statuses("running").count("done") < 2:
+                assert time.monotonic() < deadline, collector.messages
+                time.sleep(0.05)
+        finally:
+            blocker.release.set()
+            server.shutdown(timeout=10.0)
+        assert JobJournal.read_pending(tmp_path / "journal.jsonl") == []
+
+    def test_concurrent_duplicates_admit_exactly_one(self, tmp_path,
+                                                     layout_file):
+        server, blocker = self.make_server(tmp_path)
+        server.start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            collector = Collector()
+            params = dict(self.params, layout_path=layout_file)
+            barrier = threading.Barrier(8)
+
+            def race():
+                barrier.wait(timeout=10.0)
+                submit(server, collector, "dup", params=params)
+
+            threads = [threading.Thread(target=race) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            blocker.release.set()
+            server.shutdown(timeout=10.0)
+        statuses = collector.statuses("dup")
+        assert statuses.count("accepted") == 1
+        assert statuses.count("rejected") == 7
+        assert statuses.count("done") == 1
+        events = [json.loads(line) for line in
+                  (tmp_path / "journal.jsonl").read_text().splitlines()]
+        assert sum(e["event"] == "accept" for e in events) == 1
 
 
 class TestTimeoutAndCancel:
@@ -280,6 +389,49 @@ class TestJournalResume:
             second.shutdown(timeout=10.0)
         # the resumed job finished, so a third recovery finds nothing
         assert JobJournal.read_pending(journal_path) == []
+
+    def test_resume_never_rejects_a_journalled_job(self, tmp_path,
+                                                   layout_file):
+        """Replayed jobs were already acked: they enter the queue past
+        its capacity, while new client jobs still see it full."""
+        journal_path = str(tmp_path / "journal.jsonl")
+        params = {"layout_path": layout_file, "method": "lin",
+                  "score": False}
+        journal = JobJournal(journal_path)
+        for k in range(6):
+            journal.record_accept(parse_request(encode(
+                {"id": f"r{k}", "op": "fill", "params": params})))
+        journal.close()
+
+        server = FillServer(
+            serve_config=ServeConfig(workers=1, queue_capacity=2,
+                                     max_batch=1),
+            journal_path=journal_path)
+        blocker = BlockingExecute(server)
+        server.start()
+        try:
+            assert blocker.entered.wait(timeout=10.0)
+            collector = Collector()
+            submit(server, collector, "fresh", params=params)
+            rejected = collector.wait_for("fresh", "rejected", timeout=5.0)
+            assert "queue full" in rejected["error"]
+            blocker.release.set()
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                if server.stats.snapshot()["counters"].get("completed") == 6:
+                    break
+                time.sleep(0.05)
+            counters = server.stats.snapshot()["counters"]
+            assert counters.get("resumed") == 6
+            assert counters.get("accepted") == 6
+            assert counters.get("completed") == 6
+            assert counters.get("rejected") == 1  # only the fresh job
+        finally:
+            blocker.release.set()
+            server.shutdown(timeout=10.0)
+        dones = JobJournal.read_dones(journal_path)
+        assert sorted(e["id"] for e in dones if e["status"] == "done") == [
+            f"r{k}" for k in range(6)]
 
 
 class TestShutdown:

@@ -235,12 +235,11 @@ class TestServePipe:
 
     @pytest.mark.parametrize("argv", [
         ["--worker-mode", "process", "--workers", "2"],
-        ["--shards", "2", "--workers", "1"],
-    ], ids=["process-pool", "sharded"])
+    ], ids=["process-pool"])
     def test_pipe_serve_parity_process_and_sharded(self, design_file,
                                                    tmp_path, argv):
-        """Process-pool and sharded fleets return bitwise what the
-        one-shot CLI computes (same contract as thread mode)."""
+        """The forked process pool returns bitwise what the one-shot CLI
+        computes (same contract as thread mode)."""
         import multiprocessing
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs the fork start method")

@@ -74,7 +74,7 @@ def test_ablation_outlier_eta(benchmark):
     hard = outliers_hard(h)
 
     def sweep():
-        return {eta: float(outliers(Tensor(h), eta=eta).data)
+        return {eta: outliers(Tensor(h[None]), eta=eta).item()
                 for eta in (0.25, 0.5, 1.0, 2.0, 5.0, 10.0)}
 
     values = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -1,15 +1,12 @@
-"""Shape-rule conv dispatch, cached-smoother pressure solve, tiled inference.
+"""Shape-rule conv dispatch and the cached-smoother pressure solve.
 
-Three perf levers (see DESIGN.md "Shape-rule kernel dispatch"):
+Two perf levers (see DESIGN.md "Shape-rule kernel dispatch"):
 
 * conv shape classes — the shape rule's backend vs the im2col reference
   it is parity-tested against;
 * repeated ``solve_pressure`` — the cached separable smoother (+ the
   no-lift-off closed form) vs a scipy ``gaussian_filter`` replica of the
-  seed implementation;
-* full-chip tiled surrogate inference — ``predict_heights_tiled`` on a
-  >=512x512 window grid with bounded peak memory, and tiled-vs-monolithic
-  parity at a size both paths can run.
+  seed implementation.
 
 Results go to ``benchmarks/output/kernel_dispatch.txt`` and, machine
 readable, to ``BENCH_kernel_dispatch.json`` at the repo root.
@@ -33,9 +30,7 @@ import numpy as np
 from _common import write_output
 from repro.cmp import DEFAULT_PROCESS, solve_pressure
 from repro.cmp.pad import clear_smoother_cache
-from repro.layout import make_design_a
-from repro.nn import Tensor, UNet, conv2d, dispatch
-from repro.surrogate import NUM_FEATURE_CHANNELS, CmpNeuralNetwork, HeightNormalizer
+from repro.nn import Tensor, conv2d, dispatch
 
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel_dispatch.json"
 
@@ -49,8 +44,6 @@ if SMOKE:
         ("unet_batch_3x3", (4, 4, 32, 32), (4, 4, 3, 3)),
     ]
     PRESSURE_CALLS, PRESSURE_GRID = 30, (3, 16, 16)
-    TILED_GRID, TILED_TILE = 96, 32
-    PARITY_GRID = 48
 else:
     CONV_CLASSES = [
         ("large_map_3x3", (1, 8, 384, 384), (8, 8, 3, 3)),
@@ -58,8 +51,6 @@ else:
         ("unet_batch_3x3", (8, 8, 64, 64), (8, 8, 3, 3)),
     ]
     PRESSURE_CALLS, PRESSURE_GRID = 200, (3, 16, 16)
-    TILED_GRID, TILED_TILE = 512, 128
-    PARITY_GRID = 96
 
 
 def _best_of(fn, repeats=5):
@@ -191,52 +182,10 @@ def _bench_solve_pressure():
 
 
 # ----------------------------------------------------------------------
-def _surrogate(rows, cols):
-    layout = make_design_a(rows=rows, cols=cols)
-    unet = UNet(in_channels=NUM_FEATURE_CHANNELS, out_channels=1,
-                base_channels=4, depth=2, rng=0)
-    net = CmpNeuralNetwork(layout, unet, HeightNormalizer(6000.0, 40.0))
-    rng = np.random.default_rng(5)
-    slack = layout.slack_stack()
-    return net, rng.random(slack.shape) * slack
-
-
-def _bench_tiled_inference():
-    # Parity at a size both paths can run.
-    net, fill = _surrogate(PARITY_GRID, PARITY_GRID)
-    mono = net.predict_heights(fill)
-    tiled = net.predict_heights_tiled(fill, tile=TILED_TILE // 2)
-    parity = float(np.max(np.abs(tiled - mono)) / np.max(np.abs(mono)))
-    assert parity <= 1e-6, f"tiled/monolithic mismatch: {parity:.2e}"
-
-    # Full-chip streamed forward with bounded peak memory.
-    net, fill = _surrogate(TILED_GRID, TILED_GRID)
-    tracemalloc.start()
-    t0 = time.perf_counter()
-    heights = net.predict_heights_tiled(fill, tile=TILED_TILE)
-    tiled_s = time.perf_counter() - t0
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    chip_bytes = heights.nbytes
-    return {
-        "parity_grid": PARITY_GRID,
-        "tiled_vs_monolithic_max_rel_dev": parity,
-        "fullchip_grid": TILED_GRID,
-        "tile": TILED_TILE,
-        "halo": int(-(-net.unet.receptive_field_radius()
-                      // net.unet.alignment) * net.unet.alignment),
-        "fullchip_s": round(tiled_s, 2),
-        "peak_traced_mib": round(peak / 2**20, 1),
-        "peak_over_output": round(peak / chip_bytes, 1),
-    }
-
-
-# ----------------------------------------------------------------------
 def test_kernel_dispatch(benchmark):
     conv_rows = benchmark.pedantic(_bench_conv_classes, rounds=1, iterations=1)
     backward_mem = _bench_backward_memory()
     pressure = _bench_solve_pressure()
-    tiled = _bench_tiled_inference()
 
     report = {
         "smoke": SMOKE,
@@ -245,7 +194,6 @@ def test_kernel_dispatch(benchmark):
         "conv_classes": conv_rows,
         "conv_backward_memory": backward_mem,
         "solve_pressure": pressure,
-        "tiled_inference": tiled,
     }
     JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -273,13 +221,6 @@ def test_kernel_dispatch(benchmark):
             f"solve_pressure x{PRESSURE_CALLS}: {pressure['cached_s']:.3f}s "
             f"(no scipy baseline)"
         )
-    lines.append(
-        f"Tiled inference {TILED_GRID}x{TILED_GRID} (tile {TILED_TILE}, "
-        f"halo {tiled['halo']}): {tiled['fullchip_s']}s, peak "
-        f"{tiled['peak_traced_mib']}MiB ({tiled['peak_over_output']}x output); "
-        f"parity at {PARITY_GRID}x{PARITY_GRID}: "
-        f"{tiled['tiled_vs_monolithic_max_rel_dev']:.1e} rel"
-    )
     write_output("kernel_dispatch", "\n".join(lines))
 
     # Correctness always; speedups only in full mode (smoke shapes are

@@ -48,7 +48,7 @@ def removal_rates(
     number of leading axes — ``(N, M)`` maps, ``(L, N, M)`` layer stacks
     or ``(B, L, N, M)`` batches of layouts — and nothing ever couples
     neighbouring windows, layers or batch entries (the leading-axes
-    kernel contract).  The inputs' floating dtype is preserved.
+    kernel contract).
 
     Args:
         density: effective up-area fraction, clipped into

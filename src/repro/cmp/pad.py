@@ -45,8 +45,7 @@ _TRUNCATE: float = 4.0
 
 _MAX_CACHED_SMOOTHERS: int = 16
 
-_smoothers: dict[tuple[int, float, np.dtype],
-                 tuple[str, np.ndarray, int]] = {}
+_smoothers: dict[tuple[int, float], tuple[str, np.ndarray, int]] = {}
 
 
 def _gaussian_kernel1d(sigma: float) -> np.ndarray:
@@ -57,15 +56,9 @@ def _gaussian_kernel1d(sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _axis_smoother(n: int, sigma: float,
-                   dtype: np.dtype) -> tuple[str, np.ndarray, int]:
-    """Cached per-axis smoother: ``("dense", S, r)`` or ``("window", k, r)``.
-
-    The taps are derived in float64 and stored per compute dtype, so a
-    float32 polish (the opt-in reduced-precision mode) contracts against
-    float32 taps instead of silently upcasting every map to float64.
-    """
-    key = (n, float(sigma), dtype)
+def _axis_smoother(n: int, sigma: float) -> tuple[str, np.ndarray, int]:
+    """Cached per-axis smoother: ``("dense", S, r)`` or ``("window", k, r)``."""
+    key = (n, float(sigma))
     hit = _smoothers.get(key)
     if hit is not None:
         return hit
@@ -81,9 +74,9 @@ def _axis_smoother(n: int, sigma: float,
             (np.repeat(np.arange(n), kernel.size), cols.ravel()),
             np.tile(kernel, n),
         )
-        entry = ("dense", matrix.astype(dtype, copy=False), radius)
+        entry = ("dense", matrix, radius)
     else:
-        entry = ("window", kernel.astype(dtype, copy=False), radius)
+        entry = ("window", kernel, radius)
     while len(_smoothers) >= _MAX_CACHED_SMOOTHERS:
         _smoothers.pop(next(iter(_smoothers)))
     _smoothers[key] = entry
@@ -93,7 +86,7 @@ def _axis_smoother(n: int, sigma: float,
 def _smooth_axis(values: np.ndarray, axis: int, sigma: float) -> np.ndarray:
     """Gaussian-smooth one of the two trailing axes (nearest-edge mode)."""
     n = values.shape[axis]
-    kind, data, radius = _axis_smoother(n, sigma, values.dtype)
+    kind, data, radius = _axis_smoother(n, sigma)
     if kind == "dense":
         if axis == values.ndim - 1:
             return values @ data.T
@@ -127,13 +120,10 @@ def conformed_reference(envelope: np.ndarray, window_um: float,
     smoothing never crosses layers or batch entries (the leading-axes
     kernel contract, see DESIGN.md "Batched CMP simulator").
 
-    The input's floating dtype is preserved (float32 stays float32);
-    non-float inputs are promoted to float64.
+    Computes in float64 (other inputs are promoted).
     """
     sigma = max(params.planarization_length_um / window_um, 1e-6)
-    envelope = np.asarray(envelope)
-    if not np.issubdtype(envelope.dtype, np.floating):
-        envelope = envelope.astype(np.float64)
+    envelope = np.asarray(envelope, dtype=np.float64)
     smoothed = _smooth_axis(envelope, envelope.ndim - 1, sigma)
     return _smooth_axis(smoothed, envelope.ndim - 2, sigma)
 

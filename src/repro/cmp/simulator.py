@@ -89,7 +89,7 @@ def effective_density(density: np.ndarray, perimeter: np.ndarray,
 
     Deposition widens each feature by ``bias/2`` per edge, adding
     ``perimeter * bias / 2`` of up area per window.  Purely elementwise:
-    accepts any leading axes and preserves the input's floating dtype.
+    accepts any leading axes.
     """
     gain = perimeter * params.deposition_bias_um / 2.0 / window_area
     return np.clip(density + gain, params.min_effective_density,
@@ -102,26 +102,15 @@ class CmpSimulator:
     Args:
         params: process calibration (default 45 nm-like set).
         window_um: window side length in micrometres.
-        dtype: optional compute precision override (``"float32"`` or
-            ``"float64"``).  ``None`` (the default) preserves the input
-            features' floating dtype — float64 for every stock
-            :class:`~repro.layout.layout.Layout` — and the whole polish
-            pipeline keeps that dtype end to end (no silent upcasts in
-            the batch kernels).
+
+    The polish computes in float64 end to end; features of any numeric
+    dtype are promoted on entry.
     """
 
     def __init__(self, params: ProcessParams = DEFAULT_PROCESS,
-                 window_um: float = 100.0,
-                 dtype: np.dtype | str | None = None):
+                 window_um: float = 100.0):
         self.params = params
         self.window_um = window_um
-        if dtype is not None:
-            dtype = np.dtype(dtype)
-            if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-                raise ValueError(
-                    f"unsupported simulator dtype {dtype}; "
-                    "use float32 or float64")
-        self.dtype = dtype
 
     def simulate(self, features: FeatureStack) -> CmpResult:
         """Polish a feature stack.
@@ -217,18 +206,12 @@ class CmpSimulator:
     def _work_arrays(
         self, features: FeatureStack
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Feature arrays in the compute dtype (cast-free when matching)."""
-        density = np.asarray(features.density)
-        dtype = self.dtype
-        if dtype is None:
-            dtype = (density.dtype
-                     if np.issubdtype(density.dtype, np.floating)
-                     else np.dtype(np.float64))
+        """Feature arrays in float64 (cast-free when already float64)."""
         return (
-            density.astype(dtype, copy=False),
-            np.asarray(features.perimeter).astype(dtype, copy=False),
-            np.asarray(features.wire_width).astype(dtype, copy=False),
-            np.asarray(features.trench_depth).astype(dtype, copy=False),
+            np.asarray(features.density, dtype=np.float64),
+            np.asarray(features.perimeter, dtype=np.float64),
+            np.asarray(features.wire_width, dtype=np.float64),
+            np.asarray(features.trench_depth, dtype=np.float64),
         )
 
     def _polish(self, features: FeatureStack,

@@ -24,36 +24,6 @@ DEFAULT_NUM_LAYERS: int = 3
 #: Default seed used by deterministic example scripts and benchmarks.
 DEFAULT_SEED: int = 2021
 
-#: Environment variable toggling captured-graph replay of the surrogate
-#: (``repro.nn.capture``).  On by default: replays are bitwise identical
-#: to eager execution, so disabling it (``REPRO_CAPTURE=0``) is purely a
-#: debugging/benchmarking aid.
-CAPTURE_ENV: str = "REPRO_CAPTURE"
-
-#: Captured execution plans retained per network (LRU).  Each plan owns
-#: a workspace arena sized like one forward+backward pass at its input
-#: shape; MSP-SQP's shrinking lockstep batches are the main consumer of
-#: multiple concurrent keys.
-DEFAULT_CAPTURE_PLANS: int = 8
-
-
-def capture_enabled_default() -> bool:
-    """Whether surrogate networks trace/replay captured graphs."""
-    raw = os.environ.get(CAPTURE_ENV, "").strip().lower()
-    if not raw:
-        return True
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"{CAPTURE_ENV}={raw!r}: expected a boolean")
-
-
-def capture_max_plans_default() -> int:
-    return int(_env_number("REPRO_CAPTURE_PLANS", DEFAULT_CAPTURE_PLANS,
-                           int, 1))
-
-
 # ----------------------------------------------------------------------
 # repro.serve defaults.  Every knob has a CLI flag; the environment
 # variables let deployments retune a service without editing unit files.

@@ -133,21 +133,23 @@ def msp_sqp(
     model: QualityModel,
     starts: list[np.ndarray] | np.ndarray,
     optimizer: SqpOptimizer | None = None,
-    batched: bool = False,
 ) -> MspSqpOutcome:
     """Refine every starting point with SQP; return the best solution.
+
+    The number of starts picks the loop.  One start runs
+    :meth:`SqpOptimizer.maximize` on :meth:`QualityModel.evaluate`, so a
+    served single-start refinement still reaches the micro-batcher
+    through ``network.evaluate``.  Several starts advance in lockstep,
+    one batched network forward/backward per round — the surrogate's
+    batch axis is exactly what makes many starting points cheap.  The
+    per-start mathematics is shared, so lockstep results match a
+    start-by-start loop up to floating-point round-off (BLAS batch-size
+    sensitivity, ~1e-11 on the refined fill).
 
     Args:
         model: the quality-score evaluator.
         starts: starting fills (list, or stacked ``(K, L, N, M)`` array).
         optimizer: SQP configuration.
-        batched: advance all starts in lockstep, one batched network
-            forward/backward per round, instead of looping start by
-            start.  The per-start mathematics is shared, so results
-            match the sequential loop up to floating-point round-off
-            (BLAS batch-size sensitivity, ~1e-11 on the refined fill).
-            Much faster for several starts — the surrogate's batch axis
-            is exactly what makes many starting points cheap.
     """
     if len(starts) == 0:
         raise ValueError("MSP-SQP needs at least one starting point")
@@ -155,20 +157,16 @@ def msp_sqp(
     lower = model.problem.lower
     upper = model.problem.upper
     before = model.evaluations
-    if batched and len(starts) > 1:
+    if len(starts) > 1:
         results = refine_starting_points_batched(
             model.evaluate_many, starts, lower, upper, optimizer
         )
     else:
-        with obs_trace.span("opt.multistart", cat="opt", starts=len(starts),
+        with obs_trace.span("opt.multistart", cat="opt", starts=1,
                             driver="msp-sequential"):
-            results = []
-            for index, start in enumerate(starts):
-                with obs_trace.span("opt.start", cat="opt", index=index):
-                    results.append(
-                        optimizer.maximize(model.value_and_grad, start,
-                                           lower, upper,
-                                           fun_value=model.quality))
+            results = [optimizer.maximize(model.value_and_grad, starts[0],
+                                          lower, upper,
+                                          fun_value=model.quality)]
     best = max(results, key=lambda r: r.value)
     return MspSqpOutcome(
         best_fill=best.x, best_quality=best.value, results=results,

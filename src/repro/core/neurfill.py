@@ -38,24 +38,22 @@ class NeurFill:
         problem: layout + score coefficients.
         network: pre-trained CMP neural network bound to the same layout.
         optimizer: SQP configuration (scalable L-BFGS mode by default).
-        batched_starts: refine multiple starting points in lockstep with
-            batched network passes (see :func:`repro.core.msp_sqp.msp_sqp`)
-            instead of sequentially.  Same solutions up to floating-point
-            round-off, better wall clock whenever more than one start is
-            refined.
+        simulator: optional CMP simulator for the selection decisions
+            of :meth:`run_pkb` and :meth:`run_multimodal`.
+
+    Several starting points are refined in lockstep with batched network
+    passes (see :func:`repro.core.msp_sqp.msp_sqp`).
     """
 
     def __init__(self, problem: FillProblem, network: CmpNeuralNetwork,
                  optimizer: SqpOptimizer | None = None,
-                 simulator: "CmpSimulator | None" = None,
-                 batched_starts: bool = True):
+                 simulator: "CmpSimulator | None" = None):
         self.problem = problem
         self.model = QualityModel(problem, network)
         # Score gradients are ~alpha/beta, i.e. tiny in um^2 units, so the
         # projected-gradient tolerance must sit well below them.
         self.optimizer = optimizer or SqpOptimizer(max_iter=60, tol=1e-9)
         self.simulator = simulator
-        self.batched_starts = batched_starts
 
     # ------------------------------------------------------------------
     def _simulator_quality(self, fill: np.ndarray) -> float:
@@ -141,8 +139,7 @@ class NeurFill:
             starts.append(
                 pkb_starting_point(self.problem.layout, self.model.quality).fill
             )
-        outcome = msp_sqp(self.model, starts, self.optimizer,
-                          batched=self.batched_starts)
+        outcome = msp_sqp(self.model, starts, self.optimizer)
         best_fill = outcome.best_fill
         if self.simulator is not None:
             candidates = [r.x for r in outcome.results]

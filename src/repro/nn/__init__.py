@@ -7,7 +7,7 @@ from .loss import mse_loss
 from .modules import BatchNorm2d, Conv2d, Module, ReLU, Sequential
 from .optim import Adam
 from .serial import load_module, save_module
-from .tensor import Tensor, compute_dtype, get_default_dtype, set_default_dtype
+from .tensor import Tensor
 from .unet import DoubleConv, UNet
 
 __all__ = [
@@ -20,16 +20,13 @@ __all__ = [
     "Sequential",
     "Tensor",
     "UNet",
-    "compute_dtype",
     "conv2d",
     "dispatch",
     "functional",
-    "get_default_dtype",
     "kaiming_normal",
     "load_module",
     "max_pool2d",
     "mse_loss",
     "save_module",
-    "set_default_dtype",
     "upsample2x",
 ]

@@ -26,7 +26,7 @@ time (the eager order is deterministic for a fixed graph structure).
 Parameter tensors are read live at replay time, so in-place optimizer
 updates and ``load_state_dict`` re-binds flow into replays without
 retracing; callers key plans on the module's ``_state_version`` to catch
-re-binds that swap buffer objects (``to_dtype``).
+re-binds that swap buffer objects (``load_state_dict``).
 
 Parameter *gradients* are intentionally not recomputed on replay: the
 plan temporarily clears ``requires_grad`` on parameter leaves during the
@@ -34,7 +34,7 @@ backward sweep, which skips the expensive weight-gradient kernels while
 leaving the input gradient — the only gradient inference callers read —
 bitwise unchanged.
 
-Any structural mismatch (shape, dtype, missing input) raises
+Any structural mismatch (shape, missing input) raises
 :class:`CaptureMiss`; callers fall back to eager execution, which is
 always safe because eager and replay agree bitwise.
 """
@@ -49,7 +49,7 @@ from .tensor import Array, Tensor, recording, topo_sort
 
 
 class CaptureMiss(RuntimeError):
-    """Replay inputs do not match the traced plan (shape/dtype/name)."""
+    """Replay inputs do not match the traced plan (shape/name)."""
 
 
 class GraphRecorder:
@@ -176,8 +176,9 @@ class CapturedGraph:
             build: receives ``{name: Tensor}`` leaves and returns named
                 output tensors, one of which (``root``) is the backward
                 root.
-            inputs: example input arrays; their shapes/dtypes define the
-                plan signature.
+            inputs: example input arrays; their shapes define the plan
+                signature.  The plan traces on copies, so later replays
+                never write into the caller's arrays.
             grad_inputs: input names whose gradients callers will read.
                 These are traced with ``requires_grad=True`` regardless
                 of whether the triggering call wants gradients, so one
@@ -189,7 +190,8 @@ class CapturedGraph:
         grad_names = tuple(grad_inputs)
         recorder = GraphRecorder()
         tensors = {
-            name: Tensor(value, requires_grad=name in grad_names)
+            name: Tensor(np.array(value, dtype=float),
+                         requires_grad=name in grad_names)
             for name, value in inputs.items()
         }
         with recording(recorder):

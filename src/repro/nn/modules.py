@@ -22,7 +22,7 @@ class Module:
     def __init__(self):
         self.training = True
         #: Bumped whenever parameter/buffer *objects* are re-bound
-        #: (``load_state_dict``, ``to_dtype``).  Captured-graph plans key
+        #: (``load_state_dict``).  Captured-graph plans key
         #: on it: replay closures read parameter arrays live, so in-place
         #: value updates are safe, but a re-bind swaps the array object a
         #: traced view aliases and must invalidate the plan.
@@ -104,25 +104,6 @@ class Module:
         for name, buf in buffers.items():
             buf[...] = state[f"buffer:{name}"]
         self._state_version += 1
-
-    def to_dtype(self, dtype) -> "Module":
-        """Cast every parameter and buffer to ``dtype`` in place.
-
-        Pair with :func:`repro.nn.tensor.compute_dtype` for the opt-in
-        float32 compute mode: casting the weights up front avoids a mixed
-        float32/float64 promotion (and the implied copy) in every op.
-        """
-        dtype = np.dtype(dtype)
-        for name, value in vars(self).items():
-            if isinstance(value, Tensor) and value.requires_grad:
-                value.data = value.data.astype(dtype)
-                value.grad = None
-        for name in getattr(self, "_buffer_names", ()):
-            setattr(self, name, getattr(self, name).astype(dtype))
-        for _, child in self._children():
-            child.to_dtype(dtype)
-        self._state_version += 1
-        return self
 
     def zero_grad(self) -> None:
         for p in self.parameters():

@@ -38,45 +38,6 @@ import numpy as np
 
 Array = np.ndarray
 
-#: Dtype every Tensor is materialised in.  float64 by default; switch to
-#: float32 (via :func:`set_default_dtype` / :func:`compute_dtype`) to halve
-#: the memory traffic of large batched forward/backward passes at the cost
-#: of ~1e-6 relative accuracy.
-_DEFAULT_DTYPE = np.dtype(np.float64)
-_SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype new tensors are created with (float32 or float64)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in _SUPPORTED_DTYPES:
-        raise ValueError(f"unsupported compute dtype {dtype}; use float32 or float64")
-    _DEFAULT_DTYPE = dtype
-
-
-def get_default_dtype() -> np.dtype:
-    """The dtype currently used for tensor construction."""
-    return _DEFAULT_DTYPE
-
-
-@contextmanager
-def compute_dtype(dtype) -> Iterator[None]:
-    """Scoped compute-precision switch, e.g. ``with compute_dtype("float32"):``.
-
-    Every tensor built inside the block (including op intermediates) is
-    stored in ``dtype``; the previous default is restored on exit.  Cast
-    module parameters with :meth:`repro.nn.modules.Module.to_dtype` to
-    avoid repeated float64 -> float32 round trips through mixed-dtype ops.
-    """
-    previous = _DEFAULT_DTYPE
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_default_dtype(previous)
-
-
 # ----------------------------------------------------------------------
 # graph capture hook (consumed by repro.nn.capture)
 # ----------------------------------------------------------------------
@@ -117,8 +78,7 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 
 
 def _as_array(value) -> Array:
-    arr = np.asarray(value, dtype=_DEFAULT_DTYPE)
-    return arr
+    return np.asarray(value, dtype=np.float64)
 
 
 def _pow_value(base: Array, exponent: float, out: Array | None = None) -> Array:
@@ -145,9 +105,8 @@ class Tensor:
     """A numpy array with an optional gradient and autodiff history.
 
     Attributes:
-        data: the underlying numpy array (:func:`get_default_dtype` at
-            construction time; ``float64`` unless the opt-in float32
-            compute mode is active).
+        data: the underlying numpy array, always ``float64`` (the one
+            precision the surrogate computes in).
         grad: accumulated gradient (same shape as ``data``) after
             :meth:`backward`, else ``None``.
         requires_grad: whether this tensor participates in autodiff.
@@ -201,7 +160,8 @@ class Tensor:
         return self.data
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a one-element tensor (any shape), as a float."""
+        return float(self.data.item())
 
     def detach(self) -> "Tensor":
         """A new tensor sharing data but cut off from the graph."""

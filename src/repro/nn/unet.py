@@ -115,7 +115,7 @@ class UNet(Module):
 
     @property
     def alignment(self) -> int:
-        """Tile offsets must be multiples of this (the pooling grid pitch)."""
+        """Crop origins must be multiples of this (the pooling grid pitch)."""
         return 2 ** self.depth
 
     def receptive_field_radius(self) -> int:
@@ -125,10 +125,10 @@ class UNet(Module):
         span recursion ``R = 1 + sum (k_l - 1) * jump_l`` (jump = product
         of strides before layer ``l``), then halved and rounded up to
         absorb the half-cell asymmetry of the 2x pool/upsample pair.
-        Overlap-tiled inference with a halo of at least this many windows
+        A cropped forward with a halo of at least this many windows
         (rounded up to :attr:`alignment`) reproduces the monolithic
-        forward exactly — see
-        :meth:`repro.surrogate.network.CmpNeuralNetwork.predict_heights_tiled`.
+        forward exactly on the crop's core — see
+        :meth:`repro.surrogate.network.CmpNeuralNetwork.evaluate_region`.
         """
         span = 0  # R - 1
         jump = 1

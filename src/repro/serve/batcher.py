@@ -25,8 +25,8 @@ Fidelity contract (see DESIGN.md "Serving"): a coalesced group of K
 requests returns **bitwise** what ``evaluate_batch`` returns for those K
 fills stacked — coalescing adds no arithmetic of its own.  A singleton
 flush (K = 1) is in turn bitwise-identical to the sequential
-``evaluate`` path, because the stacked ``(1·L, C, N, M)`` pass runs the
-identical computation; for K > 1 the repo-wide batched-evaluation
+``evaluate`` path by construction: ``evaluate`` *is* the K = 1 stack,
+on the same captured plan.  For K > 1 the repo-wide batched-evaluation
 contract applies (equal up to BLAS contraction order at the last ulp,
 observed ≤ 1e-10).  Requests only coalesce when they share the bound
 network *and* the planarity weights, so different layouts/models/designs
@@ -236,8 +236,8 @@ class SimulateBatcher:
     per-layout results.
 
     Requests coalesce only when they share the process calibration,
-    window size, compute dtype and feature-stack shape — different
-    layouts on one grid stack fine; different physics never mix.  The
+    window size and feature-stack shape — different layouts on one grid
+    stack fine; different physics never mix.  The
     fidelity contract is *stronger* than the network batcher's: the
     batched simulator is **bitwise identical** to looping ``simulate``,
     so coalescing can never change a job's reported numbers.
@@ -280,8 +280,7 @@ class SimulateBatcher:
         # ProcessParams is a frozen dataclass, so the physics coalesces
         # by value: two jobs with the same polish-time override share a
         # group even though each built its own simulator instance.
-        key = (simulator.params, simulator.window_um, simulator.dtype,
-               features.shape)
+        key = (simulator.params, simulator.window_um, features.shape)
         with self._cond:
             if self._closed:  # flusher may already have drained and exited
                 parked = False

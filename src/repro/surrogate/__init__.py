@@ -28,8 +28,6 @@ from .objectives import (
     line_deviation,
     outliers,
     outliers_hard,
-    planarity_score,
-    planarity_score_batch,
     score_function,
 )
 from .train import (
@@ -67,8 +65,6 @@ __all__ = [
     "load_surrogate_bundle",
     "outliers",
     "outliers_hard",
-    "planarity_score",
-    "planarity_score_batch",
     "pretrain_surrogate",
     "save_surrogate",
     "score_function",

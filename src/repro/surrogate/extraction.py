@@ -51,7 +51,7 @@ class ExtractionConstants:
     dummy_side: float = DUMMY_SIDE_UM
 
     def crop(self, rows: slice, cols: slice) -> "ExtractionConstants":
-        """Constants restricted to a window sub-grid (for tiled inference).
+        """Constants restricted to a window sub-grid (for region evaluation).
 
         Extraction is purely per-window, so cropping the constants and the
         fill identically commutes with :func:`extract_parameter_matrix`.

@@ -4,6 +4,14 @@ This is the paper's Fig. 4 pipeline.  Forward propagation maps a fill
 vector ``x`` to the planarity score ``S_plan``; backward propagation
 returns ``dS_plan/dx`` through the chain rule of Eq. 11 — the paper's
 8134x-speedup replacement for finite differences through the simulator.
+
+There is one numeric path: every evaluation is a stack of K fill
+vectors, and a single fill is the K = 1 stack.  :meth:`evaluate`,
+:meth:`evaluate_batch` and :meth:`evaluate_region` only differ in the
+graph they build; all three hand it to one runner that replays a
+captured plan or, when it cannot, runs the same graph eagerly.  So
+``evaluate(fill)`` equals row 0 of ``evaluate_batch(fill[None])`` bit
+for bit by construction, and both share one captured plan.
 """
 
 from __future__ import annotations
@@ -14,12 +22,11 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from ..config import capture_enabled_default, capture_max_plans_default
 from ..layout.layout import Layout
 from ..nn import functional as F
 from ..nn.capture import CaptureMiss, CapturedGraph
 from ..nn.modules import Module
-from ..nn.tensor import Tensor, get_default_dtype
+from ..nn.tensor import Tensor
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .extraction import ExtractionConstants, extract_parameter_matrix
@@ -27,16 +34,47 @@ from .objectives import (
     DEFAULT_ETA,
     PlanarityBreakdown,
     PlanarityWeights,
-    breakdown_from_terms,
     breakdowns_from_terms,
-    planarity_score,
-    planarity_score_batch,
     planarity_terms,
 )
 
 #: Plan-cache slot for signatures whose trace failed: fall back to eager
 #: permanently instead of re-tracing (and re-failing) every call.
 _BROKEN = object()
+
+#: Captured plans retained per network (LRU).  Each plan owns a workspace
+#: arena sized like one forward+backward pass at its input shape;
+#: MSP-SQP's shrinking lockstep batches are the main consumer of several
+#: live keys.
+MAX_CAPTURE_PLANS: int = 8
+
+#: Named outputs of every evaluation graph: the ``(K,)`` planarity terms
+#: (:func:`~repro.surrogate.objectives.planarity_terms`) and the
+#: ``(K, L, N, M)`` heights.
+_OUTPUTS = ("sigma", "line", "outlier", "score_sigma", "score_line",
+            "score_outlier", "s_plan", "heights")
+
+
+def _read(outputs: dict[str, Tensor], x: Tensor, want_grad: bool) -> dict:
+    """Copies of the :data:`_OUTPUTS` arrays plus ``"grad"`` (the input
+    gradient; ``None`` unless ``want_grad``)."""
+    result = {name: outputs[name].data.copy() for name in _OUTPUTS}
+    result["grad"] = None
+    if want_grad:
+        result["grad"] = (x.grad.copy() if x.grad is not None
+                          else np.zeros_like(x.data))
+    return result
+
+
+def _finite(fill: np.ndarray) -> np.ndarray:
+    """``fill`` itself; ``ValueError`` naming the first NaN/inf entry."""
+    bad = ~np.isfinite(fill)
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"fill must be finite: entry {index} is {fill[index]} "
+            f"({int(bad.sum())} non-finite entries)")
+    return fill
 
 
 @dataclass(frozen=True)
@@ -114,6 +152,12 @@ class EvalRegion:
     sc0: int
     sc1: int
 
+    def __post_init__(self) -> None:
+        if not (0 <= self.sr0 <= self.r0 < self.r1 <= self.sr1
+                and 0 <= self.sc0 <= self.c0 < self.c1 <= self.sc1):
+            raise ValueError(
+                f"region needs a non-empty core inside its crop, got {self}")
+
     @property
     def core_shape(self) -> tuple[int, int]:
         return (self.r1 - self.r0, self.c1 - self.c0)
@@ -134,29 +178,31 @@ class CmpNeuralNetwork:
         normalizer: the affine height normalisation the UNet was trained
             with.
         eta: sigmoid gain of the smoothed outlier objective (Eq. 10c).
+        capture: replay captured graphs (trace once, run many; bitwise
+            identical to eager).  ``False`` runs every call eagerly — the
+            reference tests and benches compare against.
 
     The UNet is switched to ``eval`` mode: optimisation-time forward
-    passes must use frozen batch statistics.
+    passes must use frozen batch statistics.  Every entry point validates
+    its fill at the boundary (layout shape, finite entries) and raises
+    ``ValueError`` otherwise.
     """
 
     def __init__(self, layout: Layout, unet: Module,
                  normalizer: HeightNormalizer, eta: float = DEFAULT_ETA,
-                 capture: bool | None = None):
+                 capture: bool = True):
         self.layout = layout
         self.unet = unet.eval()
         self.normalizer = normalizer
         self.eta = eta
         self.consts = ExtractionConstants.from_layout(layout)
-        #: Captured-graph replay (trace-once/run-many; bitwise identical
-        #: to eager).  ``None`` defers to ``REPRO_CAPTURE`` (default on).
-        self.capture = capture_enabled_default() if capture is None else bool(capture)
+        self.capture = bool(capture)
         self._plans: OrderedDict[tuple, object] = OrderedDict()
         self._plans_lock = threading.Lock()
-        self._max_plans = capture_max_plans_default()
         self._capture_counts = {"trace": 0, "replay": 0, "miss": 0, "bypass": 0}
 
     # ------------------------------------------------------------------
-    # captured-graph plumbing
+    # the one evaluation runner: captured replay or eager
     # ------------------------------------------------------------------
     def capture_stats(self) -> dict:
         """Capture counters plus the live plan table (for benches/tests)."""
@@ -172,24 +218,34 @@ class CmpNeuralNetwork:
                 "arena_bytes": sum(plans.values()),
             }
 
-    def _capture_key(self, kind: str, signature: tuple,
-                     weights: PlanarityWeights) -> tuple:
-        return (
-            kind,
-            signature,
-            str(get_default_dtype()),
-            getattr(self.unet, "_state_version", None),
-            weights,
-            self.eta,
-        )
+    def _run(self, kind: str, signature: tuple, weights: PlanarityWeights,
+             build, inputs: dict, seed: np.ndarray | None) -> dict:
+        """Evaluate one graph; the numeric path behind every entry point.
+
+        ``build`` maps the input tensors (``"x"`` is the stacked fill) to
+        the named :data:`_OUTPUTS`; ``seed`` is the ``(K,)`` backward
+        seed, ``None`` for a forward-only call.  Returns plain arrays:
+        every output plus ``"grad"``, the seed-weighted ``dS_plan/dx``
+        (``None`` without a seed).
+        """
+        captured = self._captured(kind, signature, weights, build, inputs,
+                                  seed)
+        if captured is not None:
+            return captured
+        tensors = {name: Tensor(value,
+                                requires_grad=(name == "x" and seed is not None))
+                   for name, value in inputs.items()}
+        outputs = build(tensors)
+        if seed is not None:
+            outputs["s_plan"].backward(seed)
+        return _read(outputs, tensors["x"], seed is not None)
 
     def _captured(self, kind: str, signature: tuple, weights: PlanarityWeights,
-                  build, inputs: dict, seed, want_grad: bool, extract):
+                  build, inputs: dict, seed: np.ndarray | None) -> dict | None:
         """Replay (or trace) the plan for one call signature.
 
-        Runs ``extract(plan)`` — which must copy everything it hands out —
-        while the plan lock is still held, so a concurrent replay cannot
-        overwrite the arena mid-read.  Returns ``extract``'s result, or
+        Copies the results out while the plan lock is still held, so a
+        concurrent replay cannot overwrite the arena mid-read.  Returns
         ``None`` when the caller must run eagerly: capture disabled,
         network in training mode, plan marked broken, a structural miss,
         or the plan lock contended (another thread is mid-replay on this
@@ -198,7 +254,8 @@ class CmpNeuralNetwork:
         """
         if not self.capture or getattr(self.unet, "training", False):
             return None
-        key = self._capture_key(kind, signature, weights)
+        key = (kind, signature, getattr(self.unet, "_state_version", None),
+               weights, self.eta)
         if not self._plans_lock.acquire(blocking=False):
             self._capture_counts["bypass"] += 1
             return None
@@ -210,7 +267,7 @@ class CmpNeuralNetwork:
             tracer = obs_trace.active()
             if plan is None:
                 # The trace below IS this call's eager execution; its
-                # backward always runs (even for want_grad=False callers)
+                # backward always runs (even for forward-only callers)
                 # so one plan serves both gradient modes.
                 try:
                     if tracer is not None:
@@ -228,7 +285,7 @@ class CmpNeuralNetwork:
                     self._plans[key] = _BROKEN
                     return None
                 self._plans[key] = plan
-                while len(self._plans) > self._max_plans:
+                while len(self._plans) > MAX_CAPTURE_PLANS:
                     self._plans.popitem(last=False)
                 self._capture_counts["trace"] += 1
                 if tracer is not None:
@@ -237,13 +294,13 @@ class CmpNeuralNetwork:
                         sum(p.arena_bytes for p in self._plans.values()
                             if p is not _BROKEN),
                     )
-                return extract(plan)
+                return _read(plan.outputs, plan.inputs["x"], seed is not None)
             try:
                 if tracer is not None:
                     with obs_trace.span("capture.replay", cat="nn", kind=kind):
-                        plan.replay(inputs, seed=seed, want_grad=want_grad)
+                        plan.replay(inputs, seed=seed, want_grad=seed is not None)
                 else:
-                    plan.replay(inputs, seed=seed, want_grad=want_grad)
+                    plan.replay(inputs, seed=seed, want_grad=seed is not None)
             except CaptureMiss:
                 self._capture_counts["miss"] += 1
                 if tracer is not None:
@@ -254,7 +311,7 @@ class CmpNeuralNetwork:
             self._capture_counts["replay"] += 1
             if tracer is not None:
                 obs_metrics.registry().incr("capture.replay")
-            return extract(plan)
+            return _read(plan.outputs, plan.inputs["x"], seed is not None)
         finally:
             self._plans_lock.release()
 
@@ -270,111 +327,45 @@ class CmpNeuralNetwork:
         return self.consts.density.shape
 
     def _checked_fill(self, fill: np.ndarray | None) -> np.ndarray:
-        """Default + validate a single ``(L, N, M)`` fill against the
-        bound extraction constants; both the monolithic and the tiled
-        path go through here so a mismatch fails loudly in either."""
+        """Default + validate a single ``(L, N, M)`` fill: the layout
+        shape of the bound extraction constants, every entry finite.
+        Every entry point goes through here (``evaluate_batch`` through
+        its row check), so a bad fill fails loudly before any pass."""
         if fill is None:
             return np.zeros(self.grid_shape)
         fill = np.asarray(fill, dtype=float)
-        if fill.ndim != 3 or fill.shape != self.grid_shape:
+        if fill.shape != self.grid_shape:
             raise ValueError(
                 f"fill must have layout shape {self.grid_shape}, "
                 f"got {fill.shape}"
             )
-        return fill
+        return _finite(fill)
 
     def receptive_halo(self) -> int:
         """The bound model's receptive-field radius, rounded up to its
-        pooling alignment — the halo that makes tiled/region evaluation
-        exact.
+        pooling alignment — the halo that makes region evaluation exact.
 
         Raises:
             ValueError: the model does not expose
                 ``receptive_field_radius``; silently assuming a zero halo
                 would void every exactness guarantee, so callers must
-                pass an explicit halo instead (and own its accuracy).
+                build an explicit :class:`EvalRegion` instead (and own
+                its accuracy).
         """
         radius_fn = getattr(self.unet, "receptive_field_radius", None)
         if not callable(radius_fn):
             raise ValueError(
                 f"{type(self.unet).__name__} does not expose "
                 "receptive_field_radius(); cannot derive an exact halo. "
-                "Pass halo= explicitly — an undersized halo silently "
-                "voids the tiled-inference exactness guarantee."
+                "Build the EvalRegion explicitly — an undersized halo "
+                "silently voids the region-evaluation exactness guarantee."
             )
         align = int(getattr(self.unet, "alignment", 1))
         return -(-int(radius_fn()) // align) * align
 
     def predict_heights(self, fill: np.ndarray | None = None) -> np.ndarray:
         """Forward-only height profile prediction (physical units)."""
-        return self._forward(Tensor(self._checked_fill(fill))).data
-
-    def predict_heights_tiled(
-        self,
-        fill: np.ndarray | None = None,
-        tile: int = 128,
-        halo: int | None = None,
-    ) -> np.ndarray:
-        """Overlap-tile streamed forward for full-chip window grids.
-
-        The monolithic forward materialises every UNet activation for the
-        whole ``(L, C, N, M)`` map at once, which for a 1000x1000 grid is
-        tens of gigabytes.  This method runs the network on halo-padded
-        tiles and stitches the centre crops: peak memory is bounded by one
-        ``(tile + 2 * halo)``-sized forward, independent of chip size.
-
-        Exactness: tile origins are multiples of the UNet's pooling
-        :attr:`~repro.nn.unet.UNet.alignment` and the halo covers the
-        network's receptive-field radius, so every stitched window sees
-        the identical computation (same pooling phase, same neighbourhood,
-        same zero padding at chip borders) as the monolithic forward.
-
-        Args:
-            fill: fill areas ``(L, N, M)`` (zeros when omitted).  Stacked
-                ``(K, L, N, M)`` fills are not supported here — this is an
-                inference path for single full-chip maps.
-            tile: nominal tile side in windows (rounded up to the
-                alignment).
-            halo: overlap in windows; defaults to the network's exact
-                receptive-field radius rounded up to the alignment.
-                Smaller halos trade accuracy for speed and void the
-                exactness guarantee.
-
-        Returns:
-            ``(L, N, M)`` predicted physical heights, matching
-            :meth:`predict_heights` to floating-point precision.
-        """
-        fill = self._checked_fill(fill)
-        align = int(getattr(self.unet, "alignment", 1))
-        if halo is None:
-            halo = self.receptive_halo()
-        else:
-            if halo < 0:
-                raise ValueError(f"halo must be >= 0, got {halo}")
-            halo = -(-halo // align) * align
-        if tile < 1:
-            raise ValueError(f"tile must be >= 1, got {tile}")
-        tile = max(align, -(-tile // align) * align)
-
-        L, N, M = fill.shape
-        out = np.empty((L, N, M))
-        for r0 in range(0, N, tile):
-            r1 = min(r0 + tile, N)
-            sr0, sr1 = max(0, r0 - halo), min(N, r1 + halo)
-            for c0 in range(0, M, tile):
-                c1 = min(c0 + tile, M)
-                sc0, sc1 = max(0, c0 - halo), min(M, c1 + halo)
-                rows, cols = slice(sr0, sr1), slice(sc0, sc1)
-                matrix = extract_parameter_matrix(
-                    Tensor(fill[:, rows, cols]), self.consts.crop(rows, cols)
-                )
-                heights = self.normalizer.denormalize_array(
-                    self.unet(matrix).data[:, 0]
-                )
-                out[:, r0:r1, c0:c1] = heights[
-                    :, r0 - sr0 : r1 - sr0, c0 - sc0 : c1 - sc0
-                ]
-        return out
+        return self._forward(Tensor(self._checked_fill(fill)), self.consts).data
 
     # ------------------------------------------------------------------
     def plan_region(self, active: np.ndarray) -> EvalRegion | None:
@@ -440,9 +431,10 @@ class CmpNeuralNetwork:
         by the receptive halo — :meth:`plan_region` builds a region
         satisfying this for any fill that changes only inside its
         ``active`` mask.  Under that contract the result matches
-        :meth:`evaluate` to floating-point round-off (same pooling phase
-        and border padding as the monolithic forward; see
-        :meth:`predict_heights_tiled`).
+        :meth:`evaluate` to floating-point round-off: crop origins sit on
+        the pooling alignment and the halo covers the receptive field, so
+        every core window sees the same pooling phase, neighbourhood and
+        border padding as in the monolithic forward.
 
         Args:
             fill: full-chip fill areas ``(L, N, M)``.
@@ -461,6 +453,7 @@ class CmpNeuralNetwork:
                 f"got {base_heights.shape}")
         L, N, M = fill.shape
         rows, cols = slice(region.sr0, region.sr1), slice(region.sc0, region.sc1)
+        consts = self.consts.crop(rows, cols)
         h, w = region.crop_shape
         # Keep the core, zero the halo ring: the ring is only context for
         # the convolution and its heights come from base_heights instead.
@@ -471,100 +464,42 @@ class CmpNeuralNetwork:
         frozen[:, region.r0:region.r1, region.c0:region.c1] = 0.0
         pad = (region.sr0, N - region.sr1, region.sc0, M - region.sc1)
 
-        def compose(x: Tensor, frozen_t: Tensor) -> dict[str, Tensor]:
-            matrix = extract_parameter_matrix(x, self.consts.crop(rows, cols))
-            out = self.unet(matrix)  # (L, 1, h, w) normalised
-            patch = self.normalizer.denormalize(out.reshape(L, h, w))
-            heights = F.pad2d(patch * Tensor(core), pad) + frozen_t
-            terms = planarity_terms(heights, weights, eta=self.eta)
-            terms["heights"] = heights
-            return terms
-
         def build(tensors: dict[str, Tensor]) -> dict[str, Tensor]:
-            return compose(tensors["x"], tensors["frozen"])
+            patch = self._forward(tensors["x"], consts)  # (1, L, h, w)
+            heights = F.pad2d(patch * Tensor(core), pad) + tensors["frozen"]
+            return self._terms(heights, weights)
 
-        def extract(plan: CapturedGraph) -> PlanarityEvaluation:
-            gradient = None
-            if want_grad:
-                gradient = np.zeros_like(fill)
-                g = plan.grad("x")
-                if g is not None:
-                    gradient[:, rows, cols] = g
-            return PlanarityEvaluation(
-                s_plan=plan.outputs["s_plan"].item(),
-                breakdown=breakdown_from_terms(plan.outputs),
-                heights=plan.output("heights"),
-                gradient=gradient,
-            )
-
-        captured = self._captured(
+        out = self._run(
             "region", (fill.shape, astuple(region)), weights, build,
-            {"x": fill[:, rows, cols], "frozen": frozen}, None, want_grad,
-            extract,
+            {"x": fill[None, :, rows, cols], "frozen": frozen[None]},
+            np.ones(1) if want_grad else None,
         )
-        if captured is not None:
-            return captured
-
-        x = Tensor(fill[:, rows, cols], requires_grad=want_grad)
-        terms = compose(x, Tensor(frozen))
-        s_plan = terms["s_plan"]
         gradient = None
         if want_grad:
-            s_plan.backward()
             gradient = np.zeros_like(fill)
-            if x.grad is not None:
-                gradient[:, rows, cols] = x.grad
-        return PlanarityEvaluation(
-            s_plan=s_plan.item(), breakdown=breakdown_from_terms(terms),
-            heights=terms["heights"].data, gradient=gradient,
-        )
+            gradient[:, rows, cols] = out["grad"][0]
+        return self._single(out, gradient)
 
     def evaluate(self, fill: np.ndarray, weights: PlanarityWeights,
                  want_grad: bool = True) -> PlanarityEvaluation:
         """Planarity score (forward) and its gradient (backward).
+
+        The K = 1 stack of :meth:`evaluate_batch`: the same graph, the
+        same captured plan, so the result equals row 0 of
+        ``evaluate_batch(fill[None], ...)`` bit for bit.
 
         Args:
             fill: fill areas, shape ``(L, N, M)``.
             weights: the design's score coefficients (Table II subset).
             want_grad: run backpropagation and return ``dS_plan/dx``.
         """
-        fill = np.asarray(fill, dtype=float)
-
-        def build(tensors: dict[str, Tensor]) -> dict[str, Tensor]:
-            heights = self._forward(tensors["x"])
-            terms = planarity_terms(heights, weights, eta=self.eta)
-            terms["heights"] = heights
-            return terms
-
-        def extract(plan: CapturedGraph) -> PlanarityEvaluation:
-            gradient = None
-            if want_grad:
-                gradient = plan.grad("x")
-                if gradient is None:
-                    gradient = np.zeros_like(plan.inputs["x"].data)
-            return PlanarityEvaluation(
-                s_plan=plan.outputs["s_plan"].item(),
-                breakdown=breakdown_from_terms(plan.outputs),
-                heights=plan.output("heights"),
-                gradient=gradient,
-            )
-
-        captured = self._captured("fill", (fill.shape,), weights, build,
-                                  {"x": fill}, None, want_grad, extract)
-        if captured is not None:
-            return captured
-
-        x = Tensor(fill, requires_grad=want_grad)
-        heights = self._forward(x)
-        s_plan, breakdown = planarity_score(heights, weights, eta=self.eta)
-        gradient = None
-        if want_grad:
-            s_plan.backward()
-            gradient = x.grad if x.grad is not None else np.zeros_like(x.data)
-        return PlanarityEvaluation(
-            s_plan=s_plan.item(), breakdown=breakdown,
-            heights=heights.data, gradient=gradient,
-        )
+        # Shares the stacked runner with evaluate_batch instead of calling
+        # it: both names are public entry points, and one evaluation must
+        # enter only one.
+        out = self._run_stack(self._checked_fill(fill)[None], weights,
+                              np.ones(1) if want_grad else None)
+        return self._single(
+            out, None if out["grad"] is None else out["grad"][0])
 
     def evaluate_batch(
         self,
@@ -581,9 +516,9 @@ class CmpNeuralNetwork:
         ``(K * L, C, N, M)`` forward pass, and one backward call (seeded
         with the per-start mask) returns every requested gradient.  The
         starts never interact (BatchNorm runs in eval mode), so row ``k``
-        of the result matches :meth:`evaluate` on ``fills[k]`` to machine
-        precision — the only difference is the BLAS contraction order,
-        which may vary with the batch size at the last-ulp level.
+        matches :meth:`evaluate` on ``fills[k]`` to machine precision —
+        bitwise at K = 1, where it *is* that call; for K > 1 only the
+        BLAS contraction order may differ, at the last-ulp level.
 
         Args:
             fills: stacked fill vectors, shape ``(K, L, N, M)``.
@@ -594,8 +529,11 @@ class CmpNeuralNetwork:
                 Overrides ``want_grad``.
         """
         fills = np.asarray(fills, dtype=float)
-        if fills.ndim != 4:
-            raise ValueError(f"fills must be (K, L, N, M), got {fills.shape}")
+        if fills.ndim != 4 or fills.shape[1:] != self.grid_shape:
+            raise ValueError(
+                f"fills must be (K, L, N, M) with (L, N, M) = "
+                f"{self.grid_shape}, got {fills.shape}")
+        _finite(fills)
         K = fills.shape[0]
         if grad_mask is None:
             grad_mask = np.full(K, bool(want_grad))
@@ -603,51 +541,46 @@ class CmpNeuralNetwork:
             grad_mask = np.asarray(grad_mask, dtype=bool)
             if grad_mask.shape != (K,):
                 raise ValueError(f"grad_mask must have shape ({K},), got {grad_mask.shape}")
-        need_any = bool(grad_mask.any())
-        seed = grad_mask.astype(float) if need_any else None
-
-        def build(tensors: dict[str, Tensor]) -> dict[str, Tensor]:
-            heights = self._forward(tensors["x"])
-            terms = planarity_terms(heights, weights, eta=self.eta)
-            terms["heights"] = heights
-            return terms
-
-        def extract(plan: CapturedGraph) -> BatchPlanarityEvaluation:
-            gradient = None
-            if need_any:
-                gradient = plan.grad("x")
-                if gradient is None:
-                    gradient = np.zeros_like(fills)
-            return BatchPlanarityEvaluation(
-                s_plan=plan.outputs["s_plan"].data.astype(float, copy=True),
-                breakdowns=breakdowns_from_terms(plan.outputs, K),
-                heights=plan.output("heights"),
-                gradient=gradient,
-            )
-
-        captured = self._captured("batch", (fills.shape,), weights, build,
-                                  {"x": fills}, seed, need_any, extract)
-        if captured is not None:
-            return captured
-
-        x = Tensor(fills, requires_grad=need_any)
-        heights = self._forward(x)  # (K, L, N, M)
-        s_plan, breakdowns = planarity_score_batch(heights, weights, eta=self.eta)
-        gradient = None
-        if need_any:
-            # Seeding backward with the 0/1 mask computes all selected
-            # per-start gradients in one reverse sweep.
-            s_plan.backward(grad_mask.astype(float))
-            gradient = x.grad if x.grad is not None else np.zeros_like(fills)
+        # Seeding backward with the 0/1 mask computes all selected
+        # per-start gradients in one reverse sweep.
+        out = self._run_stack(
+            fills, weights,
+            grad_mask.astype(float) if grad_mask.any() else None)
         return BatchPlanarityEvaluation(
-            s_plan=s_plan.data.astype(float, copy=True), breakdowns=breakdowns,
-            heights=heights.data, gradient=gradient,
+            s_plan=out["s_plan"], breakdowns=breakdowns_from_terms(out),
+            heights=out["heights"], gradient=out["grad"],
         )
 
     # ------------------------------------------------------------------
-    def _forward(self, fill: Tensor) -> Tensor:
-        """Heights for an ``(L, N, M)`` fill or stacked ``(K, L, N, M)``."""
-        matrix = extract_parameter_matrix(fill, self.consts)
-        out = self.unet(matrix)  # (L or K*L, 1, N, M) normalised
-        N, M = out.shape[2:]
-        return self.normalizer.denormalize(out.reshape(*fill.shape[:-2], N, M))
+    def _forward(self, fills: Tensor, consts: ExtractionConstants) -> Tensor:
+        """Heights for ``(L, n, m)`` or stacked ``(K, L, n, m)`` fills
+        over the windows ``consts`` describes."""
+        matrix = extract_parameter_matrix(fills, consts)
+        out = self.unet(matrix)  # (L or K*L, 1, n, m) normalised
+        n, m = out.shape[2:]
+        return self.normalizer.denormalize(out.reshape(*fills.shape[:-2], n, m))
+
+    def _terms(self, heights: Tensor,
+               weights: PlanarityWeights) -> dict[str, Tensor]:
+        """The named :data:`_OUTPUTS` of ``(K, L, N, M)`` heights."""
+        return {**planarity_terms(heights, weights, eta=self.eta),
+                "heights": heights}
+
+    def _run_stack(self, fills: np.ndarray, weights: PlanarityWeights,
+                   seed: np.ndarray | None) -> dict:
+        """:meth:`_run` on a validated full-chip ``(K, L, N, M)`` stack."""
+        def build(tensors: dict[str, Tensor]) -> dict[str, Tensor]:
+            return self._terms(self._forward(tensors["x"], self.consts),
+                               weights)
+
+        return self._run("batch", (fills.shape,), weights, build,
+                         {"x": fills}, seed)
+
+    @staticmethod
+    def _single(out: dict, gradient: np.ndarray | None) -> PlanarityEvaluation:
+        """Row 0 of a K = 1 run as a :class:`PlanarityEvaluation`."""
+        return PlanarityEvaluation(
+            s_plan=float(out["s_plan"][0]),
+            breakdown=breakdowns_from_terms(out)[0],
+            heights=out["heights"][0], gradient=gradient,
+        )

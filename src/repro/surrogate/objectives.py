@@ -1,7 +1,9 @@
 """Objective layers on top of the predicted height profile (Eqs. 1-3, 10).
 
-Given the UNet output ``H_n`` of shape ``(L, N, M)`` these layers compute
-the three planarity objectives with differentiable torch-style ops:
+Given stacked UNet outputs ``H_n`` of shape ``(K, L, N, M)`` — K
+independent candidates, K = 1 for a single fill — these layers compute
+the three planarity objectives per candidate with differentiable
+torch-style ops:
 
 * height variance ``sigma`` (Eq. 10a),
 * line deviation ``sigma*`` (Eq. 10b, deviation from per-column means),
@@ -16,12 +18,15 @@ the layer mean (the conventional outlier rule) and expose it as a knob.
 
 The merging layer then applies the contest score function (Eq. 6)
 ``f(t) = max(0, 1 - t / beta)`` and the weights ``alpha`` to produce the
-planarity score ``S_plan`` (Eq. 5b).
+planarity score ``S_plan`` (Eq. 5b).  Candidates never interact: every
+reduction stays inside its ``(L, N, M)`` slab, so one ``backward`` on
+the summed scores yields every candidate's gradient at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Mapping
 
 import numpy as np
 
@@ -32,56 +37,47 @@ from ..nn.tensor import Tensor
 DEFAULT_ETA: float = 0.5
 
 
-def _check_heights(heights: Tensor) -> bool:
-    """Validate a ``(L, N, M)`` or stacked ``(K, L, N, M)`` height tensor;
-    returns True when a leading multi-start batch axis is present."""
-    if len(heights.shape) not in (3, 4):
-        raise ValueError(f"heights must be (L, N, M) or (K, L, N, M), got {heights.shape}")
-    return len(heights.shape) == 4
+def _check_heights(heights: Tensor) -> None:
+    """Validate a stacked ``(K, L, N, M)`` height tensor."""
+    if len(heights.shape) != 4:
+        raise ValueError(f"heights must be (K, L, N, M), got {heights.shape}")
 
 
 def height_variance(heights: Tensor) -> Tensor:
-    """Eq. 1 / Eq. 10a: sum over layers of per-layer height variance.
-
-    ``(L, N, M)`` heights give a scalar; stacked ``(K, L, N, M)`` heights
-    (K independent candidates) give a ``(K,)`` tensor.
-    """
-    if _check_heights(heights):
-        return heights.var(axis=(2, 3)).sum(axis=1)
-    return heights.var(axis=(1, 2)).sum()
+    """Eq. 1 / Eq. 10a: sum over layers of per-layer height variance,
+    one value per candidate (``(K,)``)."""
+    _check_heights(heights)
+    return heights.var(axis=(2, 3)).sum(axis=1)
 
 
 def line_deviation(heights: Tensor) -> Tensor:
-    """Eq. 2 / Eq. 10b: total absolute deviation from per-column means.
+    """Eq. 2 / Eq. 10b: total absolute deviation from per-column means,
+    one value per candidate (``(K,)``).
 
     ``MEAN(H_n, 1)`` in the paper averages over the row index ``i``,
-    giving one mean per column ``j`` of each layer.  Accepts stacked
-    ``(K, L, N, M)`` heights, returning one deviation per candidate.
+    giving one mean per column ``j`` of each layer.
     """
-    if _check_heights(heights):
-        column_means = heights.mean(axis=2, keepdims=True)
-        return (heights - column_means).abs().sum(axis=(1, 2, 3))
-    column_means = heights.mean(axis=1, keepdims=True)
-    return (heights - column_means).abs().sum()
+    _check_heights(heights)
+    column_means = heights.mean(axis=2, keepdims=True)
+    return (heights - column_means).abs().sum(axis=(1, 2, 3))
 
 
 def outliers(heights: Tensor, eta: float = DEFAULT_ETA,
              threshold_sigmas: float = 3.0) -> Tensor:
-    """Eq. 3 via the sigmoid smoothing of Eq. 10c.
+    """Eq. 3 via the sigmoid smoothing of Eq. 10c, one total per
+    candidate (``(K,)``).
 
     ``sum_l sum_ij smooth_hinge(H - mean_l - k * std_l)`` where the smooth
-    hinge is ``z * sigmoid(eta * z)``.  Accepts stacked ``(K, L, N, M)``
-    heights, returning one outlier total per candidate.
+    hinge is ``z * sigmoid(eta * z)``.
     """
-    batched = _check_heights(heights)
+    _check_heights(heights)
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
-    layer_axes = (2, 3) if batched else (1, 2)
-    mean = heights.mean(axis=layer_axes, keepdims=True)
-    std = (heights.var(axis=layer_axes, keepdims=True) + 1e-12) ** 0.5
+    mean = heights.mean(axis=(2, 3), keepdims=True)
+    std = (heights.var(axis=(2, 3), keepdims=True) + 1e-12) ** 0.5
     excess = heights - mean - std * threshold_sigmas
     smooth = excess * F.sigmoid(excess * eta)
-    return smooth.sum(axis=(1, 2, 3)) if batched else smooth.sum()
+    return smooth.sum(axis=(1, 2, 3))
 
 
 def outliers_hard(heights: np.ndarray, threshold_sigmas: float = 3.0) -> float:
@@ -135,13 +131,9 @@ class PlanarityBreakdown:
 
 def planarity_terms(heights: Tensor, weights: PlanarityWeights,
                     eta: float = DEFAULT_ETA) -> dict[str, Tensor]:
-    """Merging layer as named tensors: objectives, scores and ``S_plan``.
-
-    The tensor-level variant of :func:`planarity_score`, shared with the
-    captured-graph executor, which needs the term *tensors* so replayed
-    breakdowns can be re-read from the refreshed buffers instead of being
-    frozen at build time.
-    """
+    """Merging layer: ``(K, L, N, M)`` heights to named ``(K,)`` tensors —
+    the objectives, their scores and ``S_plan`` (Eq. 5b), keyed like the
+    fields of :class:`PlanarityBreakdown`."""
     sigma = height_variance(heights)
     line = line_deviation(heights)
     ol = outliers(heights, eta=eta)
@@ -160,58 +152,12 @@ def planarity_terms(heights: Tensor, weights: PlanarityWeights,
     }
 
 
-def breakdown_from_terms(terms: dict[str, Tensor]) -> PlanarityBreakdown:
-    """Scalar :class:`PlanarityBreakdown` from :func:`planarity_terms`."""
-    return PlanarityBreakdown(
-        sigma=terms["sigma"].item(), line=terms["line"].item(),
-        outlier=terms["outlier"].item(),
-        score_sigma=terms["score_sigma"].item(),
-        score_line=terms["score_line"].item(),
-        score_outlier=terms["score_outlier"].item(),
-        s_plan=terms["s_plan"].item(),
-    )
-
-
-def breakdowns_from_terms(terms: dict[str, Tensor],
-                          count: int) -> list[PlanarityBreakdown]:
-    """Per-candidate breakdowns from batched ``(K,)`` term tensors."""
+def breakdowns_from_terms(
+        terms: Mapping[str, np.ndarray]) -> list[PlanarityBreakdown]:
+    """One :class:`PlanarityBreakdown` per candidate from the ``(K,)``
+    term arrays of :func:`planarity_terms`."""
+    names = [f.name for f in fields(PlanarityBreakdown)]
     return [
-        PlanarityBreakdown(
-            sigma=float(terms["sigma"].data[k]),
-            line=float(terms["line"].data[k]),
-            outlier=float(terms["outlier"].data[k]),
-            score_sigma=float(terms["score_sigma"].data[k]),
-            score_line=float(terms["score_line"].data[k]),
-            score_outlier=float(terms["score_outlier"].data[k]),
-            s_plan=float(terms["s_plan"].data[k]),
-        )
-        for k in range(count)
+        PlanarityBreakdown(**{name: float(terms[name][k]) for name in names})
+        for k in range(len(terms["s_plan"]))
     ]
-
-
-def planarity_score(heights: Tensor, weights: PlanarityWeights,
-                    eta: float = DEFAULT_ETA) -> tuple[Tensor, PlanarityBreakdown]:
-    """Merging layer: objectives -> scores -> ``S_plan`` (Eq. 5b).
-
-    Returns the differentiable score tensor plus a float breakdown for
-    reporting.
-    """
-    terms = planarity_terms(heights, weights, eta=eta)
-    return terms["s_plan"], breakdown_from_terms(terms)
-
-
-def planarity_score_batch(
-    heights: Tensor, weights: PlanarityWeights, eta: float = DEFAULT_ETA,
-) -> tuple[Tensor, list[PlanarityBreakdown]]:
-    """Merging layer over K stacked candidates: ``(K, L, N, M)`` heights
-    to a ``(K,)`` score tensor plus one breakdown per candidate.
-
-    Candidates never interact (every reduction stays inside its slab), so
-    entry ``k`` equals :func:`planarity_score` on ``heights[k]`` while the
-    whole batch shares a single autodiff graph: one ``backward`` on the
-    summed scores yields every candidate's gradient at once.
-    """
-    if len(heights.shape) != 4:
-        raise ValueError(f"heights must be (K, L, N, M), got {heights.shape}")
-    terms = planarity_terms(heights, weights, eta=eta)
-    return terms["s_plan"], breakdowns_from_terms(terms, heights.shape[0])

@@ -5,8 +5,8 @@ The batched polish contract (DESIGN.md "Batched CMP simulator") is
 must return exactly what a Python loop of solo ``simulate`` calls
 returns, bit for bit, in every output array and in both the default and
 ``stack_topography`` modes.  These tests pin that contract, the
-lift-off behaviour of the batched pressure solve, and the float32
-end-to-end path.
+lift-off behaviour of the batched pressure solve, and the float64
+compute precision.
 """
 
 import numpy as np
@@ -219,22 +219,8 @@ class TestSolvePressureBatched:
             solve_pressure(env, 100.0, DEFAULT_PROCESS, batch_ndim=-1)
 
 
-class TestFloat32Mode:
-    def test_dtype_preserved_end_to_end(self):
-        features = varied_stacks(count=1)[0]
-        sim32 = CmpSimulator(dtype="float32")
-        res = sim32.simulate(features)
-        for name in RESULT_FIELDS:
-            assert getattr(res, name).dtype == np.float32, name
-
-    def test_batched_dtype_preserved_end_to_end(self):
-        stacks = varied_stacks(count=3)
-        sim32 = CmpSimulator(dtype="float32")
-        batched = sim32.simulate_batch(stacks)
-        for name in RESULT_FIELDS:
-            assert getattr(batched, name).dtype == np.float32, name
-
-    def test_float32_inputs_drive_dtype(self):
+class TestFloat64Precision:
+    def test_float32_features_computed_in_float64(self):
         f = varied_stacks(count=1)[0]
         f32 = FeatureStack(
             density=f.density.astype(np.float32),
@@ -242,26 +228,18 @@ class TestFloat32Mode:
             wire_width=f.wire_width.astype(np.float32),
             trench_depth=f.trench_depth.astype(np.float32),
         )
+        f64 = FeatureStack(
+            density=f32.density.astype(np.float64),
+            perimeter=f32.perimeter.astype(np.float64),
+            wire_width=f32.wire_width.astype(np.float64),
+            trench_depth=f32.trench_depth.astype(np.float64),
+        )
         res = CmpSimulator().simulate(f32)
+        ref = CmpSimulator().simulate(f64)
         for name in RESULT_FIELDS:
-            assert getattr(res, name).dtype == np.float32, name
-
-    def test_batched_float32_bitwise_vs_solo(self):
-        stacks = varied_stacks(count=3)
-        sim32 = CmpSimulator(dtype="float32")
-        batched = sim32.simulate_batch(stacks)
-        solos = [sim32.simulate(s) for s in stacks]
-        assert_batched_bitwise(batched, solos)
-
-    def test_float32_close_to_float64(self):
-        features = varied_stacks(count=1)[0]
-        h64 = CmpSimulator().simulate(features).height
-        h32 = CmpSimulator(dtype="float32").simulate(features).height
-        np.testing.assert_allclose(h32, h64, rtol=1e-4)
-
-    def test_bad_dtype_rejected(self):
-        with pytest.raises(ValueError, match="dtype"):
-            CmpSimulator(dtype="int32")
+            assert getattr(res, name).dtype == np.float64, name
+            np.testing.assert_array_equal(getattr(res, name),
+                                          getattr(ref, name), err_msg=name)
 
 
 class TestMaxEffectiveDensity:

@@ -1,8 +1,8 @@
-"""Batched MSP-SQP vs the sequential start-by-start loop.
+"""Lockstep MSP-SQP vs an explicit start-by-start ``maximize`` loop.
 
-The batched path must be a pure wall-clock optimisation: same clipping,
-same per-start SQP mathematics, same refined fills — only the network
-passes are stacked.
+The lockstep broker must be a pure wall-clock optimisation: same
+clipping, same per-start SQP mathematics, same refined fills — only the
+network passes are stacked.
 """
 
 import numpy as np
@@ -53,18 +53,28 @@ class TestEvaluateMany:
 class TestBatchedMspSqp:
     def test_same_best_fill_as_sequential(self, model, starts):
         opt = SqpOptimizer(max_iter=15, tol=1e-9)
-        seq = msp_sqp(model, list(starts), opt, batched=False)
-        bat = msp_sqp(model, starts, opt, batched=True)
-        np.testing.assert_allclose(bat.best_fill, seq.best_fill,
+        lower, upper = model.problem.lower, model.problem.upper
+        seq = [opt.maximize(model.value_and_grad, start, lower, upper,
+                            fun_value=model.quality) for start in starts]
+        best = max(seq, key=lambda r: r.value)
+        bat = msp_sqp(model, starts, opt)
+        np.testing.assert_allclose(bat.best_fill, best.x,
                                    rtol=0, atol=1e-8)
-        assert bat.best_quality == pytest.approx(seq.best_quality, abs=1e-10)
-        for a, b in zip(seq.results, bat.results):
+        assert bat.best_quality == pytest.approx(best.value, abs=1e-10)
+        for a, b in zip(seq, bat.results):
             assert a.iterations == b.iterations
             assert a.converged == b.converged
             assert a.value == pytest.approx(b.value, abs=1e-10)
 
     def test_single_start_falls_back_to_sequential(self, model, starts):
         opt = SqpOptimizer(max_iter=5, tol=1e-9)
-        outcome = msp_sqp(model, starts[:1], opt, batched=True)
+        outcome = msp_sqp(model, starts[:1], opt)
         assert len(outcome.results) == 1
         assert np.isfinite(outcome.best_quality)
+        # One start runs SqpOptimizer.maximize on QualityModel.evaluate,
+        # bitwise like a direct call.
+        direct = opt.maximize(model.value_and_grad, starts[0],
+                              model.problem.lower, model.problem.upper,
+                              fun_value=model.quality)
+        np.testing.assert_array_equal(outcome.best_fill, direct.x)
+        assert outcome.best_quality == direct.value

@@ -69,22 +69,6 @@ class TestConv2dBackendParity:
                                        err_msg=f"{backend}/{name}")
 
 
-class TestFloat32Parity:
-    @pytest.mark.parametrize("backend", ["matmul"])
-    def test_forward_close_in_float32(self, backend, monkeypatch):
-        from repro.nn import compute_dtype
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(1, 2, 8, 8)).astype(np.float32)
-        w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
-        with compute_dtype("float32"):
-            _force(monkeypatch, "im2col")
-            ref = conv2d(Tensor(x), Tensor(w), padding=1)
-            _force(monkeypatch, backend)
-            got = conv2d(Tensor(x), Tensor(w), padding=1)
-        assert ref.dtype == np.float32 and got.dtype == np.float32
-        np.testing.assert_allclose(got.data, ref.data, rtol=1e-4, atol=1e-4)
-
-
 class TestPlanCache:
     def test_heuristic_below_threshold(self):
         rng = np.random.default_rng(0)

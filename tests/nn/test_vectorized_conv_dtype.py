@@ -1,23 +1,16 @@
-"""Vectorised conv adjoint vs an explicit scatter loop, and dtype modes.
+"""Vectorised conv adjoint vs an explicit scatter loop, and the dtype.
 
 ``conv2d``'s input gradient is a dilate-pad-flip correlation; these
 tests pin it against the naive loop implementation it replaced,
 including the awkward stride-2 shapes where the dilated gradient does
-not cover the padded input.  The dtype tests cover the opt-in float32
-compute mode.
+not cover the padded input.  The dtype test pins the one compute
+precision, float64.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Tensor,
-    UNet,
-    compute_dtype,
-    conv2d,
-    get_default_dtype,
-    set_default_dtype,
-)
+from repro.nn import Tensor, conv2d
 
 
 def brute_conv2d_input_grad(grad, w, x_shape, stride, padding):
@@ -59,45 +52,6 @@ class TestVectorizedConvAdjoint:
 
 class TestComputeDtype:
     def test_default_is_float64(self):
-        assert get_default_dtype() == np.float64
         assert Tensor(np.zeros(3)).dtype == np.float64
-
-    def test_context_manager_scopes_the_switch(self):
-        with compute_dtype(np.float32):
-            assert get_default_dtype() == np.float32
-            assert Tensor([1.0, 2.0]).dtype == np.float32
-        assert get_default_dtype() == np.float64
-
-    def test_context_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with compute_dtype(np.float32):
-                raise RuntimeError("boom")
-        assert get_default_dtype() == np.float64
-
-    def test_unsupported_dtype_rejected(self):
-        with pytest.raises(ValueError):
-            set_default_dtype(np.int32)
-
-    def test_module_to_dtype_casts_everything(self):
-        unet = UNet(in_channels=2, out_channels=1, base_channels=4,
-                    depth=1, rng=0)
-        unet.to_dtype(np.float32)
-        for p in unet.parameters():
-            assert p.data.dtype == np.float32
-
-    def test_float32_forward_close_to_float64(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(2, 2, 8, 8))
-        unet64 = UNet(in_channels=2, out_channels=1, base_channels=4,
-                      depth=1, rng=0)
-        unet64.eval()
-        ref = unet64(Tensor(x)).data
-
-        unet32 = UNet(in_channels=2, out_channels=1, base_channels=4,
-                      depth=1, rng=0)
-        unet32.eval()
-        unet32.to_dtype(np.float32)
-        with compute_dtype(np.float32):
-            out = unet32(Tensor(x)).data
-        assert out.dtype == np.float32
-        np.testing.assert_allclose(out, ref, rtol=1e-3, atol=1e-3)
+        assert Tensor(np.zeros(3, dtype=np.float32)).dtype == np.float64
+        assert Tensor([1, 2]).dtype == np.float64

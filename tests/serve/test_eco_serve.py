@@ -190,6 +190,34 @@ class TestExecutorEcoJobs:
                         "parent_fingerprint": "no-such-parent"}))
 
 
+class TestNonFiniteParent:
+    def test_served_eco_with_null_parent_entry_ends_in_error(
+            self, parent_layout, layout_files, checkpoint):
+        parent_path, edited_path = layout_files
+        # JSON has no NaN: a null entry decodes to NaN in the fill array.
+        parent_fill = np.zeros(parent_layout.shape).tolist()
+        parent_fill[1][3][3] = None
+        registry = ModelRegistry()
+        registry.register("m", checkpoint)
+        server = FillServer(registry=registry,
+                            serve_config=ServeConfig(workers=1, max_batch=1))
+        server.start()
+        try:
+            collector = Collector()
+            submit(server, collector, "nan", op="eco", params={
+                "layout_path": edited_path, "model": "m",
+                "parent_fill": parent_fill,
+                "parent_layout_path": parent_path, "score": False})
+            _wait_until(lambda: {"done", "error"} & set(
+                collector.statuses("nan")), timeout=120.0,
+                message="the eco job to finish")
+            assert "done" not in collector.statuses("nan")
+            error = collector.wait_for("nan", "error")["error"]
+            assert "finite" in error
+        finally:
+            server.shutdown(timeout=30.0)
+
+
 def layout_fingerprint_of(executor, path):
     layout, fingerprint = executor._load_layout({"layout_path": path})
     return fingerprint

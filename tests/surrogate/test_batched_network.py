@@ -2,22 +2,24 @@
 
 ``evaluate_batch`` stacks K fill vectors into one network pass; every
 row must reproduce ``evaluate`` on the same fill to machine precision
-(BatchNorm runs in eval mode, so samples never interact).
+(BatchNorm runs in eval mode, so samples never interact).  A single
+fill is the K = 1 stack, so at K = 1 the match is bitwise and both
+calls share one captured plan.
 """
 
 import numpy as np
 import pytest
 
 from repro.layout import make_design_a
+from repro.layout.designs import DESIGN_BUILDERS
 from repro.nn import Tensor, UNet
 from repro.surrogate import (
     NUM_FEATURE_CHANNELS,
     CmpNeuralNetwork,
     HeightNormalizer,
     PlanarityWeights,
-    planarity_score,
-    planarity_score_batch,
 )
+from repro.surrogate.objectives import planarity_terms
 
 WEIGHTS = PlanarityWeights(0.2, 100.0, 0.2, 1000.0, 0.15, 10.0)
 
@@ -85,11 +87,57 @@ class TestPlanarityScoreBatch:
     def test_matches_per_sample_score(self):
         rng = np.random.default_rng(0)
         heights = rng.normal(6000.0, 30.0, size=(4, 2, 6, 6))
-        batched, breakdowns = planarity_score_batch(Tensor(heights), WEIGHTS)
-        assert batched.data.shape == (4,)
-        assert len(breakdowns) == 4
+        batched = planarity_terms(Tensor(heights), WEIGHTS)
+        assert batched["s_plan"].data.shape == (4,)
         for k in range(4):
-            single, bd = planarity_score(Tensor(heights[k]), WEIGHTS)
-            assert float(batched.data[k]) == pytest.approx(
-                float(single.data), abs=1e-10)
-            assert breakdowns[k].s_plan == pytest.approx(bd.s_plan, abs=1e-10)
+            single = planarity_terms(Tensor(heights[k:k + 1]), WEIGHTS)
+            for name, term in batched.items():
+                assert float(term.data[k]) == pytest.approx(
+                    single[name].item(), abs=1e-10), name
+
+
+def _k1_cases():
+    for design, rows, cols in (("A", 13, 7), ("A", 1, 9), ("B", 17, 11),
+                               ("C", 9, 20)):
+        for capture in (True, False):
+            yield pytest.param(design, rows, cols, capture,
+                               id=f"{design}{rows}x{cols}-capture{capture}")
+
+
+def _network(design, rows, cols, capture):
+    layout = DESIGN_BUILDERS[design](rows=rows, cols=cols, seed=3)
+    unet = UNet(NUM_FEATURE_CHANNELS, 1, base_channels=4, depth=1, rng=0)
+    return CmpNeuralNetwork(layout, unet, HeightNormalizer(6000.0, 40.0),
+                            capture=capture)
+
+
+class TestSingleFillIsK1Stack:
+    @pytest.mark.parametrize("design,rows,cols,capture", _k1_cases())
+    @pytest.mark.parametrize("want_grad", [True, False])
+    def test_evaluate_is_row0_of_batch(self, design, rows, cols, capture,
+                                       want_grad):
+        net = _network(design, rows, cols, capture)
+        slack = net.layout.slack_stack()
+        rng = np.random.default_rng(7)
+        # Two fills each way: the first call traces, the second replays.
+        for fill in (rng.random(slack.shape) * slack for _ in range(2)):
+            single = net.evaluate(fill, WEIGHTS, want_grad=want_grad)
+            batch = net.evaluate_batch(fill[None], WEIGHTS,
+                                       want_grad=want_grad)
+            assert single.s_plan == batch.s_plan[0]
+            assert single.breakdown == batch.breakdowns[0]
+            np.testing.assert_array_equal(single.heights, batch.heights[0])
+            if want_grad:
+                np.testing.assert_array_equal(single.gradient,
+                                              batch.gradient[0])
+            else:
+                assert single.gradient is None and batch.gradient is None
+
+    def test_single_fill_and_k1_batch_share_one_plan(self, net, fills):
+        fresh = CmpNeuralNetwork(net.layout, net.unet, net.normalizer)
+        fresh.evaluate(fills[0], WEIGHTS)
+        fresh.evaluate_batch(fills[1][None], WEIGHTS)
+        stats = fresh.capture_stats()
+        assert stats["trace"] == 1
+        assert stats["replay"] == 1
+        assert len(stats["plans"]) == 1

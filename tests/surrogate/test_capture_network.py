@@ -2,8 +2,8 @@
 
 ``CmpNeuralNetwork`` with ``capture=True`` (the default) must be
 indistinguishable — *bitwise*, not approximately — from ``capture=False``
-on every entry point and in both precision modes, while allocating no new
-large arrays per call once a plan is warm.
+on every entry point, while allocating no new large arrays per call once
+a plan is warm.
 """
 
 import gc
@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from repro.layout import make_design_a
-from repro.nn import UNet, compute_dtype
+from repro.nn import UNet
 from repro.surrogate import (
     NUM_FEATURE_CHANNELS,
     CmpNeuralNetwork,
     HeightNormalizer,
     PlanarityWeights,
 )
+from repro.surrogate.network import MAX_CAPTURE_PLANS
 
 GRID = 12
 WEIGHTS = PlanarityWeights(1.0, 20000.0, 1.0, 20000.0, 1.0, 20000.0)
@@ -109,16 +110,15 @@ class TestBitwiseParity:
             b = eager.evaluate_region(trial, region, base, WEIGHTS)
             assert_same_eval(a, b)
 
-    def test_float32_mode(self, layout):
-        results = []
-        for capture in (True, False):
-            net = build_net(layout, capture)
-            net.unet.to_dtype(np.float32)
-            with compute_dtype(np.float32):
-                fills = fills_for(layout, 3, seed=6)
-                results.append([net.evaluate(f, WEIGHTS) for f in fills])
-        for a, b in zip(*results):
-            assert_same_eval(a, b)
+    def test_replays_leave_caller_arrays_untouched(self, nets):
+        captured, _ = nets
+        fills = fills_for(captured.layout, 3, seed=6)
+        kept = [f.copy() for f in fills]
+        for fill in fills:
+            captured.evaluate(fill, WEIGHTS)
+        assert captured.capture_stats()["replay"] == 2
+        for fill, copy in zip(fills, kept):
+            assert np.array_equal(fill, copy)
 
 
 class TestPlanLifecycle:
@@ -158,12 +158,6 @@ class TestPlanLifecycle:
         stats = net.capture_stats()
         assert stats["trace"] == 0 and stats["replay"] == 0
 
-    def test_env_knob_controls_default(self, layout, monkeypatch):
-        monkeypatch.setenv("REPRO_CAPTURE", "0")
-        assert build_net(layout, None).capture is False
-        monkeypatch.setenv("REPRO_CAPTURE", "1")
-        assert build_net(layout, None).capture is True
-
     def test_training_mode_bypasses_capture(self, layout):
         net = build_net(layout, True)
         net.unet.train()
@@ -174,15 +168,15 @@ class TestPlanLifecycle:
         net.evaluate(fill, WEIGHTS)
         assert net.capture_stats()["trace"] == 1
 
-    def test_plan_lru_bounded(self, layout, monkeypatch):
-        monkeypatch.setenv("REPRO_CAPTURE_PLANS", "2")
+    def test_plan_lru_bounded(self, layout):
         net = build_net(layout, True)
-        for k in (1, 2, 3):
+        for k in range(1, MAX_CAPTURE_PLANS + 2):
             (batch,) = fills_for(layout, 1, seed=11, batch=k)
             net.evaluate_batch(batch, WEIGHTS)
         stats = net.capture_stats()
-        assert stats["trace"] == 3
-        assert len(stats["plans"]) == 2  # oldest evicted
+        assert stats["trace"] == MAX_CAPTURE_PLANS + 1
+        assert len(stats["plans"]) == MAX_CAPTURE_PLANS  # oldest evicted
+        assert not any("(1, 3," in key for key in stats["plans"])
 
 
 class TestAllocationRegression:

@@ -1,4 +1,8 @@
-"""Tests for the objective layers (Eqs. 1-3, 6, 10)."""
+"""Tests for the objective layers (Eqs. 1-3, 6, 10).
+
+The layers take stacked ``(K, L, N, M)`` heights; single maps are the
+K = 1 stack (``h[None]``).
+"""
 
 import numpy as np
 import pytest
@@ -13,15 +17,22 @@ from repro.surrogate import (
     line_deviation,
     outliers,
     outliers_hard,
-    planarity_score,
     score_function,
 )
+from repro.surrogate.objectives import breakdowns_from_terms, planarity_terms
 
 from ..nn.gradcheck import check_grad
 
 height_arrays = hnp.arrays(
     np.float64, (2, 4, 5), elements=st.floats(-5, 5)
 )
+
+
+def planarity_score(heights, weights):
+    """``S_plan`` tensor and breakdown of one ``(L, N, M)`` map."""
+    terms = planarity_terms(heights[None], weights)
+    arrays = {name: t.data for name, t in terms.items()}
+    return terms["s_plan"], breakdowns_from_terms(arrays)[0]
 
 
 def weights():
@@ -34,34 +45,46 @@ def weights():
 
 class TestHeightVariance:
     def test_flat_layers_zero(self):
-        h = Tensor(np.ones((3, 4, 4)) * np.arange(1, 4)[:, None, None])
+        h = Tensor(np.ones((1, 3, 4, 4)) * np.arange(1, 4)[:, None, None])
         assert height_variance(h).item() == pytest.approx(0.0)
 
     def test_matches_numpy_per_layer_sum(self):
         rng = np.random.default_rng(0)
         h = rng.normal(size=(3, 5, 6))
         expected = sum(np.var(h[l]) for l in range(3))
-        assert height_variance(Tensor(h)).item() == pytest.approx(expected)
+        assert height_variance(Tensor(h[None])).item() == pytest.approx(expected)
 
     def test_mean_shift_invariant(self):
         rng = np.random.default_rng(1)
         h = rng.normal(size=(2, 4, 4))
-        v1 = height_variance(Tensor(h)).item()
-        v2 = height_variance(Tensor(h + 100.0)).item()
+        v1 = height_variance(Tensor(h[None])).item()
+        v2 = height_variance(Tensor(h[None] + 100.0)).item()
         assert v1 == pytest.approx(v2)
 
     def test_gradient(self):
-        check_grad(height_variance, np.random.default_rng(2).normal(size=(2, 3, 3)))
+        check_grad(height_variance,
+                   np.random.default_rng(2).normal(size=(2, 2, 3, 3)))
 
     def test_rejects_non_3d(self):
         with pytest.raises(ValueError):
             height_variance(Tensor(np.ones((4, 4))))
 
+    def test_rejects_unstacked_map(self):
+        with pytest.raises(ValueError, match="K, L, N, M"):
+            height_variance(Tensor(np.ones((2, 4, 4))))
+
+    def test_candidates_independent(self):
+        rng = np.random.default_rng(10)
+        h = rng.normal(size=(3, 2, 4, 5))
+        stacked = height_variance(Tensor(h)).data
+        for k in range(3):
+            assert stacked[k] == height_variance(Tensor(h[k:k + 1])).item()
+
 
 class TestLineDeviation:
     def test_column_uniform_zero(self):
         """Heights constant within each column -> zero line deviation."""
-        h = np.tile(np.arange(5.0), (4, 1))[None]  # (1, 4, 5)
+        h = np.tile(np.arange(5.0), (4, 1))[None, None]  # (1, 1, 4, 5)
         assert line_deviation(Tensor(h)).item() == pytest.approx(0.0)
 
     def test_matches_reference(self):
@@ -71,11 +94,11 @@ class TestLineDeviation:
         for l in range(2):
             col_mean = h[l].mean(axis=0, keepdims=True)
             expected += np.abs(h[l] - col_mean).sum()
-        assert line_deviation(Tensor(h)).item() == pytest.approx(expected)
+        assert line_deviation(Tensor(h[None])).item() == pytest.approx(expected)
 
     def test_gradient_away_from_ties(self):
         rng = np.random.default_rng(4)
-        h = rng.normal(size=(1, 3, 3)) * 3.0
+        h = rng.normal(size=(1, 1, 3, 3)) * 3.0
         check_grad(line_deviation, h, eps=1e-7, rtol=1e-3, atol=1e-5)
 
     def test_rejects_non_3d(self):
@@ -85,13 +108,13 @@ class TestLineDeviation:
 
 class TestOutliers:
     def test_no_outliers_for_uniform(self):
-        h = Tensor(np.ones((1, 5, 5)))
+        h = Tensor(np.ones((1, 1, 5, 5)))
         assert outliers(h).item() == pytest.approx(0.0, abs=1.0)
 
     def test_detects_spike(self):
         h = np.zeros((1, 10, 10))
         h[0, 5, 5] = 100.0
-        smooth = outliers(Tensor(h), eta=1.0).item()
+        smooth = outliers(Tensor(h[None]), eta=1.0).item()
         hard = outliers_hard(h)
         assert hard > 0
         assert smooth == pytest.approx(hard, rel=0.1)
@@ -100,17 +123,17 @@ class TestOutliers:
         rng = np.random.default_rng(5)
         h = rng.normal(size=(2, 12, 12))
         h[0, 0, 0] = 8.0  # force an outlier
-        smooth = outliers(Tensor(h), eta=10.0).item()
+        smooth = outliers(Tensor(h[None]), eta=10.0).item()
         hard = outliers_hard(h)
         assert smooth == pytest.approx(hard, abs=0.8)
 
     def test_eta_must_be_positive(self):
         with pytest.raises(ValueError):
-            outliers(Tensor(np.ones((1, 2, 2))), eta=0.0)
+            outliers(Tensor(np.ones((1, 1, 2, 2))), eta=0.0)
 
     def test_gradient(self):
         rng = np.random.default_rng(6)
-        check_grad(lambda t: outliers(t, eta=2.0), rng.normal(size=(1, 4, 4)),
+        check_grad(lambda t: outliers(t, eta=2.0), rng.normal(size=(1, 1, 4, 4)),
                    eps=1e-6, rtol=1e-3, atol=1e-6)
 
     def test_hard_reference_nonnegative(self):

@@ -191,6 +191,32 @@ class TestEco:
         assert "parent fill file not found" in err
 
 
+    def test_non_finite_parent_fill_is_one_line_error(
+            self, design_file, edited_file, checkpoint, tmp_path, capsys,
+            monkeypatch):
+        from repro.optimize import SqpOptimizer
+
+        fill = np.zeros(load_layout(design_file).shape)
+        fill[1, 5, 5] = np.nan
+        parent_npz = tmp_path / "nan_fill.npz"
+        np.savez(parent_npz, fill=fill)
+        runs = []
+        maximize = SqpOptimizer.maximize
+
+        def counted(self, *args, **kwargs):
+            runs.append(1)
+            return maximize(self, *args, **kwargs)
+
+        monkeypatch.setattr(SqpOptimizer, "maximize", counted)
+        rc = main(["eco", str(design_file), str(edited_file),
+                   "--parent-fill", str(parent_npz), "--model", checkpoint])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.strip().splitlines()[-1].startswith(
+            "repro: error: fill must be finite")
+        assert not runs  # rejected before any SQP
+
+
 class TestTrainSurrogate:
     def test_train_and_reuse(self, design_file, tmp_path, capsys):
         ckpt = tmp_path / "ckpt"

@@ -5,7 +5,9 @@ counterparts (see DESIGN.md "Batching and parallelism"):
 
 * MSP-SQP with K starts — an explicit start-by-start
   ``SqpOptimizer.maximize`` loop vs ``msp_sqp``'s lockstep broker, which
-  services every round with one stacked network pass.
+  services every round with one stacked network pass and answers a
+  start's gradient request at its just-evaluated point from that round's
+  all-row backward sweep (so it runs fewer network rows than the loop).
 * Teacher-data generation — serial simulation loop vs a process pool.
 
 Results go to ``benchmarks/output/batched_msp.txt`` and, machine-readable,
@@ -70,17 +72,31 @@ def test_batched_msp_and_parallel_datagen(benchmark):
         results = [opt.maximize(model.value_and_grad, start, problem.lower,
                                 problem.upper, fun_value=model.quality)
                    for start in starts]
-        return max(results, key=lambda r: r.value), model.evaluations
+        return results, model.evaluations
 
     def run_lockstep():
         model = QualityModel(problem, network)
         outcome = msp_sqp(model, starts, opt)
-        return outcome.best_fill, outcome.evaluations
+        return outcome.results, outcome.evaluations
 
-    (seq, seq_evals), seq_s = _timed(run_loop)
-    (bat_fill, bat_evals), bat_s = benchmark.pedantic(
+    (seq_results, seq_evals), seq_s = _timed(run_loop)
+    (bat_results, bat_evals), bat_s = benchmark.pedantic(
         lambda: _timed(run_lockstep), rounds=1, iterations=1)
-    fill_diff = float(np.max(np.abs(seq.x - bat_fill)))
+    seq = max(seq_results, key=lambda r: r.value)
+    bat = max(bat_results, key=lambda r: r.value)
+    fill_diff = float(np.max(np.abs(seq.x - bat.x)))
+    # Per start: same SQP path (iteration and request counts, objective
+    # curve) and the same refined point, up to the BLAS batch-size ulp.
+    start_diff = max(
+        max(float(np.max(np.abs(a.x - b.x))), abs(a.value - b.value),
+            float(np.max(np.abs(np.subtract(a.history, b.history)))))
+        for a, b in zip(seq_results, bat_results))
+    same_paths = all(
+        a.iterations == b.iterations and a.evaluations == b.evaluations
+        and len(a.history) == len(b.history)
+        for a, b in zip(seq_results, bat_results))
+    # Every SQP request the lockstep answered without a network row.
+    grad_cache_hits = sum(r.evaluations for r in bat_results) - bat_evals
     msp_speedup = seq_s / bat_s
 
     # The datagen lever is a process pool: on a single-core host the
@@ -116,8 +132,10 @@ def test_batched_msp_and_parallel_datagen(benchmark):
             "batched_s": round(bat_s, 4),
             "speedup": round(msp_speedup, 2),
             "best_fill_max_abs_diff": fill_diff,
+            "per_start_max_abs_diff": start_diff,
             "sequential_evaluations": seq_evals,
             "batched_evaluations": bat_evals,
+            "grad_cache_hits": grad_cache_hits,
         },
         "datagen": {
             "count": DATAGEN_COUNT,
@@ -135,7 +153,8 @@ def test_batched_msp_and_parallel_datagen(benchmark):
         f"Batched MSP-SQP ({NUM_STARTS} starts, {MSP_GRID}x{MSP_GRID}, "
         f"{SQP_ITERS} SQP iters): sequential {seq_s:.2f}s, batched "
         f"{bat_s:.2f}s — {msp_speedup:.1f}x, "
-        f"best-fill max |diff| {fill_diff:.2e}\n"
+        f"best-fill max |diff| {fill_diff:.2e}, network rows "
+        f"{seq_evals} -> {bat_evals} ({grad_cache_hits} cached gradients)\n"
     )
     if datagen_note is None:
         text += (
@@ -155,6 +174,8 @@ def test_batched_msp_and_parallel_datagen(benchmark):
     if datagen_note is None:
         assert identical
     assert fill_diff < 1e-8
-    assert seq_evals == bat_evals
+    assert same_paths
+    assert start_diff < 1e-8
+    assert bat_evals <= seq_evals
     # Batching amortises per-call overhead even on one core.
     assert msp_speedup > 1.0

@@ -153,9 +153,11 @@ def cai_fill(
         pkb.fill, problem.lower, problem.upper,
         fun_value=model.quality,  # line-search trials cost 1 simulation
     )
+    fill = problem.clip(result.x)
+    problem.layout.validate_fill(fill)
     return FillResult(
         method="cai",
-        fill=problem.clip(result.x),
+        fill=fill,
         quality=result.value,
         runtime_s=time.perf_counter() - t0,
         evaluations=model.simulations,

@@ -74,6 +74,7 @@ def lin_fill(problem: FillProblem, quantile: float = 0.7) -> FillResult:
         for l, layer in enumerate(layout.layers)
     ])
     fill = problem.clip(fill)
+    layout.validate_fill(fill)
     return FillResult(
         method="lin",
         fill=fill,

@@ -97,9 +97,11 @@ def tao_fill(problem: FillProblem, optimizer: SqpOptimizer | None = None) -> Fil
     result = optimizer.maximize(
         objective, np.zeros(problem.layout.shape), problem.lower, problem.upper
     )
+    fill = problem.clip(result.x)
+    problem.layout.validate_fill(fill)
     return FillResult(
         method="tao",
-        fill=problem.clip(result.x),
+        fill=fill,
         quality=result.value,
         runtime_s=time.perf_counter() - t0,
         evaluations=objective.evaluations,

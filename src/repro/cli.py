@@ -36,8 +36,8 @@ Examples::
     python -m repro --profile simulate a.json
 
 Bad inputs (missing layout files, absent checkpoints, malformed JSON)
-exit non-zero with a one-line ``repro: error: ...`` message instead of a
-traceback.
+and fills that break the fill contract exit 2 with a one-line
+``repro: error: ...`` message instead of a traceback.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .core import (
 )
 from .evaluation import format_table3, run_comparison
 from .insertion import insert_dummies, save_shapes
-from .layout import load_layout, make_design, save_layout
+from .layout import FillContractError, load_layout, make_design, save_layout
 from .optimize import SqpOptimizer
 from .surrogate import (
     TrainConfig,
@@ -588,7 +588,7 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return rc
         return _HANDLERS[args.command](args)
-    except CliError as exc:
+    except (CliError, FillContractError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

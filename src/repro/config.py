@@ -200,3 +200,9 @@ def rng_from_seed(seed: int | np.random.Generator | None) -> np.random.Generator
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality of two float64 arrays (``-0.0 != 0.0``)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))

@@ -44,7 +44,11 @@ Guarantees (argued in DESIGN.md, tested in ``tests/core/test_eco.py``):
   tolerance (see DESIGN.md).
 
 An empty diff short-circuits to a pure cache hit: the parent
-:class:`FillResult` is returned (re-tagged) with zero evaluations.
+:class:`FillResult` is returned (re-tagged) with zero evaluations.  The
+fill contract holds at every return: the parent fill is checked against
+its layout up front (a cache hit returns it, a refill keeps it outside
+the free set) and a refilled result against the edited layout, each
+raising :class:`~repro.layout.layout.FillContractError` on a breach.
 """
 
 from __future__ import annotations
@@ -211,6 +215,10 @@ def eco_refill(
 
     diff = diff_layouts(parent_layout, problem.layout)
     parent_fill = _parent_fill(parent, problem.layout.shape)
+    # The parent must be a valid fill of its own layout: a cache hit
+    # returns it as-is (an empty diff means identical slack), and a
+    # refill keeps it bit for bit outside the free set.
+    parent_layout.validate_fill(parent_fill)
 
     if diff.is_empty:
         # Pure cache hit: identical window features => identical optimum.
@@ -285,6 +293,7 @@ def eco_refill(
     # Re-assert the frozen-complement identity structurally so the
     # bitwise guarantee cannot erode.
     fill = np.where(free3d, fill, parent_fill)
+    problem.layout.validate_fill(fill)
 
     # Report quality from one monolithic evaluation: comparable to full
     # refills and independent of the region composition.

@@ -42,7 +42,10 @@ class NeurFill:
             of :meth:`run_pkb` and :meth:`run_multimodal`.
 
     Several starting points are refined in lockstep with batched network
-    passes (see :func:`repro.core.msp_sqp.msp_sqp`).
+    passes (see :func:`repro.core.msp_sqp.msp_sqp`).  Every mode checks
+    its fill with :meth:`~repro.layout.layout.Layout.validate_fill` before
+    returning it, so a contract breach raises
+    :class:`~repro.layout.layout.FillContractError` instead of leaving.
     """
 
     def __init__(self, problem: FillProblem, network: CmpNeuralNetwork,
@@ -87,6 +90,7 @@ class NeurFill:
         if self.simulator is not None:
             if self._simulator_quality(best_fill) < self._simulator_quality(pkb.fill):
                 best_fill = pkb.fill
+        self.problem.layout.validate_fill(best_fill)
         final = self.model.evaluate(best_fill, want_grad=False)
         return FillResult(
             method="neurfill-pkb",
@@ -149,6 +153,7 @@ class NeurFill:
                 for c in candidates
             ]
             best_fill = candidates[int(np.argmax(verdicts))]
+        self.problem.layout.validate_fill(best_fill)
         final = self.model.evaluate(best_fill, want_grad=False)
         return FillResult(
             method="neurfill-mm",
@@ -205,6 +210,7 @@ class NeurFill:
         t0 = time.perf_counter()
         start_evals = self.model.evaluations
         outcome = msp_sqp(self.model, [self.problem.clip(start)], self.optimizer)
+        self.problem.layout.validate_fill(outcome.best_fill)
         final = self.model.evaluate(outcome.best_fill, want_grad=False)
         return FillResult(
             method=method,

@@ -25,6 +25,7 @@ from .layout import (
     DUMMY_SIDE_UM,
     MAX_FILL_DENSITY,
     FeatureStack,
+    FillContractError,
     LayerWindows,
     Layout,
     apply_fill,
@@ -37,6 +38,7 @@ __all__ = [
     "DUMMY_SIDE_UM",
     "MAX_FILL_DENSITY",
     "FeatureStack",
+    "FillContractError",
     "LayerWindows",
     "Layout",
     "LayoutDiff",

@@ -76,6 +76,11 @@ class LayerWindows:
         return self.density.shape
 
 
+class FillContractError(ValueError):
+    """A fill breaks the contract every fill method keeps: layout shape,
+    finite entries and ``0 <= fill <= slack`` (Eq. 5d)."""
+
+
 @dataclass
 class Layout:
     """A multi-layer chip layout at window granularity."""
@@ -123,16 +128,23 @@ class Layout:
         return np.array([layer.trench_depth for layer in self.layers])
 
     def validate_fill(self, fill: np.ndarray, atol: float = 1e-6) -> None:
-        """Raise :class:`ValueError` unless ``fill`` is finite and within
-        the Eq. 5d bounds."""
+        """Raise :class:`FillContractError` unless ``fill`` has the layout
+        shape, is finite and lies within the Eq. 5d bounds
+        ``0 <= fill <= slack`` (up to ``atol``)."""
+        fill = np.asarray(fill)
         if fill.shape != self.shape:
-            raise ValueError(f"fill shape {fill.shape} != layout shape {self.shape}")
+            raise FillContractError(
+                f"fill shape {fill.shape} != layout shape {self.shape}")
         if not np.all(np.isfinite(fill)):
-            raise ValueError("fill must be finite")
+            raise FillContractError("fill must be finite")
         slack = self.slack_stack()
-        if np.any(fill < -atol) or np.any(fill > slack + atol):
-            worst = float(np.max(np.maximum(fill - slack, -fill)))
-            raise ValueError(f"fill violates slack bounds by up to {worst:.3g} um^2")
+        excess = np.maximum(fill - slack, -fill)
+        if np.any(excess > atol):
+            worst = tuple(int(i) for i in np.unravel_index(np.argmax(excess),
+                                                           excess.shape))
+            raise FillContractError(
+                f"fill violates slack bounds by up to "
+                f"{float(excess[worst]):.3g} um^2 (entry {worst})")
 
 
 @dataclass

@@ -98,7 +98,11 @@ class RetrainOrchestrator:
         self.simulator = simulator
         self.stats = stats
         self.on_success = on_success
-        self._lock = threading.Lock()
+        # Re-entrant: the swap callback runs under this lock and may call
+        # request() on the retrain thread itself (a residual frame read
+        # during a worker's control round-trip can trip another model's
+        # window); the live retrain thread then suppresses that request.
+        self._lock = threading.RLock()
         self._status = _RetrainStatus()
         self._thread: threading.Thread | None = None
 
@@ -199,20 +203,27 @@ class RetrainOrchestrator:
                 self._fail(model, f"{type(exc).__name__}: {exc}",
                            terminal=True)
                 return
-            try:
-                if self.on_success is not None:
-                    self.on_success(model, str(directory), new_generation,
-                                    verdict)
-            except Exception as exc:  # swap refused (e.g. races a manual one)
-                self._fail(model, f"swap failed: {type(exc).__name__}: {exc}",
-                           terminal=True, verdict=verdict)
-                return
+            # Swap and record the success under one hold of the lock, so
+            # a status() reader never sees the new generation live while
+            # this retrain still reads as unfinished.
+            swap_error = None
             with self._lock:
-                self._status.state = "idle"
-                self._status.successes += 1
-                self._status.last_error = None
-                self._status.last_validation = verdict
-                self._status.last_generation = new_generation
+                try:
+                    if self.on_success is not None:
+                        self.on_success(model, str(directory),
+                                        new_generation, verdict)
+                except Exception as exc:  # swap refused (races a manual one)
+                    swap_error = exc
+                else:
+                    self._status.state = "idle"
+                    self._status.successes += 1
+                    self._status.last_error = None
+                    self._status.last_validation = verdict
+                    self._status.last_generation = new_generation
+            if swap_error is not None:
+                self._fail(model, f"swap failed: {type(swap_error).__name__}: "
+                           f"{swap_error}", terminal=True, verdict=verdict)
+                return
             if self.stats is not None:
                 self.stats.incr("lifecycle.retrain_success")
             obs_trace.event("lifecycle.retrain_success", cat="lifecycle",

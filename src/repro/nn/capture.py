@@ -16,23 +16,42 @@ arrays are the workspace arena; replaying a call is:
 3. optionally re-run the recorded backward sweep over the *same* node
    list the trace used.
 
+Backward-only replay
+--------------------
+An optimiser often asks for the gradient at the very point it has just
+evaluated forward-only (the accepted line-search trial).  The arena still
+holds that forward, so a gradient call skips steps 1 and 2 and runs only
+the backward sweep when (a) every input is bitwise equal to the inputs
+of the plan's last *completed* forward and (b) every non-input leaf the
+forward read (parameters, batch-norm running statistics, constants)
+still holds the values it had then.  (b) is checked against a value
+snapshot taken at the end of every forward, so in-place writes to a
+parameter or running statistic are caught; re-binds are the plan key's
+job (``_state_version``).  Inputs are validated before any is copied,
+and the forward is marked current only after its last closure returns,
+so a :class:`CaptureMiss` or an exception mid-replay never leaves a
+stale arena behind.  The backward sweep never writes forward buffers,
+so re-running it reproduces the full replay's gradient bit for bit.
+
 Fidelity
 --------
 Replays are bitwise identical to eager re-execution because every
 closure applies the same ufuncs to the same operands in the same order;
-the trace call *is* the first eager call, and the backward sweep reuses
-the exact topological order :meth:`Tensor.backward` produced at trace
-time (the eager order is deterministic for a fixed graph structure).
+the trace call's forward *is* the first eager forward, and every backward
+sweep — the trace call's included — walks the exact topological order
+:meth:`Tensor.backward` would (the eager order is deterministic for a
+fixed graph structure) into C-ordered gradient buffers, the layout of
+eager gradient copies.
 Parameter tensors are read live at replay time, so in-place optimizer
 updates and ``load_state_dict`` re-binds flow into replays without
 retracing; callers key plans on the module's ``_state_version`` to catch
 re-binds that swap buffer objects (``load_state_dict``).
 
-Parameter *gradients* are intentionally not recomputed on replay: the
-plan temporarily clears ``requires_grad`` on parameter leaves during the
-backward sweep, which skips the expensive weight-gradient kernels while
-leaving the input gradient — the only gradient inference callers read —
-bitwise unchanged.
+Parameter *gradients* are intentionally not computed by a plan, not
+even at trace time: the plan temporarily clears ``requires_grad`` on
+parameter leaves during the backward sweep, which skips the expensive
+weight-gradient kernels while leaving the input gradient — the only
+gradient inference callers read — bitwise unchanged.
 
 Any structural mismatch (shape, missing input) raises
 :class:`CaptureMiss`; callers fall back to eager execution, which is
@@ -45,6 +64,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from ..config import same_bits
 from .tensor import Array, Tensor, recording, topo_sort
 
 
@@ -94,8 +114,8 @@ class CapturedGraph:
     """One traced forward+backward graph with a preallocated arena.
 
     Build with :meth:`trace`; re-execute with :meth:`replay`.  The trace
-    itself performs a complete eager call, so its outputs/gradients are
-    valid results for the call that triggered the trace.
+    runs the forward eagerly and the backward through the plan, so its
+    outputs/gradients are valid results for the call that triggered it.
     """
 
     def __init__(
@@ -126,19 +146,12 @@ class CapturedGraph:
         ]
         param_ids = {id(p) for p in self._params}
 
-        # Gradient arena: reuse the trace-time grad arrays for internal
-        # nodes.  Input gradients were handed to the trace caller, so they
-        # get fresh buffers to avoid mutating the caller's arrays later.
+        # Gradient arena: one C-ordered buffer per non-parameter node of
+        # the sweep — the layout an eager backward's gradient copies have,
+        # so reductions over gradients add in the eager order.
         for node in self._btopo:
-            if id(node) in param_ids:
-                continue
-            if id(node) in input_ids or node.grad is None:
-                node._grad_buf = np.empty_like(node.data)
-            else:
-                # asarray: eager backward stores numpy *scalars* for 0-d
-                # grads, which cannot serve as in-place accumulation
-                # targets; 0-d arrays hold the bitwise-identical value.
-                node._grad_buf = np.asarray(node.grad)
+            if id(node) not in param_ids:
+                node._grad_buf = np.empty(node.data.shape, node.data.dtype)
 
         arena = recorder.workspace_bytes
         for node in everything:
@@ -148,14 +161,33 @@ class CapturedGraph:
                 arena += node.data.nbytes
             if node._grad_buf is not None:
                 arena += node._grad_buf.nbytes
+        # Non-input leaves the forward reads (parameters, batch-norm
+        # running statistics, constants), snapshotted after every forward
+        # for the backward-only replay check.
+        self._leaves = [n for n in everything
+                        if not n._parents and n._replay is None
+                        and id(n) not in input_ids]
+        self._leaf_values = np.empty(sum(n.data.size for n in self._leaves))
+        self._leaf_views, offset = [], 0
+        for n in self._leaves:
+            self._leaf_views.append(
+                self._leaf_values[offset:offset + n.data.size]
+                .reshape(n.data.shape))
+            offset += n.data.size
+        self._snapshot_leaves()
+        # The trace itself was a completed eager forward on these inputs.
+        self._forward_current = True
+        arena += self._leaf_values.nbytes
+
         self._static_arena_bytes = arena
         self._workspaces = recorder.workspaces
 
     @property
     def arena_bytes(self) -> int:
         """Bytes held by the plan: retained graph arrays, gradient
-        buffers, and per-op scratch (grows once, when the first replay
-        warms the lazily-allocated conv workspaces)."""
+        buffers, the leaf-value snapshot, and per-op scratch (grows once,
+        when the first replay warms the lazily-allocated conv
+        workspaces)."""
         return self._static_arena_bytes + sum(
             buf.nbytes for ws in self._workspaces for buf in ws.values()
         )
@@ -186,6 +218,11 @@ class CapturedGraph:
             seed: upstream gradient for the trace backward (defaults to
                 ones) — pass the triggering call's seed so the trace
                 result doubles as that call's answer.
+
+        The trace's backward is the plan's own sweep (parameter gradients
+        skipped, gradients accumulated in the arena), which yields the
+        eager input gradient bit for bit without the weight-gradient
+        kernels or the per-node allocations of an eager backward.
         """
         grad_names = tuple(grad_inputs)
         recorder = GraphRecorder()
@@ -196,10 +233,10 @@ class CapturedGraph:
         }
         with recording(recorder):
             outputs = build(dict(tensors))
-        root_t = outputs[root]
+        plan = cls(tensors, outputs, outputs[root], recorder)
         if grad_names:
-            root_t.backward(seed, retain_graph=True)
-        return cls(tensors, outputs, root_t, recorder)
+            plan._replay_backward(plan._seed_array(seed))
+        return plan
 
     # ------------------------------------------------------------------
     def replay(
@@ -208,45 +245,83 @@ class CapturedGraph:
         *,
         seed: Array | None = None,
         want_grad: bool = True,
-    ) -> None:
+    ) -> bool:
         """Re-execute the captured pass on new input values, in place.
 
         Results are read from ``self.outputs[...].data`` / :meth:`grad`
         afterwards (copy before handing them out — the buffers belong to
         the plan and are overwritten by the next replay).
+
+        Returns:
+            ``True`` when the call was a backward-only replay: it wanted
+            the gradient of the forward the arena already holds (see the
+            module docstring), so only the backward sweep ran.
         """
+        arrays = []
         for name, tensor in self.inputs.items():
             value = values.get(name)
             if value is None:
                 raise CaptureMiss(f"missing input {name!r}")
-            value = np.asarray(value)
+            value = np.asarray(value, dtype=tensor.data.dtype)
             if value.shape != tensor.data.shape:
                 raise CaptureMiss(
                     f"input {name!r}: shape {value.shape} != traced {tensor.data.shape}"
                 )
+            arrays.append((tensor, value))
+        seed_arr = self._seed_array(seed) if want_grad else None
+        if want_grad and self._holds_forward(arrays):
+            self._replay_backward(seed_arr)
+            return True
+        self._forward_current = False
+        for tensor, value in arrays:
             np.copyto(tensor.data, value)
         for node in self._forward_nodes:
             node._replay()
+        self._snapshot_leaves()
+        self._forward_current = True
         if want_grad:
-            self._replay_backward(seed)
+            self._replay_backward(seed_arr)
         else:
             # Invalidate gradients from earlier passes: they describe a
             # previous input, and :meth:`grad` promises None here.
             for node in self._btopo:
                 node.grad = None
+        return False
 
-    def _replay_backward(self, seed: Array | None) -> None:
+    def _snapshot_leaves(self) -> None:
+        """Copy every non-input leaf's value into the snapshot (reading
+        ``.data`` live, so a re-bound array is seen too)."""
+        for view, n in zip(self._leaf_views, self._leaves):
+            np.copyto(view, n.data)
+
+    def _holds_forward(self, arrays: list[tuple[Tensor, Array]]) -> bool:
+        """Whether the arena holds a completed forward on exactly these
+        inputs, with every non-input leaf unchanged since."""
+        if not self._forward_current:
+            return False
+        if not all(same_bits(value, tensor.data) for tensor, value in arrays):
+            return False
+        # A transient gather, not a second per-plan buffer: only calls
+        # whose inputs already match get here.
+        current = np.concatenate(
+            [n.data.reshape(-1) for n in self._leaves] or [np.empty(0)])
+        return same_bits(current, self._leaf_values)
+
+    def _seed_array(self, seed: Array | None) -> Array:
+        root = self.root
+        if seed is None:
+            return np.ones_like(root.data)
+        seed_arr = np.asarray(seed, dtype=root.data.dtype)
+        if seed_arr.shape != root.data.shape:
+            raise CaptureMiss(
+                f"seed shape {seed_arr.shape} != root shape {root.data.shape}"
+            )
+        return seed_arr
+
+    def _replay_backward(self, seed_arr: Array) -> None:
         root = self.root
         for node in self._btopo:
             node.grad = None
-        if seed is None:
-            seed_arr: Array = np.ones_like(root.data)
-        else:
-            seed_arr = np.asarray(seed, dtype=root.data.dtype)
-            if seed_arr.shape != root.data.shape:
-                raise CaptureMiss(
-                    f"seed shape {seed_arr.shape} != root shape {root.data.shape}"
-                )
         for p in self._params:
             p.requires_grad = False
         try:

@@ -9,7 +9,11 @@ Two refinement drivers share the exact same per-start SQP mathematics
   request and services them with ONE batched oracle call.  With a neural
   surrogate this turns K single-sample network passes per iteration into
   one K-sample pass — the "gradients are cheap, so run many starts"
-  promise of the MSP framework made real on the hardware.
+  promise of the MSP framework made real on the hardware.  A round that
+  needs any gradient differentiates every row (a network's stacked
+  backward sweep costs the same whatever the mask), so a start whose
+  line search accepts its trial gets that point's gradient without
+  another row.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..config import rng_from_seed
+from ..config import rng_from_seed, same_bits
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .sqp import SqpOptimizer, SqpResult, ValueAndGrad
@@ -98,14 +102,22 @@ def refine_starting_points_batched(
     Each start owns a :meth:`~repro.optimize.sqp.SqpOptimizer.maximize_steps`
     generator.  Per round, the pending request of every unfinished start is
     collected — a mix of gradient requests (major iterations) and value-only
-    requests (line-search trials) — and serviced together: one stacked
-    forward pass for the values, one masked backward pass for exactly the
-    gradients requested.  Converged starts simply drop out of the batch.
+    requests (line-search trials) — and serviced together by one oracle
+    call.  Converged starts simply drop out of the batch.
+
+    A round carrying any gradient request asks for every row's gradient
+    (an all-true mask): a network's stacked backward sweep costs the same
+    whatever the mask, so the extra rows cost only the oracle's per-row
+    gradient work outside the network.  Each start keeps its last oracle row ``(point, value,
+    gradient)``, and its next ``("grad", x)`` request is answered from it,
+    without an oracle row, when ``x`` is bitwise equal to that point — the
+    usual case, since SQP asks for the gradient at the line-search trial
+    it has just accepted.
 
     Because the per-start mathematics is byte-for-byte the sequential
     implementation, results are identical to :func:`refine_starting_points`
     whenever ``fun_batch`` row ``k`` equals the sequential oracle at that
-    point — only the wall clock changes.
+    point — only the wall clock and the number of oracle rows change.
 
     Args:
         fun_batch: batched oracle ``(points, need_grad) -> (values, grads)``;
@@ -127,6 +139,8 @@ def refine_starting_points_batched(
     K = len(generators)
     results: list[SqpResult | None] = [None] * K
     pending: dict[int, tuple[str, np.ndarray]] = {}
+    #: Each start's last oracle row: (point, value, gradient or None).
+    last: dict[int, tuple[np.ndarray, float, np.ndarray | None]] = {}
 
     def advance(i: int, reply: object) -> None:
         try:
@@ -135,17 +149,34 @@ def refine_starting_points_batched(
             results[i] = done.value
             pending.pop(i, None)
 
+    def cached_grad(i: int) -> tuple[float, np.ndarray] | None:
+        kind, point = pending[i]
+        row = last.get(i)
+        if (kind != "grad" or row is None or row[2] is None
+                or not same_bits(row[0], point)):
+            return None
+        return row[1], row[2]
+
     observing = obs_trace.active() is not None
     rounds = 0
     oracle_rows = 0
+    grad_cache_hits = 0
     with obs_trace.span("opt.multistart", cat="opt", starts=K,
                         driver="batched") as span:
         for i in range(K):
             advance(i, None)
         while pending:
+            for i in sorted(pending):
+                hit = cached_grad(i)
+                if hit is not None:
+                    grad_cache_hits += 1
+                    advance(i, hit)
+            if not pending:
+                break
             live = sorted(pending)
             points = np.stack([pending[i][1] for i in live])
-            need_grad = np.array([pending[i][0] == "grad" for i in live])
+            any_grad = any(pending[i][0] == "grad" for i in live)
+            need_grad = np.full(len(live), any_grad)
             if observing:
                 rounds += 1
                 oracle_rows += len(live)
@@ -154,13 +185,15 @@ def refine_starting_points_batched(
                 obs_metrics.registry().observe("opt.batch_width", len(live))
             values, grads = fun_batch(points, need_grad)
             for row, i in enumerate(live):
-                if need_grad[row]:
-                    advance(i, (float(values[row]),
-                                np.asarray(grads[row], dtype=float)))
-                else:
-                    advance(i, float(values[row]))
+                kind, point = pending[i]
+                value = float(values[row])
+                grad = (np.asarray(grads[row], dtype=float) if any_grad
+                        else None)
+                last[i] = (point, value, grad)
+                advance(i, (value, grad) if kind == "grad" else value)
         if observing:
-            span.set(rounds=rounds, oracle_rows=oracle_rows)
+            span.set(rounds=rounds, oracle_rows=oracle_rows,
+                     grad_cache_hits=grad_cache_hits)
     return results  # type: ignore[return-value]
 
 

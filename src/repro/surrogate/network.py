@@ -199,13 +199,18 @@ class CmpNeuralNetwork:
         self.capture = bool(capture)
         self._plans: OrderedDict[tuple, object] = OrderedDict()
         self._plans_lock = threading.Lock()
-        self._capture_counts = {"trace": 0, "replay": 0, "miss": 0, "bypass": 0}
+        self._capture_counts = {"trace": 0, "replay": 0, "reuse": 0,
+                                "miss": 0, "bypass": 0}
 
     # ------------------------------------------------------------------
     # the one evaluation runner: captured replay or eager
     # ------------------------------------------------------------------
     def capture_stats(self) -> dict:
-        """Capture counters plus the live plan table (for benches/tests)."""
+        """Capture counters plus the live plan table (for benches/tests).
+
+        ``"reuse"`` counts backward-only replays (a gradient call at the
+        inputs of the plan's last forward); each is also a ``"replay"``.
+        """
         with self._plans_lock:
             plans = {
                 repr(key): plan.arena_bytes
@@ -297,10 +302,14 @@ class CmpNeuralNetwork:
                 return _read(plan.outputs, plan.inputs["x"], seed is not None)
             try:
                 if tracer is not None:
-                    with obs_trace.span("capture.replay", cat="nn", kind=kind):
-                        plan.replay(inputs, seed=seed, want_grad=seed is not None)
+                    with obs_trace.span("capture.replay", cat="nn",
+                                        kind=kind) as span:
+                        reused = plan.replay(inputs, seed=seed,
+                                             want_grad=seed is not None)
+                        span.set(reuse=reused)
                 else:
-                    plan.replay(inputs, seed=seed, want_grad=seed is not None)
+                    reused = plan.replay(inputs, seed=seed,
+                                         want_grad=seed is not None)
             except CaptureMiss:
                 self._capture_counts["miss"] += 1
                 if tracer is not None:
@@ -309,8 +318,11 @@ class CmpNeuralNetwork:
                 return None
             self._plans.move_to_end(key)
             self._capture_counts["replay"] += 1
+            self._capture_counts["reuse"] += reused
             if tracer is not None:
                 obs_metrics.registry().incr("capture.replay")
+                if reused:
+                    obs_metrics.registry().incr("capture.reuse")
             return _read(plan.outputs, plan.inputs["x"], seed is not None)
         finally:
             self._plans_lock.release()

@@ -14,12 +14,15 @@ from repro.cmp import CmpSimulator
 from repro.layout.designs import DESIGN_BUILDERS
 from repro.layout.io import layout_to_dict
 from repro.lifecycle import (
+    LifecycleManager,
     OffenderSample,
+    ResidualRecord,
     RetrainConfig,
     RetrainOrchestrator,
     split_offenders,
 )
 from repro.lifecycle.retrain import _ValidationFailed
+from repro.serve import ServeConfig
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +160,31 @@ class TestOrchestratorStateMachine:
         status = orch.status()
         assert status["state"] == "retrain_failed"
         assert "swap failed" in status["last_error"]
+
+    def test_trip_during_swap_round_trip_does_not_deadlock(self, tmp_path,
+                                                           layout):
+        """In process mode the swap's worker control round-trip hands any
+        queued residual frame to the drift window on the retrain thread
+        itself.  A frame that trips a second model's window re-enters
+        ``request()`` there: it must be suppressed, not deadlock."""
+        manager = LifecycleManager(
+            ServeConfig(shadow_sample_rate=0.0, drift_bound=10.0,
+                        drift_window=2, drift_trip_count=1,
+                        auto_retrain=True),
+            checkpoint_root=tmp_path,
+            apply_swap=lambda *args: manager.observe_wire(frame))
+        frame = ResidualRecord(
+            job_id="j2", model="n", generation=1, rmse=100.0,
+            max_abs=100.0, sample=offender(layout, job_id="j2")).to_wire()
+        orch = manager.orchestrator = StubbedOrchestrator(
+            tmp_path, ["ok"], on_success=manager.orchestrator.on_success)
+        assert orch.request("m", 1, {}, [offender(layout)])
+        assert orch.wait(30.0), "retrain thread deadlocked in its own swap"
+        status = orch.status()
+        assert status["state"] == "idle"
+        assert status["successes"] == 1 and status["runs"] == 1
+        assert manager.window.status()["n"]["trips"] == 1
+        assert manager.generation_of("m") == 2
 
 
 class TestDeterministicRetrain:

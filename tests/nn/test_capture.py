@@ -196,6 +196,22 @@ class TestArena:
         _, grad1 = eager_reference(build, {"x": x1})
         assert np.array_equal(plan.grad("x"), grad1)
 
+    def test_trace_computes_no_parameter_gradients(self):
+        """The trace call's backward is the plan's sweep: the input
+        gradient is the eager one, and no weight-gradient work runs."""
+        rng = np.random.default_rng(22)
+        w = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
+
+        def build(tensors):
+            return {"root": (conv2d(tensors["x"], w, None, padding=1)
+                             ** 2.0).sum()}
+
+        (x0,) = rng_arrays((1, 3, 6, 6), seed=23)
+        plan = CapturedGraph.trace(build, {"x": x0}, grad_inputs=("x",))
+        assert w.grad is None and w.requires_grad
+        _, grad0 = eager_reference(build, {"x": x0})
+        assert np.array_equal(plan.grad("x"), grad0)
+
     def test_live_param_updates_flow_into_replays(self):
         rng = np.random.default_rng(18)
         w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
@@ -238,6 +254,101 @@ class TestCaptureMiss:
         plan = CapturedGraph.trace(build, {"x": x0}, grad_inputs=("x",))
         with pytest.raises(CaptureMiss, match="seed"):
             plan.replay({"x": x0}, seed=np.ones(4))
+
+
+class TestBackwardOnlyReplay:
+    """A gradient call on the inputs of the arena's last completed forward
+    runs only the backward sweep — and only when nothing the forward read
+    has changed since."""
+
+    SHAPES = ((2, 3, 6, 6), (2, 2, 6, 6))
+
+    def _plan(self):
+        rng = np.random.default_rng(30)
+        w = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
+
+        def build(tensors):
+            hidden = F.relu(conv2d(tensors["x"], w, None, padding=1))
+            return {"root": (hidden * tensors["y"]).sum()}
+
+        x0, y0 = rng_arrays(*self.SHAPES, seed=31, lo=-1.0)
+        plan = CapturedGraph.trace(build, {"x": x0, "y": y0},
+                                   grad_inputs=("x",))
+        return build, plan, w
+
+    def _values(self, seed):
+        x, y = rng_arrays(*self.SHAPES, seed=seed, lo=-1.0)
+        return {"x": x, "y": y}
+
+    @staticmethod
+    def assert_matches_eager(build, plan, values):
+        value, grad = eager_reference(build, values)
+        assert np.array_equal(plan.outputs["root"].data, value)
+        assert np.array_equal(plan.grad("x"), grad)
+
+    def test_value_then_grad_runs_backward_only(self):
+        build, plan, _ = self._plan()
+        values = self._values(32)
+        assert plan.replay(values, want_grad=False) is False
+        runs = []
+        for node in plan._forward_nodes:
+            node._replay = (lambda f: lambda: runs.append(f()))(node._replay)
+        assert plan.replay(values) is True
+        assert runs == []
+        self.assert_matches_eager(build, plan, values)
+
+    def test_trace_counts_as_completed_forward(self):
+        build, plan, _ = self._plan()
+        values = {name: t.data.copy() for name, t in plan.inputs.items()}
+        assert plan.replay(values) is True
+        self.assert_matches_eager(build, plan, values)
+
+    @pytest.mark.parametrize("name", ["x", "y"])
+    def test_one_ulp_input_change_forces_forward(self, name):
+        build, plan, _ = self._plan()
+        values = self._values(33)
+        plan.replay(values, want_grad=False)
+        bumped = {k: v.copy() for k, v in values.items()}
+        bumped[name].flat[5] = np.nextafter(bumped[name].flat[5], np.inf)
+        assert plan.replay(bumped) is False
+        self.assert_matches_eager(build, plan, bumped)
+
+    def test_in_place_leaf_write_forces_forward(self):
+        build, plan, w = self._plan()
+        values = self._values(34)
+        plan.replay(values, want_grad=False)
+        w.data[0, 0, 1, 1] += 0.5
+        assert plan.replay(values) is False
+        self.assert_matches_eager(build, plan, values)
+
+    def test_miss_on_later_input_copies_nothing(self):
+        build, plan, _ = self._plan()
+        first, second = self._values(35), self._values(36)
+        plan.replay(first, want_grad=False)
+        with pytest.raises(CaptureMiss):
+            plan.replay({"x": second["x"], "y": np.zeros((1, 2, 6, 6))})
+        # Validation precedes every copy: the arena still holds `first`.
+        assert np.array_equal(plan.inputs["x"].data, first["x"])
+        assert plan.replay(second) is False
+        self.assert_matches_eager(build, plan, second)
+
+    def test_exception_in_forward_closure_voids_arena(self):
+        build, plan, _ = self._plan()
+        values = self._values(37)
+        node = plan._forward_nodes[len(plan._forward_nodes) // 2]
+        original = node._replay
+
+        def fail():
+            raise RuntimeError("closure failed")
+
+        node._replay = fail
+        with pytest.raises(RuntimeError, match="closure failed"):
+            plan.replay(values, want_grad=False)
+        node._replay = original
+        # The inputs were copied before the failure, but the forward never
+        # completed: the gradient call must re-run it.
+        assert plan.replay(values) is False
+        self.assert_matches_eager(build, plan, values)
 
 
 class TestGraphTeardown:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.config import rng_from_seed
+from repro.obs import trace as obs_trace
 from repro.optimize import (
     SqpOptimizer,
     random_starting_points,
@@ -101,6 +102,67 @@ class TestBatchedBroker:
                                        SqpOptimizer(max_iter=60, tol=1e-10))
         assert sizes[0] == 2
         assert sizes[-1] == 1  # the hard start outlives the easy one
+
+    def test_gradient_cache_matches_per_start_loop_with_fewer_rows(self):
+        """Starts at different SQP phases make rounds that mix gradient
+        and line-search rows.  Such a round differentiates every row, and
+        a start's gradient request at its accepted trial is answered from
+        that row: same SqpResults as an explicit per-start ``maximize``
+        loop (value-only oracle in the line search), strictly fewer
+        oracle rows."""
+        lo, hi = np.zeros(3), np.ones(3)
+        starts = random_starting_points(lo, hi, 5, seed=4)
+        opt = SqpOptimizer(max_iter=40, tol=1e-10)
+        loop_calls = 0
+
+        def counted(x):
+            nonlocal loop_calls
+            loop_calls += 1
+            return quartic_value_grad(x)
+
+        loop = [opt.maximize(counted, s, lo, hi,
+                             fun_value=lambda x: counted(x)[0])
+                for s in starts]
+
+        masks = []
+
+        def recording_batch(points, need_grad):
+            masks.append(np.array(need_grad, dtype=bool))
+            return quartic_batch(points, need_grad)
+
+        with obs_trace.capture() as tracer:
+            bat = refine_starting_points_batched(recording_batch, starts,
+                                                 lo, hi, opt)
+        self.assert_results_identical(loop, bat)
+        assert all(m.all() or not m.any() for m in masks)
+        rows = sum(m.size for m in masks)
+        assert loop_calls == sum(r.evaluations for r in loop)
+        assert rows < loop_calls
+        (span,) = [r for r in tracer.records("span")
+                   if r["name"] == "opt.multistart"]
+        assert span["attrs"]["oracle_rows"] == rows
+        assert span["attrs"]["grad_cache_hits"] == loop_calls - rows
+
+    def test_value_only_round_gives_no_cached_gradient(self):
+        """A round without gradient rows stores no gradient, so the next
+        gradient request at that point still costs an oracle row."""
+        calls = []
+
+        def recording_batch(points, need_grad):
+            calls.append((points.copy(), np.array(need_grad, dtype=bool)))
+            return quartic_batch(points, need_grad)
+
+        lo, hi = np.zeros(2), np.ones(2)
+        refine_starting_points_batched(recording_batch, [np.array([0.1, 0.9])],
+                                       lo, hi, SqpOptimizer(max_iter=5,
+                                                            tol=1e-12))
+        # One start: every round is a single row, value-only rounds are
+        # line-search trials, and each accepted trial is re-requested
+        # with its gradient in the following round.
+        repeats = [np.array_equal(pa, pb)
+                   for (pa, ma), (pb, mb) in zip(calls, calls[1:])
+                   if not ma[0] and mb[0]]
+        assert repeats and all(repeats)
 
     def test_empty_starts_rejected(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from repro.surrogate import (
     HeightNormalizer,
     PlanarityWeights,
 )
-from repro.surrogate.network import MAX_CAPTURE_PLANS
+from repro.surrogate.network import MAX_CAPTURE_PLANS, EvalRegion
 
 GRID = 12
 WEIGHTS = PlanarityWeights(1.0, 20000.0, 1.0, 20000.0, 1.0, 20000.0)
@@ -119,6 +119,127 @@ class TestBitwiseParity:
         assert captured.capture_stats()["replay"] == 2
         for fill, copy in zip(fills, kept):
             assert np.array_equal(fill, copy)
+
+
+def eager_twin(net):
+    """A ``capture=False`` network over the same (live) UNet."""
+    return CmpNeuralNetwork(net.layout, net.unet, net.normalizer,
+                            capture=False)
+
+
+def region_setup(net):
+    base_fill, trial0 = fills_for(net.layout, 2, seed=5)
+    base = eager_twin(net).predict_heights(base_fill)
+    active = np.zeros((GRID, GRID), bool)
+    active[4:7, 5:8] = True
+    trial = base_fill.copy()
+    trial[:, 4:7, 5:8] = trial0[:, 4:7, 5:8] * 0.5
+    return trial, net.plan_region(active), base
+
+
+class TestBackwardOnlyReplay:
+    """``evaluate(f, want_grad=False)`` then ``evaluate(f)`` runs the
+    forward once: the gradient call replays only the backward sweep, and
+    its result is bitwise the eager one."""
+
+    def test_evaluate(self, nets):
+        captured, eager = nets
+        for fill in fills_for(captured.layout, 3, seed=20):
+            captured.evaluate(fill, WEIGHTS, want_grad=False)
+            assert_same_eval(captured.evaluate(fill, WEIGHTS),
+                             eager.evaluate(fill, WEIGHTS))
+        stats = captured.capture_stats()
+        # Every gradient call reuses, the first one the trace's forward.
+        assert stats["trace"] == 1 and stats["replay"] == 5
+        assert stats["reuse"] == 3
+
+    def test_evaluate_batch(self, nets):
+        captured, eager = nets
+        (fills,) = fills_for(captured.layout, 1, seed=21, batch=3)
+        mask = np.array([True, False, True])
+        captured.evaluate_batch(fills, WEIGHTS, want_grad=False)
+        a = captured.evaluate_batch(fills, WEIGHTS, grad_mask=mask)
+        b = eager.evaluate_batch(fills, WEIGHTS, grad_mask=mask)
+        assert captured.capture_stats()["reuse"] == 1
+        assert np.array_equal(a.s_plan, b.s_plan)
+        assert np.array_equal(a.gradient, b.gradient)
+
+    def test_evaluate_region(self, nets):
+        captured, eager = nets
+        trial, region, base = region_setup(captured)
+        captured.evaluate_region(trial, region, base, WEIGHTS,
+                                 want_grad=False)
+        a = captured.evaluate_region(trial, region, base, WEIGHTS)
+        assert captured.capture_stats()["reuse"] == 1
+        assert_same_eval(a, eager.evaluate_region(trial, region, base,
+                                                  WEIGHTS))
+
+    def test_grad_then_grad_at_same_fill_reuses(self, nets):
+        captured, eager = nets
+        (fill,) = fills_for(captured.layout, 1, seed=22)
+        captured.evaluate(fill, WEIGHTS)
+        assert_same_eval(captured.evaluate(fill, WEIGHTS),
+                         eager.evaluate(fill, WEIGHTS))
+        assert captured.capture_stats()["reuse"] == 1
+
+
+class TestReuseInvalidation:
+    """Reuse never fires after anything the forward read has changed;
+    the gradient then matches a fresh eager pass."""
+
+    @staticmethod
+    def check(net, call):
+        before = net.capture_stats()["reuse"]
+        assert_same_eval(call(net), call(eager_twin(net)))
+        assert net.capture_stats()["reuse"] == before
+
+    def test_one_ulp_fill_change(self, layout):
+        net = build_net(layout, True)
+        (fill,) = fills_for(layout, 1, seed=23)
+        net.evaluate(fill, WEIGHTS, want_grad=False)
+        bumped = fill.copy()
+        bumped[1, 3, 4] = np.nextafter(bumped[1, 3, 4], np.inf)
+        self.check(net, lambda n: n.evaluate(bumped, WEIGHTS))
+
+    def test_one_ulp_region_fill_change(self, layout):
+        net = build_net(layout, True)
+        trial, region, base = region_setup(net)
+        net.evaluate_region(trial, region, base, WEIGHTS, want_grad=False)
+        bumped = trial.copy()
+        bumped[0, 5, 6] = np.nextafter(bumped[0, 5, 6], np.inf)
+        self.check(net, lambda n: n.evaluate_region(bumped, region, base,
+                                                    WEIGHTS))
+
+    def test_one_ulp_frozen_change(self, layout):
+        net = build_net(layout, True)
+        trial, _, base = region_setup(net)
+        # An explicit core smaller than the grid (the planned one spans it
+        # at this size): window (0, 0) reaches the pass only through
+        # evaluate_region's `frozen` input.
+        region = EvalRegion(r0=4, r1=8, c0=4, c1=8,
+                            sr0=2, sr1=10, sc0=2, sc1=10)
+        net.evaluate_region(trial, region, base, WEIGHTS, want_grad=False)
+        bumped = base.copy()
+        bumped[0, 0, 0] = np.nextafter(bumped[0, 0, 0], np.inf)
+        self.check(net, lambda n: n.evaluate_region(trial, region, bumped,
+                                                    WEIGHTS))
+
+    def test_in_place_parameter_write(self, layout):
+        net = build_net(layout, True)
+        (fill,) = fills_for(layout, 1, seed=24)
+        net.evaluate(fill, WEIGHTS, want_grad=False)
+        param = net.unet.parameters()[0]
+        param.data.flat[0] += 0.05
+        self.check(net, lambda n: n.evaluate(fill, WEIGHTS))
+
+    def test_in_place_running_statistic_write(self, layout):
+        net = build_net(layout, True)
+        (fill,) = fills_for(layout, 1, seed=25)
+        net.evaluate(fill, WEIGHTS, want_grad=False)
+        name, running = next((n, b) for n, b in net.unet.named_buffers()
+                             if n.endswith("running_mean"))
+        running[0] += 0.25
+        self.check(net, lambda n: n.evaluate(fill, WEIGHTS))
 
 
 class TestPlanLifecycle:

@@ -26,9 +26,10 @@ Environment knobs:
 
 * ``NEURFILL_BENCH_SMOKE=1`` shrinks the grid and the client matrix so
   the whole file runs in CI; the >=2x served-vs-cold-CLI throughput
-  assertion only applies in full mode, and the process-vs-thread gates
-  (>=3x peak throughput, 1-client p95 within 1.25x + 50 ms) only in
-  full mode on a host with >= 4 cores.
+  assertion and the lone-client coalescing gate (batched 1-client p50
+  within 1.25x + 50 ms of unbatched) only apply in full mode, and the
+  process-vs-thread gates (>=3x peak throughput, 1-client p95 within
+  1.25x + 50 ms) only in full mode on a host with >= 4 cores.
 * Fill jobs are compute-bound, so this bench is meaningless on a
   single-core box: it asserts ``os.cpu_count() > 1`` up front.  Set
   ``NEURFILL_BENCH_ALLOW_SINGLE_CORE=1`` to record numbers anyway (the
@@ -418,6 +419,14 @@ def test_serve_throughput(benchmark, tmp_path):
     if not SMOKE:
         assert simulate["speedup"] >= 2.0, (
             "resident simulate jobs did not reach 2x over cold CLI"
+        )
+        # A lone client's evaluations have nobody to wait for: with
+        # coalescing on they must flush as they park, not a window later.
+        batched_p50 = batched["runs"][0]["p50_s"]
+        unbatched_p50 = unbatched["runs"][0]["p50_s"]
+        assert batched_p50 <= unbatched_p50 * 1.25 + 0.05, (
+            "coalescing taxes a lone client: 1-client p50 "
+            f"{batched_p50}s batched vs {unbatched_p50}s unbatched"
         )
         if CPU_COUNT >= 2:
             # fill jobs are compute-bound: concurrent serving can only

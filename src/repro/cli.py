@@ -174,7 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=None,
                        help="largest coalesced micro-batch (1 disables)")
     serve.add_argument("--flush-ms", type=float, default=None,
-                       help="max-latency flush window in milliseconds")
+                       help="longest a parked evaluation waits for a "
+                            "job busy elsewhere, in milliseconds")
     serve.add_argument("--no-coalesce", action="store_true",
                        help="shorthand for --max-batch 1 (strict one-shot "
                             "numerical parity)")

@@ -39,9 +39,9 @@ DEFAULT_SERVE_QUEUE_CAPACITY: int = 64
 #: (``REPRO_SERVE_MAX_BATCH``); ``1`` disables coalescing.
 DEFAULT_SERVE_MAX_BATCH: int = 16
 
-#: Max-latency flush window of the batcher in milliseconds
-#: (``REPRO_SERVE_FLUSH_MS``) — the longest an evaluation waits for
-#: co-batchable traffic before running anyway.
+#: Longest a parked evaluation waits for a job busy elsewhere, in
+#: milliseconds (``REPRO_SERVE_FLUSH_MS``); a group whose members have
+#: all parked runs at once.
 DEFAULT_SERVE_FLUSH_MS: float = 4.0
 
 #: Seconds a draining shutdown waits for in-flight jobs.

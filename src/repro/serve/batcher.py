@@ -6,20 +6,28 @@ Run naively, W worker threads make W independent single-fill passes and
 the network's batch axis — exactly what PR 1's batched MSP-SQP exploits
 *within* one job — sits idle *across* jobs.
 
-:class:`MicroBatcher` closes that gap.  Worker threads call
-:meth:`evaluate`; the call parks until either ``max_batch`` requests
-have gathered or the oldest request has waited ``max_delay_s`` (the
-max-latency flush knob), then one flusher thread runs the whole group
-through :meth:`CmpNeuralNetwork.evaluate_batch
+:class:`MicroBatcher` closes that gap.  A job that will evaluate through
+it joins as a *member* (:meth:`MicroBatcher.member`, held for its whole
+run) and calls :meth:`~MicroBatcher.evaluate`, which parks the request.
+A group of parked requests may flush while no other group of the batcher
+is running, and then once it is full (``max_batch``), every member is
+parked, its oldest request has waited ``max_delay_s``, or the batcher is
+closing.  So a group runs the moment nobody else can join it, and
+``max_delay_s`` only bounds the wait for a member busy elsewhere (the
+simulator, another network call).  The caller that finds its group
+flushable runs it, in its own thread, through
+:meth:`CmpNeuralNetwork.evaluate_batch
 <repro.surrogate.network.CmpNeuralNetwork.evaluate_batch>` — the same
-stacked-pass primitive batched MSP-SQP is built on — and scatters the
-per-request results.
+stacked-pass primitive batched MSP-SQP is built on — and wakes the
+others with their rows; there is no flusher thread.
 
 :class:`SimulateBatcher` applies the same idea to raw ``simulate`` jobs:
 concurrent requests sharing one process calibration and grid coalesce
 into a single :meth:`CmpSimulator.simulate_batch
 <repro.cmp.simulator.CmpSimulator.simulate_batch>` polish, which is
-bitwise identical to running them one by one.
+bitwise identical to running them one by one.  Each simulate job calls
+it once, so it has no members: a flusher thread flushes a group when it
+is full or its oldest request has waited ``max_delay_s``.
 
 Fidelity contract (see DESIGN.md "Serving"): a coalesced group of K
 requests returns **bitwise** what ``evaluate_batch`` returns for those K
@@ -35,6 +43,7 @@ never mix.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import threading
 import time
@@ -52,14 +61,14 @@ from .stats import ServeStats
 class _PendingEval:
     """One parked evaluation awaiting a flush."""
 
-    __slots__ = ("fill", "want_grad", "enqueued_at", "event", "result",
+    __slots__ = ("fill", "want_grad", "enqueued_at", "done", "result",
                  "error")
 
     def __init__(self, fill: np.ndarray, want_grad: bool):
         self.fill = fill
         self.want_grad = want_grad
         self.enqueued_at = time.monotonic()
-        self.event = threading.Event()
+        self.done = False
         self.result: PlanarityEvaluation | None = None
         self.error: BaseException | None = None
 
@@ -72,7 +81,7 @@ class MicroBatcher:
         max_batch: flush as soon as this many requests are parked;
             ``1`` disables coalescing (calls pass straight through).
         max_delay_s: flush the oldest request after waiting this long
-            even if the batch is not full — bounds added latency.
+            for a member that is busy elsewhere — bounds added latency.
         stats: optional sink for the batch-size histogram.
     """
 
@@ -89,16 +98,28 @@ class MicroBatcher:
         self.stats = stats
         self._pending: dict[tuple, list[_PendingEval]] = {}
         self._cond = threading.Condition()
+        self._members = 0
+        self._running = False
         self._closed = False
-        self._thread: threading.Thread | None = None
-        if max_batch > 1:
-            self._thread = threading.Thread(
-                target=self._flush_loop, name="repro-serve-batcher",
-                daemon=True,
-            )
-            self._thread.start()
 
     # ------------------------------------------------------------------
+    @contextlib.contextmanager
+    def member(self):
+        """Count the caller as a member for the ``with`` block.
+
+        Parked requests wait for members that are busy elsewhere (up to
+        ``max_delay_s``) but never for anyone else, so a job joins
+        before its first evaluation and leaves when it stops evaluating.
+        """
+        with self._cond:
+            self._members += 1
+        try:
+            yield self
+        finally:
+            with self._cond:
+                self._members -= 1
+                self._cond.notify_all()  # the rest may now all be parked
+
     def evaluate(self, fill: np.ndarray, weights: PlanarityWeights,
                  want_grad: bool = True) -> PlanarityEvaluation:
         """Drop-in for ``network.evaluate``, transparently coalesced."""
@@ -107,79 +128,71 @@ class MicroBatcher:
         pending = _PendingEval(np.asarray(fill, dtype=float), want_grad)
         key = dataclasses.astuple(weights)
         with self._cond:
-            if self._closed:  # flusher may already have drained and exited
-                parked = False
-            else:
-                self._pending.setdefault(key, []).append(pending)
-                parked = True
-                self._cond.notify_all()
-        if not parked:
-            return self.network.evaluate(fill, weights, want_grad=want_grad)
-        pending.event.wait()
+            self._pending.setdefault(key, []).append(pending)
+            self._cond.notify_all()  # it may complete another group
+            group = self._await_turn(pending, key)
+        while group is not None:
+            self._run_group(key, group)
+            with self._cond:
+                group = self._await_turn(pending, key)
         if pending.error is not None:
             raise pending.error
         assert pending.result is not None
         return pending.result
 
     def close(self) -> None:
-        """Stop the flusher after draining every parked request."""
+        """Flush every parked request without waiting any longer.
+
+        Parked callers wake and run their groups themselves; later
+        calls flush at once, on this batcher's network.
+        """
         with self._cond:
             self._closed = True
             self._cond.notify_all()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
 
     # ------------------------------------------------------------------
-    def _take_group(self) -> tuple[tuple, list[_PendingEval]] | None:
-        """Pop the most urgent flushable group, or ``None`` to keep waiting.
+    def _await_turn(self, pending: _PendingEval,
+                    key: tuple) -> list[_PendingEval] | None:
+        """Wait until ``pending`` is answered (``None``) or a group of
+        ``key`` may flush; claim that group for the caller to run.
 
-        Must be called with the condition held.  A group flushes when it
-        is full or its oldest member exceeded ``max_delay_s`` (always,
-        when the batcher is closing).
+        Must be called with the condition held.
         """
-        now = time.monotonic()
-        best_key, best_age = None, -1.0
-        for key, group in self._pending.items():
-            age = now - group[0].enqueued_at
-            if len(group) >= self.max_batch or self._closed \
-                    or age >= self.max_delay_s:
-                if age > best_age:
-                    best_key, best_age = key, age
-        if best_key is None:
+        while not pending.done:
+            group = self._take_group(key)
+            if group is not None:
+                self._running = True
+                return group
+            queue = self._pending.get(key)
+            timeout = None  # woken when the running group finishes
+            if queue and not self._running:
+                timeout = max(0.0, queue[0].enqueued_at + self.max_delay_s
+                              - time.monotonic())
+            self._cond.wait(timeout)
+        return None
+
+    def _take_group(self, key: tuple) -> list[_PendingEval] | None:
+        """Pop ``key``'s group if it may flush, else ``None`` (condition
+        held).
+
+        Nothing flushes while another group runs.  Otherwise a group
+        flushes when it is full, every member is parked, its oldest
+        request waited ``max_delay_s``, or the batcher is closing.
+        """
+        queue = self._pending.get(key)
+        if self._running or not queue:
             return None
-        group = self._pending[best_key]
-        take, rest = group[:self.max_batch], group[self.max_batch:]
+        parked = sum(len(q) for q in self._pending.values())
+        if not (len(queue) >= self.max_batch or parked >= self._members
+                or self._closed or time.monotonic()
+                - queue[0].enqueued_at >= self.max_delay_s):
+            return None
+        take, rest = queue[:self.max_batch], queue[self.max_batch:]
         if rest:
-            self._pending[best_key] = rest
+            self._pending[key] = rest
         else:
-            del self._pending[best_key]
-        return best_key, take
-
-    def _next_deadline(self) -> float | None:
-        """Monotonic time of the earliest pending flush (cond held)."""
-        oldest = None
-        for group in self._pending.values():
-            t = group[0].enqueued_at
-            if oldest is None or t < oldest:
-                oldest = t
-        return None if oldest is None else oldest + self.max_delay_s
-
-    def _flush_loop(self) -> None:
-        while True:
-            with self._cond:
-                while True:
-                    taken = self._take_group()
-                    if taken is not None:
-                        break
-                    if self._closed and not self._pending:
-                        return
-                    deadline = self._next_deadline()
-                    timeout = (None if deadline is None
-                               else max(0.0, deadline - time.monotonic()))
-                    self._cond.wait(timeout)
-            key, group = taken
-            self._run_group(key, group)
+            del self._pending[key]
+        return take
 
     def _run_group(self, key: tuple, group: list[_PendingEval]) -> None:
         weights = PlanarityWeights(*key)
@@ -206,8 +219,11 @@ class MicroBatcher:
         finally:
             if self.stats is not None:
                 self.stats.record_batch(len(group))
-            for p in group:
-                p.event.set()
+            with self._cond:
+                for p in group:
+                    p.done = True
+                self._running = False
+                self._cond.notify_all()
 
 
 class _PendingSim:
@@ -233,7 +249,9 @@ class SimulateBatcher:
     gathered or the oldest has waited ``max_delay_s``, then the flusher
     runs the group through :meth:`CmpSimulator.simulate_batch
     <repro.cmp.simulator.CmpSimulator.simulate_batch>` and scatters the
-    per-layout results.
+    per-layout results.  Unlike :class:`MicroBatcher` it keeps a flusher
+    thread and has no members: each simulate job calls it once, so no
+    job's attendance can end the wait early.
 
     Requests coalesce only when they share the process calibration,
     window size and feature-stack shape — different layouts on one grid
@@ -384,7 +402,8 @@ class CoalescedNetwork:
     wrapped network, so :class:`repro.core.msp_sqp.QualityModel` and
     :class:`repro.core.neurfill.NeurFill` work unmodified.  In-job
     stacked passes (batched MSP-SQP) are already batched and pass
-    through untouched.
+    through untouched.  A job evaluating through the facade holds
+    :meth:`member` for its whole run.
     """
 
     def __init__(self, network: CmpNeuralNetwork, batcher: MicroBatcher):
@@ -394,6 +413,10 @@ class CoalescedNetwork:
     def evaluate(self, fill: np.ndarray, weights: PlanarityWeights,
                  want_grad: bool = True) -> PlanarityEvaluation:
         return self._batcher.evaluate(fill, weights, want_grad=want_grad)
+
+    def member(self):
+        """The batcher's :meth:`MicroBatcher.member` context."""
+        return self._batcher.member()
 
     def __getattr__(self, name: str):
         return getattr(self._network, name)

@@ -9,7 +9,10 @@ queueing, journaling and transport concerns so the same code runs
 
 * inside :class:`~repro.serve.server.FillServer` worker **threads**
   (``worker_mode=thread``), where the batchers coalesce evaluations
-  *across* concurrent jobs, and
+  *across* concurrent jobs: a registered-model fill is a member of its
+  :class:`~repro.serve.batcher.MicroBatcher` for its whole
+  ``NeurFill.run``, so its parked evaluations flush the moment every
+  other member has parked too, in the caller's own thread, and
 * inside long-lived forked worker **processes**
   (:mod:`repro.serve.procpool`, ``worker_mode=process``), where each
   child owns a private warm executor and cross-job coalescing is
@@ -25,6 +28,7 @@ layout could be evicted while cold ones survived.)
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -105,6 +109,8 @@ class JobExecutor:
         max_batch / flush_ms: cross-job micro-batching knobs; pass
             ``max_batch=1`` to disable coalescing (the process-worker
             configuration — a child executor never sees concurrency).
+            ``flush_ms`` bounds how long a parked evaluation waits for
+            a job that is busy elsewhere.
         shadow: optional :class:`~repro.lifecycle.ShadowExecutor`; every
             registered-model fill is offered to it (it samples).  ``None``
             — the default — keeps the fill path exactly the
@@ -156,7 +162,8 @@ class JobExecutor:
             return self._fill_job(request.params, job_id=request.id)
 
     def close(self) -> None:
-        """Drain and stop every flusher thread owned by this executor."""
+        """Close every batcher: parked evaluations flush themselves, and
+        the simulate batcher's flusher drains and stops."""
         with self._lock:
             batchers = list(self._batchers.values())
             self._batchers.clear()
@@ -220,9 +227,9 @@ class JobExecutor:
         evaluations in one batch; when a new generation's batcher is
         installed, stale same-model entries are evicted.  Closing an
         evicted batcher is safe for in-flight jobs still holding its
-        coalesced wrapper: a closed batcher falls back to direct
-        evaluation, so those jobs finish on the old generation's
-        weights — the no-drain half of the swap guarantee.
+        coalesced wrapper: a closed batcher flushes every evaluation at
+        once, so those jobs finish on the old generation's weights —
+        the no-drain half of the swap guarantee.
         """
         network, model = self.registry.bind(model_name, layout, fingerprint)
         token = (model.generation, model.stamp)
@@ -281,6 +288,7 @@ class JobExecutor:
         problem = FillProblem(layout, self._coefficients(layout, fingerprint))
         network = None
         bound_model = None
+        membership = contextlib.nullcontext()
         if method == "lin":
             result = lin_fill(problem)
         elif method == "tao":
@@ -293,6 +301,7 @@ class JobExecutor:
             if model_name is not None:
                 network, bound_model = self._coalesced_network(
                     str(model_name), layout, fingerprint)
+                membership = network.member()
             else:
                 if not self.allow_train:
                     raise ValueError(
@@ -313,12 +322,15 @@ class JobExecutor:
                 optimizer=SqpOptimizer(max_iter=80, tol=1e-9),
                 simulator=self.simulator,
             )
-            result = neurfill.run(
-                method,
-                seed=int(params.get("seed", 0)),
-                max_evaluations=int(params.get("max_evaluations", 500)),
-                top_k=int(params.get("top_k", 3)),
-            )
+            # A member for the whole run: its parked evaluations wait
+            # for the other members, never for jobs that cannot join.
+            with membership:
+                result = neurfill.run(
+                    method,
+                    seed=int(params.get("seed", 0)),
+                    max_evaluations=int(params.get("max_evaluations", 500)),
+                    top_k=int(params.get("top_k", 3)),
+                )
         self._remember_solution(fingerprint, layout, result)
         payload = {
             "method": result.method,

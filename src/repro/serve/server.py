@@ -22,7 +22,10 @@ Two worker modes share this skeleton (``ServeConfig.worker_mode``):
 
 * ``thread`` — jobs execute on the worker threads themselves through a
   shared :class:`~repro.serve.executor.JobExecutor`, with cross-job
-  micro-batching (PR 3 behaviour).
+  micro-batching: concurrent fills on one model and layout are members
+  of one :class:`~repro.serve.batcher.MicroBatcher`, and a group of their
+  evaluations runs in a worker thread the moment every member has
+  parked (or after ``flush_ms`` for a member busy elsewhere).
 * ``process`` — worker threads dispatch to a
   :class:`~repro.serve.procpool.ProcessWorkerPool` of long-lived forked
   children, each owning a private warm executor; numpy-heavy jobs then

@@ -12,8 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.layout import save_layout
+from repro.cmp import CmpSimulator
+from repro.core import FillProblem, NeurFill, ScoreCoefficients
+from repro.layout import load_layout, save_layout
 from repro.layout.designs import DESIGN_BUILDERS
+from repro.nn import UNet
+from repro.optimize import SqpOptimizer
 from repro.serve import (
     FillServer,
     JobJournal,
@@ -21,6 +25,12 @@ from repro.serve import (
     ServeConfig,
     encode,
     parse_request,
+)
+from repro.surrogate import (
+    NUM_FEATURE_CHANNELS,
+    HeightNormalizer,
+    load_surrogate,
+    save_surrogate,
 )
 
 
@@ -482,3 +492,51 @@ class TestShutdown:
                params={"layout_path": layout_file, "method": "lin"})
         rejected = collector.wait_for("late", "rejected", timeout=5.0)
         assert "shutting down" in rejected["error"]
+
+
+class TestCoalescedFills:
+    """Thread mode with default batching: concurrent fills of one layout
+    coalesce, and every fill matches the one-shot ``NeurFill.run``."""
+
+    def test_concurrent_fills_coalesce(self, tmp_path, layout_file):
+        unet = UNet(NUM_FEATURE_CHANNELS, 1, base_channels=4, depth=2,
+                    rng=0)
+        ckpt = str(save_surrogate(tmp_path / "ckpt", unet,
+                                  HeightNormalizer(2500.0, 300.0),
+                                  base_channels=4, depth=2))
+        layout = load_layout(layout_file)
+        problem = FillProblem(layout, ScoreCoefficients.calibrated(
+            layout, CmpSimulator(), beta_runtime=60.0))
+        oneshot = NeurFill(
+            problem, load_surrogate(ckpt, layout),
+            optimizer=SqpOptimizer(max_iter=80, tol=1e-9),
+            simulator=CmpSimulator(),
+        ).run("neurfill-pkb").fill
+
+        registry = ModelRegistry()
+        registry.register("m", ckpt)
+        server = FillServer(registry=registry, serve_config=ServeConfig(
+            workers=2, queue_capacity=8, worker_mode="thread"))
+        server.start()
+        params = {"layout_path": layout_file, "method": "neurfill-pkb",
+                  "model": "m", "score": False, "return_fill": True}
+        try:
+            collector = Collector()
+            for rid in ("a", "b"):
+                submit(server, collector, rid, params=params)
+            results = [collector.wait_for(rid, "done")["result"]
+                       for rid in ("a", "b")]
+            for result in results:
+                np.testing.assert_allclose(np.array(result["fill"]),
+                                           oneshot, rtol=0, atol=1e-8)
+            histogram = server.stats_snapshot()["batch_histogram"]
+            assert histogram.get("2", 0) >= 1, histogram
+            network = registry.network_for(
+                "m", layout, results[0]["layout_fingerprint"])
+            assert network.capture_stats()["bypass"] == 0
+
+            submit(server, collector, "lone", params=params)
+            lone = collector.wait_for("lone", "done")["result"]
+            assert np.array_equal(np.array(lone["fill"]), oneshot)
+        finally:
+            server.shutdown(timeout=30.0)

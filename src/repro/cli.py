@@ -53,6 +53,7 @@ from . import __version__
 from .baselines import cai_fill, lin_fill, tao_fill
 from .cmp import CmpSimulator
 from .core import (
+    BETA_RUNTIME_S,
     FillProblem,
     NeurFill,
     ScoreCoefficients,
@@ -174,8 +175,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=None,
                        help="largest coalesced micro-batch (1 disables)")
     serve.add_argument("--flush-ms", type=float, default=None,
-                       help="longest a parked evaluation waits for a "
-                            "job busy elsewhere, in milliseconds")
+                       help="longest a parked evaluation or simulation "
+                            "waits for a job busy elsewhere, in "
+                            "milliseconds")
     serve.add_argument("--no-coalesce", action="store_true",
                        help="shorthand for --max-batch 1 (strict one-shot "
                             "numerical parity)")
@@ -317,7 +319,7 @@ def _cmd_fill(args) -> int:
     simulator = CmpSimulator()
     problem = FillProblem(
         layout, ScoreCoefficients.calibrated(layout, simulator,
-                                             beta_runtime=60.0)
+                                             beta_runtime=BETA_RUNTIME_S)
     )
     if args.method == "lin":
         result = lin_fill(problem)
@@ -361,8 +363,8 @@ def _cmd_eco(args) -> int:
             f"(expected an npz with a 'fill' array): {exc}")
     simulator = CmpSimulator()
     problem = FillProblem(
-        edited_layout, ScoreCoefficients.calibrated(edited_layout, simulator,
-                                                    beta_runtime=60.0)
+        edited_layout, ScoreCoefficients.calibrated(
+            edited_layout, simulator, beta_runtime=BETA_RUNTIME_S)
     )
     # The surrogate must see the edited layout's extraction constants.
     network = _load_or_train_network(edited_layout, simulator, args)
@@ -399,7 +401,7 @@ def _cmd_compare(args) -> int:
     simulator = CmpSimulator()
     problem = FillProblem(
         layout, ScoreCoefficients.calibrated(layout, simulator,
-                                             beta_runtime=60.0)
+                                             beta_runtime=BETA_RUNTIME_S)
     )
     args.seed = 0
     neurfill = _make_neurfill(layout, problem, simulator, args)

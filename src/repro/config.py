@@ -39,8 +39,8 @@ DEFAULT_SERVE_QUEUE_CAPACITY: int = 64
 #: (``REPRO_SERVE_MAX_BATCH``); ``1`` disables coalescing.
 DEFAULT_SERVE_MAX_BATCH: int = 16
 
-#: Longest a parked evaluation waits for a job busy elsewhere, in
-#: milliseconds (``REPRO_SERVE_FLUSH_MS``); a group whose members have
+#: Longest a parked evaluation or simulation waits for a job busy
+#: elsewhere, in milliseconds (``REPRO_SERVE_FLUSH_MS``); a group whose members have
 #: all parked runs at once.
 DEFAULT_SERVE_FLUSH_MS: float = 4.0
 

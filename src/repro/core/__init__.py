@@ -17,7 +17,12 @@ from .pkb import (
     pkb_starting_point,
     target_density_range,
 )
-from .problem import FillProblem, ScoreCoefficients, paper_table2
+from .problem import (
+    BETA_RUNTIME_S,
+    FillProblem,
+    ScoreCoefficients,
+    paper_table2,
+)
 from .result import FillResult
 from .scoring import (
     BYTES_PER_DUMMY,
@@ -28,6 +33,7 @@ from .scoring import (
 )
 
 __all__ = [
+    "BETA_RUNTIME_S",
     "BYTES_PER_DUMMY",
     "DegradationBreakdown",
     "EcoQualityModel",

@@ -27,6 +27,11 @@ from ..cmp.simulator import CmpSimulator
 from ..layout.layout import Layout
 from ..surrogate.objectives import PlanarityWeights, outliers_hard
 
+#: Runtime beta, in seconds, that ``repro fill``/``eco``/``compare`` and
+#: ``repro serve`` calibrate with (the paper's 20 min is for full-size
+#: chips); one constant keeps served and one-shot scores bitwise equal.
+BETA_RUNTIME_S = 60.0
+
 
 @dataclass(frozen=True)
 class ScoreCoefficients:

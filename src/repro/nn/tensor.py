@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -499,8 +499,3 @@ def topo_sort(root: Tensor) -> list[Tensor]:
             if id(parent) not in visited and parent.requires_grad:
                 stack.append((parent, False))
     return topo
-
-
-def parameters_of(tensors: Iterable[Tensor]) -> list[Tensor]:
-    """Filter an iterable down to tensors that require gradients."""
-    return [t for t in tensors if t.requires_grad]

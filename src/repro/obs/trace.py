@@ -248,10 +248,6 @@ def active() -> Tracer | None:
     return _active
 
 
-def is_active() -> bool:
-    return _active is not None
-
-
 def activate(tracer: Tracer | None = None) -> Tracer:
     """Install ``tracer`` (or a fresh one) as the global tracer."""
     global _active

@@ -14,7 +14,7 @@ forked children that scales past the GIL.  See DESIGN.md "Serving" and
 numerical-fidelity contract, and the crash-containment model.
 """
 
-from .batcher import CoalescedNetwork, MicroBatcher, SimulateBatcher
+from .batcher import MicroBatcher, SimulateBatcher
 from .client import ServeClient, ServeError
 from .executor import FILL_METHODS, JobExecutor, validate_job
 from .jobqueue import BoundedJobQueue, Job, JobState
@@ -46,7 +46,6 @@ from .stats import LatencyTracker, ServeStats
 
 __all__ = [
     "BoundedJobQueue",
-    "CoalescedNetwork",
     "FILL_METHODS",
     "FillServer",
     "JOB_OPS",

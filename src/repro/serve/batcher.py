@@ -1,44 +1,41 @@
-"""Dynamic micro-batching of concurrent surrogate evaluations.
+"""Dynamic micro-batching of concurrent surrogate evaluations and simulations.
 
 Concurrent jobs against the same bound surrogate each drive their own
 SQP refinement, which issues one network forward/backward at a time.
 Run naively, W worker threads make W independent single-fill passes and
-the network's batch axis — exactly what PR 1's batched MSP-SQP exploits
-*within* one job — sits idle *across* jobs.
+the network's batch axis — exactly what batched MSP-SQP exploits
+*within* one job — sits idle *across* jobs.  Concurrent raw ``simulate``
+jobs leave the batched CMP simulator idle the same way.
 
-:class:`MicroBatcher` closes that gap.  A job that will evaluate through
-it joins as a *member* (:meth:`MicroBatcher.member`, held for its whole
-run) and calls :meth:`~MicroBatcher.evaluate`, which parks the request.
-A group of parked requests may flush while no other group of the batcher
-is running, and then once it is full (``max_batch``), every member is
-parked, its oldest request has waited ``max_delay_s``, or the batcher is
-closing.  So a group runs the moment nobody else can join it, and
-``max_delay_s`` only bounds the wait for a member busy elsewhere (the
-simulator, another network call).  The caller that finds its group
-flushable runs it, in its own thread, through
-:meth:`CmpNeuralNetwork.evaluate_batch
-<repro.surrogate.network.CmpNeuralNetwork.evaluate_batch>` — the same
-stacked-pass primitive batched MSP-SQP is built on — and wakes the
-others with their rows; there is no flusher thread.
+Both batchers close that gap with one rule, written once in
+:class:`_Coalescer`.  A job that will call a batcher joins as a *member*
+(:meth:`~_Coalescer.member`, held for its whole run), and each call
+parks its request in the group of its key.  A group may flush while no
+other group of the batcher is running, and then once it is full
+(``max_batch``), every member is parked, its oldest request has waited
+``max_delay_s``, or the batcher is closing.  So a group runs the moment
+nobody else can join it, and ``max_delay_s`` only bounds the wait for a
+member busy elsewhere.  The caller that finds its group flushable runs
+it in its own thread and wakes the others with their results; there is
+no flusher thread.
 
-:class:`SimulateBatcher` applies the same idea to raw ``simulate`` jobs:
-concurrent requests sharing one process calibration and grid coalesce
-into a single :meth:`CmpSimulator.simulate_batch
-<repro.cmp.simulator.CmpSimulator.simulate_batch>` polish, which is
-bitwise identical to running them one by one.  Each simulate job calls
-it once, so it has no members: a flusher thread flushes a group when it
-is full or its oldest request has waited ``max_delay_s``.
+* :class:`MicroBatcher` keys network evaluations by planarity weights
+  and runs a group as one ``evaluate_batch`` stacked pass; it stands in
+  for its network, forwarding every other attribute to it.
+* :class:`SimulateBatcher` keys simulations by process calibration,
+  window size and grid, and runs a group as one ``simulate_batch``
+  polish.
 
 Fidelity contract (see DESIGN.md "Serving"): a coalesced group of K
-requests returns **bitwise** what ``evaluate_batch`` returns for those K
-fills stacked — coalescing adds no arithmetic of its own.  A singleton
-flush (K = 1) is in turn bitwise-identical to the sequential
+evaluations returns **bitwise** what ``evaluate_batch`` returns for
+those K fills stacked — coalescing adds no arithmetic of its own.  A
+group of one (K = 1) is in turn bitwise-identical to the sequential
 ``evaluate`` path by construction: ``evaluate`` *is* the K = 1 stack,
 on the same captured plan.  For K > 1 the repo-wide batched-evaluation
 contract applies (equal up to BLAS contraction order at the last ulp,
-observed ≤ 1e-10).  Requests only coalesce when they share the bound
-network *and* the planarity weights, so different layouts/models/designs
-never mix.
+observed ≤ 1e-10).  The batched simulator is bitwise identical to
+looping ``simulate`` at every K.  Requests coalesce only within one
+key, so different layouts/models/designs or physics never mix.
 """
 
 from __future__ import annotations
@@ -58,26 +55,27 @@ from ..surrogate.objectives import PlanarityWeights
 from .stats import ServeStats
 
 
-class _PendingEval:
-    """One parked evaluation awaiting a flush."""
+class _Parked:
+    """One parked request awaiting its group's flush."""
 
-    __slots__ = ("fill", "want_grad", "enqueued_at", "done", "result",
-                 "error")
+    __slots__ = ("item", "enqueued_at", "done", "result", "error")
 
-    def __init__(self, fill: np.ndarray, want_grad: bool):
-        self.fill = fill
-        self.want_grad = want_grad
+    def __init__(self, item: tuple):
+        self.item = item
         self.enqueued_at = time.monotonic()
         self.done = False
-        self.result: PlanarityEvaluation | None = None
+        self.result = None
         self.error: BaseException | None = None
 
 
-class MicroBatcher:
-    """Coalesces single-fill evaluations against one bound network.
+class _Coalescer:
+    """Members, parked groups and the flush rule shared by both batchers.
+
+    A subclass supplies a request's group key (when it calls
+    :meth:`_submit`), how a group runs (:meth:`_run_group`), which
+    histogram records it (:meth:`_record`) and its flush span's name.
 
     Args:
-        network: the bound :class:`CmpNeuralNetwork` to evaluate on.
         max_batch: flush as soon as this many requests are parked;
             ``1`` disables coalescing (calls pass straight through).
         max_delay_s: flush the oldest request after waiting this long
@@ -85,31 +83,30 @@ class MicroBatcher:
         stats: optional sink for the batch-size histogram.
     """
 
-    def __init__(self, network: CmpNeuralNetwork, max_batch: int = 16,
-                 max_delay_s: float = 0.004,
+    _span = ""
+
+    def __init__(self, max_batch: int = 16, max_delay_s: float = 0.004,
                  stats: ServeStats | None = None):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_delay_s < 0:
             raise ValueError(f"max_delay_s must be >= 0, got {max_delay_s}")
-        self.network = network
         self.max_batch = max_batch
         self.max_delay_s = max_delay_s
         self.stats = stats
-        self._pending: dict[tuple, list[_PendingEval]] = {}
+        self._pending: dict[tuple, list[_Parked]] = {}
         self._cond = threading.Condition()
         self._members = 0
         self._running = False
         self._closed = False
 
-    # ------------------------------------------------------------------
     @contextlib.contextmanager
     def member(self):
         """Count the caller as a member for the ``with`` block.
 
         Parked requests wait for members that are busy elsewhere (up to
         ``max_delay_s``) but never for anyone else, so a job joins
-        before its first evaluation and leaves when it stops evaluating.
+        before its first call and leaves when it stops calling.
         """
         with self._cond:
             self._members += 1
@@ -120,45 +117,41 @@ class MicroBatcher:
                 self._members -= 1
                 self._cond.notify_all()  # the rest may now all be parked
 
-    def evaluate(self, fill: np.ndarray, weights: PlanarityWeights,
-                 want_grad: bool = True) -> PlanarityEvaluation:
-        """Drop-in for ``network.evaluate``, transparently coalesced."""
-        if self.max_batch <= 1:
-            return self.network.evaluate(fill, weights, want_grad=want_grad)
-        pending = _PendingEval(np.asarray(fill, dtype=float), want_grad)
-        key = dataclasses.astuple(weights)
-        with self._cond:
-            self._pending.setdefault(key, []).append(pending)
-            self._cond.notify_all()  # it may complete another group
-            group = self._await_turn(pending, key)
-        while group is not None:
-            self._run_group(key, group)
-            with self._cond:
-                group = self._await_turn(pending, key)
-        if pending.error is not None:
-            raise pending.error
-        assert pending.result is not None
-        return pending.result
-
     def close(self) -> None:
         """Flush every parked request without waiting any longer.
 
         Parked callers wake and run their groups themselves; later
-        calls flush at once, on this batcher's network.
+        calls flush at once.
         """
         with self._cond:
             self._closed = True
             self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    def _await_turn(self, pending: _PendingEval,
-                    key: tuple) -> list[_PendingEval] | None:
-        """Wait until ``pending`` is answered (``None``) or a group of
+    def _submit(self, key: tuple, item: tuple):
+        """Park ``item`` in ``key``'s group; return its result once a
+        flush (possibly run by this caller) has answered it."""
+        parked = _Parked(item)
+        with self._cond:
+            self._pending.setdefault(key, []).append(parked)
+            self._cond.notify_all()  # it may complete another group
+            group = self._await_turn(parked, key)
+        while group is not None:
+            self._flush(key, group)
+            with self._cond:
+                group = self._await_turn(parked, key)
+        if parked.error is not None:
+            raise parked.error
+        return parked.result
+
+    def _await_turn(self, parked: _Parked,
+                    key: tuple) -> list[_Parked] | None:
+        """Wait until ``parked`` is answered (``None``) or a group of
         ``key`` may flush; claim that group for the caller to run.
 
         Must be called with the condition held.
         """
-        while not pending.done:
+        while not parked.done:
             group = self._take_group(key)
             if group is not None:
                 self._running = True
@@ -171,7 +164,7 @@ class MicroBatcher:
             self._cond.wait(timeout)
         return None
 
-    def _take_group(self, key: tuple) -> list[_PendingEval] | None:
+    def _take_group(self, key: tuple) -> list[_Parked] | None:
         """Pop ``key``'s group if it may flush, else ``None`` (condition
         held).
 
@@ -194,229 +187,132 @@ class MicroBatcher:
             del self._pending[key]
         return take
 
-    def _run_group(self, key: tuple, group: list[_PendingEval]) -> None:
-        weights = PlanarityWeights(*key)
+    def _flush(self, key: tuple, group: list[_Parked]) -> None:
         try:
-            with obs_trace.span("serve.batch_flush", cat="serve",
-                                size=len(group)):
-                fills = np.stack([p.fill for p in group])
-                mask = np.array([p.want_grad for p in group], dtype=bool)
-                batch = self.network.evaluate_batch(fills, weights,
-                                                    grad_mask=mask)
-                for k, p in enumerate(group):
-                    gradient = None
-                    if p.want_grad and batch.gradient is not None:
-                        gradient = batch.gradient[k].copy()
-                    p.result = PlanarityEvaluation(
-                        s_plan=float(batch.s_plan[k]),
-                        breakdown=batch.breakdowns[k],
-                        heights=batch.heights[k].copy(),
-                        gradient=gradient,
-                    )
+            with obs_trace.span(self._span, cat="serve", size=len(group)):
+                results = self._run_group(key, [p.item for p in group])
+            for p, result in zip(group, results):
+                p.result = result
         except BaseException as exc:  # propagate into every waiter
             for p in group:
                 p.error = exc
         finally:
             if self.stats is not None:
-                self.stats.record_batch(len(group))
+                self._record(len(group))
             with self._cond:
                 for p in group:
                     p.done = True
                 self._running = False
                 self._cond.notify_all()
 
+    def _run_group(self, key: tuple, items: list[tuple]) -> list:
+        """One result per item, in order."""
+        raise NotImplementedError
 
-class _PendingSim:
-    """One parked simulation awaiting a flush."""
-
-    __slots__ = ("features", "simulator", "enqueued_at", "event", "result",
-                 "error")
-
-    def __init__(self, features: FeatureStack, simulator: CmpSimulator):
-        self.features = features
-        self.simulator = simulator
-        self.enqueued_at = time.monotonic()
-        self.event = threading.Event()
-        self.result: CmpResult | None = None
-        self.error: BaseException | None = None
+    def _record(self, size: int) -> None:
+        raise NotImplementedError
 
 
-class SimulateBatcher:
+class MicroBatcher(_Coalescer):
+    """Coalesces single-fill evaluations against one bound network.
+
+    Stands in for the network: :meth:`evaluate` is coalesced, and every
+    other attribute (``layout``, ``evaluate_batch``, ``predict_heights``,
+    ...) is the network's, so :class:`repro.core.msp_sqp.QualityModel`
+    and :class:`repro.core.neurfill.NeurFill` run on it unmodified.
+    In-job stacked passes (batched MSP-SQP) are already batched and go
+    straight to the network.  A job evaluating through the batcher holds
+    :meth:`member` for its whole run.
+
+    Args:
+        network: the bound :class:`CmpNeuralNetwork` to evaluate on.
+        max_batch / max_delay_s / stats: as for :class:`_Coalescer`;
+            ``stats`` receives the batch-size histogram.
+    """
+
+    _span = "serve.batch_flush"
+
+    def __init__(self, network: CmpNeuralNetwork, max_batch: int = 16,
+                 max_delay_s: float = 0.004,
+                 stats: ServeStats | None = None):
+        self.network = network
+        super().__init__(max_batch, max_delay_s, stats)
+
+    def __getattr__(self, name: str):
+        return getattr(self.network, name)
+
+    def evaluate(self, fill: np.ndarray, weights: PlanarityWeights,
+                 want_grad: bool = True) -> PlanarityEvaluation:
+        """Drop-in for ``network.evaluate``, transparently coalesced."""
+        if self.max_batch <= 1:
+            return self.network.evaluate(fill, weights, want_grad=want_grad)
+        return self._submit(dataclasses.astuple(weights),
+                            (np.asarray(fill, dtype=float), want_grad))
+
+    def _run_group(self, key: tuple,
+                   items: list[tuple]) -> list[PlanarityEvaluation]:
+        mask = np.array([want_grad for _, want_grad in items], dtype=bool)
+        batch = self.network.evaluate_batch(
+            np.stack([fill for fill, _ in items]), PlanarityWeights(*key),
+            grad_mask=mask)
+        return [
+            PlanarityEvaluation(
+                s_plan=float(batch.s_plan[k]),
+                breakdown=batch.breakdowns[k],
+                heights=batch.heights[k].copy(),
+                gradient=(batch.gradient[k].copy()
+                          if want_grad and batch.gradient is not None
+                          else None),
+            )
+            for k, (_, want_grad) in enumerate(items)
+        ]
+
+    def _record(self, size: int) -> None:
+        self.stats.record_batch(size)
+
+
+class SimulateBatcher(_Coalescer):
     """Coalesces concurrent ``simulate`` jobs into batched polishes.
 
-    The simulate-side twin of :class:`MicroBatcher`: worker threads call
-    :meth:`simulate`; the call parks until ``max_batch`` requests have
-    gathered or the oldest has waited ``max_delay_s``, then the flusher
-    runs the group through :meth:`CmpSimulator.simulate_batch
+    A simulate job holds :meth:`member` from layout load through its
+    polish and calls :meth:`simulate`; a group runs through
+    :meth:`CmpSimulator.simulate_batch
     <repro.cmp.simulator.CmpSimulator.simulate_batch>` and scatters the
-    per-layout results.  Unlike :class:`MicroBatcher` it keeps a flusher
-    thread and has no members: each simulate job calls it once, so no
-    job's attendance can end the wait early.
+    per-layout results.
 
     Requests coalesce only when they share the process calibration,
     window size and feature-stack shape — different layouts on one grid
-    stack fine; different physics never mix.  The
-    fidelity contract is *stronger* than the network batcher's: the
-    batched simulator is **bitwise identical** to looping ``simulate``,
-    so coalescing can never change a job's reported numbers.
+    stack fine; different physics never mix.  The fidelity contract is
+    *stronger* than the network batcher's: the batched simulator is
+    **bitwise identical** to looping ``simulate``, so coalescing can
+    never change a job's reported numbers.
 
-    Args:
-        max_batch: flush as soon as this many requests are parked;
-            ``1`` disables coalescing (calls pass straight through).
-        max_delay_s: flush the oldest request after waiting this long
-            even if the batch is not full — bounds added latency.
-        stats: optional sink for the simulate-batch-size histogram.
+    Args: as for :class:`_Coalescer`; ``stats`` receives the
+    simulate-batch-size histogram.
     """
 
-    def __init__(self, max_batch: int = 16, max_delay_s: float = 0.004,
-                 stats: ServeStats | None = None):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay_s < 0:
-            raise ValueError(f"max_delay_s must be >= 0, got {max_delay_s}")
-        self.max_batch = max_batch
-        self.max_delay_s = max_delay_s
-        self.stats = stats
-        self._pending: dict[tuple, list[_PendingSim]] = {}
-        self._cond = threading.Condition()
-        self._closed = False
-        self._thread: threading.Thread | None = None
-        if max_batch > 1:
-            self._thread = threading.Thread(
-                target=self._flush_loop, name="repro-serve-sim-batcher",
-                daemon=True,
-            )
-            self._thread.start()
+    _span = "serve.sim_flush"
 
-    # ------------------------------------------------------------------
     def simulate(self, features: FeatureStack,
                  simulator: CmpSimulator) -> CmpResult:
         """Drop-in for ``simulator.simulate``, transparently coalesced."""
         if self.max_batch <= 1:
             return simulator.simulate(features)
-        pending = _PendingSim(features, simulator)
         # ProcessParams is a frozen dataclass, so the physics coalesces
         # by value: two jobs with the same polish-time override share a
         # group even though each built its own simulator instance.
         key = (simulator.params, simulator.window_um, features.shape)
-        with self._cond:
-            if self._closed:  # flusher may already have drained and exited
-                parked = False
-            else:
-                self._pending.setdefault(key, []).append(pending)
-                parked = True
-                self._cond.notify_all()
-        if not parked:
-            return simulator.simulate(features)
-        pending.event.wait()
-        if pending.error is not None:
-            raise pending.error
-        assert pending.result is not None
-        return pending.result
+        return self._submit(key, (features, simulator))
 
-    def close(self) -> None:
-        """Stop the flusher after draining every parked request."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    # ------------------------------------------------------------------
-    def _take_group(self) -> tuple[tuple, list[_PendingSim]] | None:
-        """Pop the most urgent flushable group (condition held)."""
-        now = time.monotonic()
-        best_key, best_age = None, -1.0
-        for key, group in self._pending.items():
-            age = now - group[0].enqueued_at
-            if len(group) >= self.max_batch or self._closed \
-                    or age >= self.max_delay_s:
-                if age > best_age:
-                    best_key, best_age = key, age
-        if best_key is None:
-            return None
-        group = self._pending[best_key]
-        take, rest = group[:self.max_batch], group[self.max_batch:]
-        if rest:
-            self._pending[best_key] = rest
-        else:
-            del self._pending[best_key]
-        return best_key, take
-
-    def _next_deadline(self) -> float | None:
-        """Monotonic time of the earliest pending flush (cond held)."""
-        oldest = None
-        for group in self._pending.values():
-            t = group[0].enqueued_at
-            if oldest is None or t < oldest:
-                oldest = t
-        return None if oldest is None else oldest + self.max_delay_s
-
-    def _flush_loop(self) -> None:
-        while True:
-            with self._cond:
-                while True:
-                    taken = self._take_group()
-                    if taken is not None:
-                        break
-                    if self._closed and not self._pending:
-                        return
-                    deadline = self._next_deadline()
-                    timeout = (None if deadline is None
-                               else max(0.0, deadline - time.monotonic()))
-                    self._cond.wait(timeout)
-            _, group = taken
-            self._run_group(group)
-
-    def _run_group(self, group: list[_PendingSim]) -> None:
-        # Every member shares the group key, so any member's simulator
+    def _run_group(self, key: tuple, items: list[tuple]) -> list[CmpResult]:
+        # Every request shares the group key, so any request's simulator
         # carries the group's physics.
-        simulator = group[0].simulator
-        try:
-            with obs_trace.span("serve.sim_flush", cat="serve",
-                                size=len(group)):
-                if len(group) == 1:
-                    group[0].result = simulator.simulate(group[0].features)
-                else:
-                    batch = simulator.simulate_batch(
-                        stack_features([p.features for p in group]))
-                    for k, p in enumerate(group):
-                        p.result = batch.entry(k)
-        except BaseException as exc:  # propagate into every waiter
-            for p in group:
-                p.error = exc
-        finally:
-            if self.stats is not None:
-                self.stats.record_sim_batch(len(group))
-            for p in group:
-                p.event.set()
+        simulator = items[0][1]
+        if len(items) == 1:
+            return [simulator.simulate(items[0][0])]
+        batch = simulator.simulate_batch(
+            stack_features([features for features, _ in items]))
+        return [batch.entry(k) for k in range(len(items))]
 
-
-class CoalescedNetwork:
-    """A :class:`CmpNeuralNetwork` facade routing single evaluations
-    through a shared :class:`MicroBatcher`.
-
-    Hands ``evaluate`` to the batcher and delegates everything else
-    (``layout``, ``evaluate_batch``, ``predict_heights``, ...) to the
-    wrapped network, so :class:`repro.core.msp_sqp.QualityModel` and
-    :class:`repro.core.neurfill.NeurFill` work unmodified.  In-job
-    stacked passes (batched MSP-SQP) are already batched and pass
-    through untouched.  A job evaluating through the facade holds
-    :meth:`member` for its whole run.
-    """
-
-    def __init__(self, network: CmpNeuralNetwork, batcher: MicroBatcher):
-        self._network = network
-        self._batcher = batcher
-
-    def evaluate(self, fill: np.ndarray, weights: PlanarityWeights,
-                 want_grad: bool = True) -> PlanarityEvaluation:
-        return self._batcher.evaluate(fill, weights, want_grad=want_grad)
-
-    def member(self):
-        """The batcher's :meth:`MicroBatcher.member` context."""
-        return self._batcher.member()
-
-    def __getattr__(self, name: str):
-        return getattr(self._network, name)
+    def _record(self, size: int) -> None:
+        self.stats.record_sim_batch(size)

@@ -8,11 +8,13 @@ micro-batchers, and the MSP-SQP fill itself.  It is deliberately free of
 queueing, journaling and transport concerns so the same code runs
 
 * inside :class:`~repro.serve.server.FillServer` worker **threads**
-  (``worker_mode=thread``), where the batchers coalesce evaluations
-  *across* concurrent jobs: a registered-model fill is a member of its
+  (``worker_mode=thread``), where the batchers coalesce work *across*
+  concurrent jobs: a registered-model fill is a member of its
   :class:`~repro.serve.batcher.MicroBatcher` for its whole
-  ``NeurFill.run``, so its parked evaluations flush the moment every
-  other member has parked too, in the caller's own thread, and
+  ``NeurFill.run`` and a simulate job of the
+  :class:`~repro.serve.batcher.SimulateBatcher` from layout load through
+  its polish, so a parked request runs the moment every other member has
+  parked too, in a caller's own thread, and
 * inside long-lived forked worker **processes**
   (:mod:`repro.serve.procpool`, ``worker_mode=process``), where each
   child owns a private warm executor and cross-job coalescing is
@@ -38,6 +40,7 @@ import numpy as np
 from ..baselines import cai_fill, lin_fill, tao_fill
 from ..cmp.simulator import CmpSimulator
 from ..core import (
+    BETA_RUNTIME_S,
     FillProblem,
     FillResult,
     NeurFill,
@@ -51,7 +54,7 @@ from ..layout.layout import Layout, apply_fill
 from ..obs import trace as obs_trace
 from ..optimize.sqp import SqpOptimizer
 from ..surrogate import TrainConfig, pretrain_surrogate
-from .batcher import CoalescedNetwork, MicroBatcher, SimulateBatcher
+from .batcher import MicroBatcher, SimulateBatcher
 from .protocol import Request
 from .registry import ModelRegistry, layout_fingerprint
 from .stats import ServeStats
@@ -101,7 +104,6 @@ class JobExecutor:
         simulator: shared simulator (default physics) for calibration,
             scoring and ``simulate`` jobs.
         stats: optional event sink for batch-size histograms.
-        beta_runtime: calibrated-score knob, matching the one-shot CLI.
         allow_train: permit inline surrogate training for neurfill jobs
             without a registered model.
         max_bound_networks: bound-network/batcher cache entries; layout
@@ -109,8 +111,8 @@ class JobExecutor:
         max_batch / flush_ms: cross-job micro-batching knobs; pass
             ``max_batch=1`` to disable coalescing (the process-worker
             configuration — a child executor never sees concurrency).
-            ``flush_ms`` bounds how long a parked evaluation waits for
-            a job that is busy elsewhere.
+            ``flush_ms`` bounds how long a parked request waits for a
+            job that is busy elsewhere.
         shadow: optional :class:`~repro.lifecycle.ShadowExecutor`; every
             registered-model fill is offered to it (it samples).  ``None``
             — the default — keeps the fill path exactly the
@@ -121,7 +123,6 @@ class JobExecutor:
     def __init__(self, registry: ModelRegistry | None = None, *,
                  simulator: CmpSimulator | None = None,
                  stats: ServeStats | None = None,
-                 beta_runtime: float = 60.0,
                  allow_train: bool = True,
                  max_bound_networks: int = 8,
                  max_batch: int = 1,
@@ -130,7 +131,6 @@ class JobExecutor:
         self.registry = registry or ModelRegistry()
         self.simulator = simulator or CmpSimulator()
         self.stats = stats
-        self.beta_runtime = beta_runtime
         self.allow_train = allow_train
         self.max_bound_networks = max_bound_networks
         self.max_batch = max_batch
@@ -139,9 +139,7 @@ class JobExecutor:
         self._layout_cache: OrderedDict[str, tuple[tuple, Layout, str]] = \
             OrderedDict()
         self._coeff_cache: OrderedDict[str, ScoreCoefficients] = OrderedDict()
-        self._batchers: OrderedDict[tuple[str, str],
-                                    tuple[CoalescedNetwork, MicroBatcher]] = \
-            OrderedDict()
+        self._batchers: OrderedDict[tuple, MicroBatcher] = OrderedDict()
         self._sim_batcher = SimulateBatcher(
             max_batch=max_batch, max_delay_s=flush_ms / 1e3, stats=stats)
         # Parent solutions for incremental (eco) jobs, keyed by layout
@@ -162,12 +160,11 @@ class JobExecutor:
             return self._fill_job(request.params, job_id=request.id)
 
     def close(self) -> None:
-        """Close every batcher: parked evaluations flush themselves, and
-        the simulate batcher's flusher drains and stops."""
+        """Close every batcher: parked requests flush themselves."""
         with self._lock:
             batchers = list(self._batchers.values())
             self._batchers.clear()
-        for _, batcher in batchers:
+        for batcher in batchers:
             batcher.close()
         self._sim_batcher.close()
 
@@ -210,7 +207,7 @@ class JobExecutor:
                 self._coeff_cache.move_to_end(fingerprint)
                 return cached
         coefficients = ScoreCoefficients.calibrated(
-            layout, self.simulator, beta_runtime=self.beta_runtime)
+            layout, self.simulator, beta_runtime=BETA_RUNTIME_S)
         with self._lock:
             self._coeff_cache[fingerprint] = coefficients
             self._coeff_cache.move_to_end(fingerprint)
@@ -220,47 +217,47 @@ class JobExecutor:
 
     def _coalesced_network(self, model_name: str, layout: Layout,
                            fingerprint: str):
-        """(coalesced network, model snapshot) for a registered model.
+        """(batcher standing in for the bound network, model snapshot)
+        for a registered model.
 
         Batchers are keyed by *(model, fingerprint, generation, stamp)*
         so a hot swap never coalesces old- and new-generation
         evaluations in one batch; when a new generation's batcher is
         installed, stale same-model entries are evicted.  Closing an
-        evicted batcher is safe for in-flight jobs still holding its
-        coalesced wrapper: a closed batcher flushes every evaluation at
-        once, so those jobs finish on the old generation's weights —
-        the no-drain half of the swap guarantee.
+        evicted batcher is safe for in-flight jobs still evaluating
+        through it: a closed batcher flushes every evaluation at once,
+        so those jobs finish on the old generation's weights — the
+        no-drain half of the swap guarantee.
         """
         network, model = self.registry.bind(model_name, layout, fingerprint)
         token = (model.generation, model.stamp)
         key = (model_name, fingerprint) + token
         with self._lock:
-            entry = self._batchers.get(key)
-            if entry is not None:
+            batcher = self._batchers.get(key)
+            if batcher is not None:
                 self._batchers.move_to_end(key)
-                return entry[0], model
+                return batcher, model
         batcher = MicroBatcher(
             network, max_batch=self.max_batch,
             max_delay_s=self.flush_ms / 1e3, stats=self.stats,
         )
-        coalesced = CoalescedNetwork(network, batcher)
         evicted: list[MicroBatcher] = []
         with self._lock:
             if key in self._batchers:  # lost a bind race; keep the winner
                 evicted.append(batcher)
                 self._batchers.move_to_end(key)
-                coalesced = self._batchers[key][0]
+                batcher = self._batchers[key]
             else:
                 for stale in [k for k in self._batchers
                               if k[0] == model_name and k[2:] != token]:
-                    evicted.append(self._batchers.pop(stale)[1])
-                self._batchers[key] = (coalesced, batcher)
+                    evicted.append(self._batchers.pop(stale))
+                self._batchers[key] = batcher
                 self._batchers.move_to_end(key)
                 while len(self._batchers) > self.max_bound_networks:
-                    evicted.append(self._batchers.popitem(last=False)[1][1])
+                    evicted.append(self._batchers.popitem(last=False)[1])
         for old in evicted:
             old.close()
-        return coalesced, model
+        return batcher, model
 
     def _remember_solution(self, fingerprint: str, layout: Layout,
                            result: FillResult) -> None:
@@ -303,20 +300,7 @@ class JobExecutor:
                     str(model_name), layout, fingerprint)
                 membership = network.member()
             else:
-                if not self.allow_train:
-                    raise ValueError(
-                        "no 'model' given and inline training is disabled")
-                network, _, _ = pretrain_surrogate(
-                    [layout], layout,
-                    sample_count=int(params.get("train_samples", 30)),
-                    tile_rows=layout.grid.rows, tile_cols=layout.grid.cols,
-                    base_channels=8, depth=2,
-                    config=TrainConfig(
-                        epochs=int(params.get("train_epochs", 20)),
-                        batch_size=8),
-                    simulator=self.simulator,
-                    seed=int(params.get("seed", 0)),
-                )
+                network = self._train_inline(layout, params)
             neurfill = NeurFill(
                 problem, network,
                 optimizer=SqpOptimizer(max_iter=80, tol=1e-9),
@@ -331,6 +315,36 @@ class JobExecutor:
                     max_evaluations=int(params.get("max_evaluations", 500)),
                     top_k=int(params.get("top_k", 3)),
                 )
+        return self._reply(params, problem, fingerprint, result, method,
+                           network, bound_model, job_id)
+
+    def _train_inline(self, layout: Layout, params: dict):
+        """A surrogate trained for this job alone (no registered model)."""
+        if not self.allow_train:
+            raise ValueError(
+                "no 'model' given and inline training is disabled")
+        network, _, _ = pretrain_surrogate(
+            [layout], layout,
+            sample_count=int(params.get("train_samples", 30)),
+            tile_rows=layout.grid.rows, tile_cols=layout.grid.cols,
+            base_channels=8, depth=2,
+            config=TrainConfig(
+                epochs=int(params.get("train_epochs", 20)),
+                batch_size=8),
+            simulator=self.simulator,
+            seed=int(params.get("seed", 0)),
+        )
+        return network
+
+    def _reply(self, params: dict, problem: FillProblem, fingerprint: str,
+               result: FillResult, method: str, network, bound_model,
+               job_id: str | None, **extra) -> dict:
+        """Remember a solved fill or eco job and build its reply.
+
+        The solution becomes the warm-start parent of later eco jobs on
+        this layout content, so chained ECOs start from the freshest one.
+        """
+        layout = problem.layout
         self._remember_solution(fingerprint, layout, result)
         payload = {
             "method": result.method,
@@ -344,6 +358,7 @@ class JobExecutor:
             "runtime_s": result.runtime_s,
             "evaluations": result.evaluations,
             "starts": result.starts,
+            **extra,
         }
         if bound_model is not None:
             payload["generation"] = bound_model.generation
@@ -415,76 +430,32 @@ class JobExecutor:
             network, bound_model = self.registry.bind(
                 str(model_name), layout, fingerprint)
         else:
-            if not self.allow_train:
-                raise ValueError(
-                    "no 'model' given and inline training is disabled")
-            network, _, _ = pretrain_surrogate(
-                [layout], layout,
-                sample_count=int(params.get("train_samples", 30)),
-                tile_rows=layout.grid.rows, tile_cols=layout.grid.cols,
-                base_channels=8, depth=2,
-                config=TrainConfig(
-                    epochs=int(params.get("train_epochs", 20)),
-                    batch_size=8),
-                simulator=self.simulator,
-                seed=int(params.get("seed", 0)),
-            )
+            network = self._train_inline(layout, params)
         coupling = params.get("coupling_radius")
         result = eco_refill(
             problem, network, parent_layout, parent,
             optimizer=SqpOptimizer(max_iter=80, tol=1e-9),
             coupling_radius=None if coupling is None else int(coupling),
         )
-        # Chained ECOs warm-start from the freshest solution of this
-        # layout content.
-        self._remember_solution(fingerprint, layout, result)
-        payload = {
-            "method": result.method,
-            "layout": layout.name,
-            "layout_fingerprint": fingerprint,
-            "quality": result.quality,
-            "total_fill": result.total_fill,
-            "runtime_s": result.runtime_s,
-            "evaluations": result.evaluations,
-            "starts": result.starts,
-            "eco": result.extras.get("eco", {}),
-        }
-        if bound_model is not None:
-            payload["generation"] = bound_model.generation
-            if self.shadow is not None:
-                self.shadow.submit(
-                    job_id=job_id or "", model=bound_model.name,
-                    generation=bound_model.generation, layout=layout,
-                    fill=result.fill, network=network)
-        if params.get("score", True):
-            score = evaluate_solution(problem, result.fill, result.method,
-                                      self.simulator,
-                                      runtime_s=result.runtime_s)
-            payload["score"] = {
-                "delta_h": score.delta_h,
-                "quality": score.quality,
-                "overall": score.overall,
-            }
-        if params.get("return_fill"):
-            payload["fill"] = result.fill.tolist()
-        fill_out = params.get("fill_out")
-        if fill_out:
-            np.savez(fill_out, fill=result.fill)
-            payload["fill_out"] = str(fill_out)
-        return payload
+        return self._reply(params, problem, fingerprint, result,
+                           result.method, network, bound_model, job_id,
+                           eco=result.extras.get("eco", {}))
 
     def _simulate_job(self, params: dict) -> dict:
-        layout, _ = self._load_layout(params)
-        simulator = self.simulator
-        polish_time = params.get("polish_time")
-        if polish_time:
-            from ..cmp import ProcessParams
-            simulator = CmpSimulator(
-                ProcessParams(polish_time_s=float(polish_time)))
-        # Route through the simulate coalescer: concurrent simulate jobs
-        # sharing this physics and grid polish as one batched pass,
-        # bitwise identical to simulate_layout.
-        result = self._sim_batcher.simulate(apply_fill(layout), simulator)
+        # A member from layout load through the polish: a lone job
+        # polishes at once, while overlapping jobs sharing this physics
+        # and grid polish as one batched pass, bitwise identical to
+        # simulate_layout.
+        with self._sim_batcher.member():
+            layout, _ = self._load_layout(params)
+            simulator = self.simulator
+            polish_time = params.get("polish_time")
+            if polish_time:
+                from ..cmp import ProcessParams
+                simulator = CmpSimulator(
+                    ProcessParams(polish_time_s=float(polish_time)))
+            result = self._sim_batcher.simulate(apply_fill(layout),
+                                                simulator)
         delta_h, sigma, line, outliers = planarity_metrics(result.height)
         return {
             "layout": layout.name,

@@ -74,7 +74,6 @@ class WorkerSpec:
     """
 
     models: tuple[tuple, ...] = ()
-    beta_runtime: float = 60.0
     allow_train: bool = True
     max_bound_networks: int = 8
     shadow_sample_rate: float = 0.0
@@ -100,7 +99,6 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
                           generation=int(rest[0]) if rest else None)
     executor = JobExecutor(
         registry=registry,
-        beta_runtime=spec.beta_runtime,
         allow_train=spec.allow_train,
         max_bound_networks=spec.max_bound_networks,
         max_batch=1,  # one job at a time per child; no cross-job traffic

@@ -23,9 +23,11 @@ Two worker modes share this skeleton (``ServeConfig.worker_mode``):
 * ``thread`` — jobs execute on the worker threads themselves through a
   shared :class:`~repro.serve.executor.JobExecutor`, with cross-job
   micro-batching: concurrent fills on one model and layout are members
-  of one :class:`~repro.serve.batcher.MicroBatcher`, and a group of their
-  evaluations runs in a worker thread the moment every member has
-  parked (or after ``flush_ms`` for a member busy elsewhere).
+  of one :class:`~repro.serve.batcher.MicroBatcher`, concurrent simulate
+  jobs of one :class:`~repro.serve.batcher.SimulateBatcher`, and a group
+  of their requests runs in a worker thread the moment every member has
+  parked (or after ``flush_ms`` for a member busy elsewhere); the server
+  starts no batcher thread.
 * ``process`` — worker threads dispatch to a
   :class:`~repro.serve.procpool.ProcessWorkerPool` of long-lived forked
   children, each owning a private warm executor; numpy-heavy jobs then
@@ -101,9 +103,6 @@ class ServeConfig:
         default_factory=repro_config.serve_flush_ms_default)
     default_timeout_s: float | None = None
     drain_timeout_s: float = repro_config.DEFAULT_SERVE_DRAIN_TIMEOUT_S
-    #: ``beta_runtime`` for calibrated score coefficients — matches the
-    #: one-shot CLI path so served results are comparable bit for bit.
-    beta_runtime: float = 60.0
     #: Allow jobs without a registered model to train a surrogate inline
     #: (slow; off for latency-sensitive deployments).
     allow_train: bool = True
@@ -240,7 +239,6 @@ class FillServer:
             registry=self.registry,
             simulator=self.simulator,
             stats=self.stats,
-            beta_runtime=self.config.beta_runtime,
             allow_train=self.config.allow_train,
             max_bound_networks=self.config.max_bound_networks,
             max_batch=self.config.max_batch,
@@ -267,7 +265,6 @@ class FillServer:
                 self.config.workers,
                 WorkerSpec(
                     models=tuple(model_specs),
-                    beta_runtime=self.config.beta_runtime,
                     allow_train=self.config.allow_train,
                     max_bound_networks=self.config.max_bound_networks,
                     shadow_sample_rate=self.config.shadow_sample_rate,

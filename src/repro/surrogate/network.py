@@ -159,10 +159,6 @@ class EvalRegion:
                 f"region needs a non-empty core inside its crop, got {self}")
 
     @property
-    def core_shape(self) -> tuple[int, int]:
-        return (self.r1 - self.r0, self.c1 - self.c0)
-
-    @property
     def crop_shape(self) -> tuple[int, int]:
         return (self.sr1 - self.sr0, self.sc1 - self.sc0)
 
@@ -250,21 +246,16 @@ class CmpNeuralNetwork:
         """Replay (or trace) the plan for one call signature.
 
         Copies the results out while the plan lock is still held, so a
-        concurrent replay cannot overwrite the arena mid-read.  Returns
-        ``None`` when the caller must run eagerly: capture disabled,
-        network in training mode, plan marked broken, a structural miss,
-        or the plan lock contended (another thread is mid-replay on this
-        network — eager is bitwise-identical, so falling back costs only
-        the eager speed).
+        concurrent replay cannot overwrite the arena mid-read; a call
+        that finds the lock held waits its turn.  Returns ``None`` when
+        the caller must run eagerly: capture disabled, network in
+        training mode, plan marked broken, or a structural miss.
         """
         if not self.capture or getattr(self.unet, "training", False):
             return None
         key = (kind, signature, getattr(self.unet, "_state_version", None),
                weights, self.eta)
-        if not self._plans_lock.acquire(blocking=False):
-            self._capture_counts["bypass"] += 1
-            return None
-        try:
+        with self._plans_lock:
             plan = self._plans.get(key)
             if plan is _BROKEN:
                 self._capture_counts["bypass"] += 1
@@ -324,8 +315,6 @@ class CmpNeuralNetwork:
                 if reused:
                     obs_metrics.registry().incr("capture.reuse")
             return _read(plan.outputs, plan.inputs["x"], seed is not None)
-        finally:
-            self._plans_lock.release()
 
     # ------------------------------------------------------------------
     @property

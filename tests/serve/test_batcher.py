@@ -25,7 +25,6 @@ import pytest
 from repro.core import NeurFill
 from repro.layout import save_layout
 from repro.serve import (
-    CoalescedNetwork,
     JobExecutor,
     MicroBatcher,
     ModelRegistry,
@@ -456,7 +455,7 @@ class TestAttendance:
                     params={"layout_path": str(layout_path),
                             "method": "neurfill-pkb", "model": "m",
                             "score": False}))
-            [(_, batcher)] = executor._batchers.values()
+            [batcher] = executor._batchers.values()
             assert batcher._members == 0
             with batcher.member():
                 t0 = time.monotonic()
@@ -467,11 +466,12 @@ class TestAttendance:
 
 
 class TestCoalescedNetwork:
+    """The batcher stands in for its network."""
+
     def test_delegates_everything_else(self, trained_surrogate, small_layout):
         batcher = MicroBatcher(trained_surrogate, max_batch=1)
-        facade = CoalescedNetwork(trained_surrogate, batcher)
-        assert facade.layout is trained_surrogate.layout
-        heights = facade.predict_heights()
+        assert batcher.layout is trained_surrogate.layout
+        heights = batcher.predict_heights()
         np.testing.assert_array_equal(
             heights, trained_surrogate.predict_heights())
         batcher.close()
@@ -479,8 +479,7 @@ class TestCoalescedNetwork:
     def test_evaluate_routes_through_batcher(self, trained_surrogate, fills):
         batcher = MicroBatcher(trained_surrogate, max_batch=16,
                                max_delay_s=0.003)
-        facade = CoalescedNetwork(trained_surrogate, batcher)
-        ev = facade.evaluate(fills[0], WEIGHTS)
+        ev = batcher.evaluate(fills[0], WEIGHTS)
         reference = trained_surrogate.evaluate(fills[0], WEIGHTS)
         assert ev.s_plan == reference.s_plan
         batcher.close()

@@ -7,6 +7,8 @@ a plan is warm.
 """
 
 import gc
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -298,6 +300,27 @@ class TestPlanLifecycle:
         assert stats["trace"] == MAX_CAPTURE_PLANS + 1
         assert len(stats["plans"]) == MAX_CAPTURE_PLANS  # oldest evicted
         assert not any("(1, 3," in key for key in stats["plans"])
+
+    def test_contended_lock_waits_and_replays(self, nets):
+        """A call that finds another thread on the plan lock waits for
+        it and replays, rather than running eagerly beside it."""
+        captured, eager = nets
+        warm, fill = fills_for(captured.layout, 2, seed=12)
+        captured.evaluate(warm, WEIGHTS)  # trace the plan
+        before = captured.capture_stats()
+        holder = {}
+        thread = threading.Thread(target=lambda: holder.setdefault(
+            "ev", captured.evaluate(fill, WEIGHTS)))
+        with captured._plans_lock:
+            thread.start()
+            time.sleep(0.2)
+            assert thread.is_alive()  # waiting for the lock
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        after = captured.capture_stats()
+        assert after["replay"] == before["replay"] + 1
+        assert after["bypass"] == before["bypass"]
+        assert_same_eval(holder["ev"], eager.evaluate(fill, WEIGHTS))
 
 
 class TestAllocationRegression:

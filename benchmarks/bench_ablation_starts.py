@@ -33,7 +33,7 @@ def test_ablation_starting_points(benchmark, setup_a):
 
     def run_all():
         results = {}
-        pkb = pkb_starting_point(s.layout, model.quality, 9)
+        pkb = pkb_starting_point(s.layout, model.quality_rows, 9)
         results["pkb"] = msp_sqp(model, [pkb.fill], optimizer).best_fill
         randoms = random_starting_points(s.problem.lower, s.problem.upper,
                                          3, seed=1)

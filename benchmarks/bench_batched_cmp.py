@@ -7,7 +7,7 @@ interpreter per layout.  The contract is **bitwise** identity to the
 loop, so the speedup is pure overhead amortisation — it needs no extra
 cores (unlike the datagen process pool) and composes with it.
 
-Three measurements:
+Four measurements:
 
 * raw simulator — batched vs looped at several batch sizes, in both the
   default and the multilevel (``stack_topography``) mode;
@@ -15,7 +15,11 @@ Three measurements:
   without (byte-identical datasets);
 * numerical-gradient end-to-end — the Cai baseline's full
   finite-difference pass through ``quality_batch`` vs one simulator
-  call per probe (bitwise-identical gradients).
+  call per probe (bitwise-identical gradients);
+* simulator-assisted selection — NeurFill's PKB ranking of its 9
+  candidates on designs A/B/C at ``_common.BENCH_GRIDS``: one
+  ``evaluate_solution`` polish per candidate vs one batched polish
+  (``simulator_qualities``; bitwise-identical qualities).
 
 Results go to ``benchmarks/output/batched_cmp.txt`` and, machine
 readable, to ``BENCH_batched_cmp.json`` at the repo root.
@@ -24,7 +28,7 @@ Environment knobs:
 
 * ``NEURFILL_BENCH_SMOKE=1`` shrinks batch sizes and grids so the whole
   file runs in seconds (CI smoke mode); speedup assertions only apply
-  in full mode.
+  in full mode, bitwise parity is asserted in both.
 """
 
 import json
@@ -34,10 +38,12 @@ from pathlib import Path
 
 import numpy as np
 
-from _common import write_output
+from _common import BENCH_GRIDS, write_output
 from repro.baselines import SimulatorQuality
 from repro.cmp import CmpSimulator, ProcessParams
-from repro.core import FillProblem, ScoreCoefficients
+from repro.core import (FillProblem, ScoreCoefficients, evaluate_solution,
+                        fill_for_target_density, target_density_range)
+from repro.core.neurfill import simulator_qualities
 from repro.layout import (
     apply_fill,
     make_design_a,
@@ -57,13 +63,18 @@ if SMOKE:
     SIM_PARAMS = ProcessParams(polish_time_s=15.0)
     DATAGEN_COUNT, DATAGEN_GRID, DATAGEN_SIM_BATCH = 6, 8, 6
     NUMGRAD_GRID, NUMGRAD_SIM_BATCH = 5, 25
+    SELECTION_GRIDS = {key: (8, 8) for key in BENCH_GRIDS}
+    SELECTION_REPEATS = 1
 else:
     BATCH_SIZES = (1, 4, 16, 64)
     SIM_GRID = 12
     SIM_PARAMS = ProcessParams()
     DATAGEN_COUNT, DATAGEN_GRID, DATAGEN_SIM_BATCH = 16, 10, 8
     NUMGRAD_GRID, NUMGRAD_SIM_BATCH = 6, 36
+    SELECTION_GRIDS = BENCH_GRIDS
+    SELECTION_REPEATS = 5
 
+PKB_CANDIDATES = 9
 RESULT_FIELDS = ("height", "dishing", "erosion", "pressure", "step_height")
 MAKERS = (make_design_a, make_design_b, make_design_c)
 
@@ -166,6 +177,57 @@ def _bench_numgrad():
     }
 
 
+def _bench_selection():
+    """PKB's candidate ranking: looped ``evaluate_solution`` vs batched.
+
+    Each side's time is the best of ``SELECTION_REPEATS`` alternating
+    runs after one untimed warm-up run each (the pad smoother cache is
+    built once per grid).
+    """
+    simulator = CmpSimulator()
+    rows = []
+    for key, make in zip("ABC", MAKERS):
+        grid_rows, grid_cols = SELECTION_GRIDS[key]
+        layout = make(rows=grid_rows, cols=grid_cols)
+        problem = FillProblem(
+            layout, ScoreCoefficients.calibrated(layout, simulator))
+        lo, hi = target_density_range(layout)
+        fills = np.stack([
+            fill_for_target_density(layout, lo + frac * (hi - lo))
+            for frac in np.linspace(0.0, 1.0, PKB_CANDIDATES)])
+        loop = lambda: np.array([
+            evaluate_solution(problem, fill, "probe",
+                              simulator=simulator).quality
+            for fill in fills])
+        batch = lambda: simulator_qualities(problem, simulator, fills)
+        loop()
+        batch()
+        looped_s, batched_s = [], []
+        for _ in range(SELECTION_REPEATS):
+            looped, seconds = _timed(loop)
+            looped_s.append(seconds)
+            batched, seconds = _timed(batch)
+            batched_s.append(seconds)
+        rows.append({
+            "design": key,
+            "grid": [grid_rows, grid_cols],
+            "looped_s": round(min(looped_s), 4),
+            "batched_s": round(min(batched_s), 4),
+            "speedup": round(min(looped_s) / min(batched_s), 2),
+            "bitwise_equal": looped.tobytes() == batched.tobytes(),
+        })
+    looped_total = sum(r["looped_s"] for r in rows)
+    batched_total = sum(r["batched_s"] for r in rows)
+    return {
+        "candidates": PKB_CANDIDATES,
+        "repeats": SELECTION_REPEATS,
+        "designs": rows,
+        "looped_s": round(looped_total, 4),
+        "batched_s": round(batched_total, 4),
+        "speedup": round(looped_total / batched_total, 2),
+    }
+
+
 def test_batched_cmp(benchmark):
     default_rows = _bench_simulator(stacked_mode=False)
     stacked_rows, _ = benchmark.pedantic(
@@ -173,6 +235,7 @@ def test_batched_cmp(benchmark):
         rounds=1, iterations=1)
     datagen = _bench_datagen()
     numgrad = _bench_numgrad()
+    selection = _bench_selection()
 
     report = {
         "smoke": SMOKE,
@@ -183,10 +246,13 @@ def test_batched_cmp(benchmark):
         "simulator_stacked": stacked_rows,
         "datagen": datagen,
         "numgrad": numgrad,
+        "selection": selection,
     }
     JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
-    lines = [f"Batched CMP simulator (3x{SIM_GRID}x{SIM_GRID} layouts, "
+    lines = [f"Host: {os.cpu_count()} CPUs, numpy {np.__version__}, "
+             f"{'smoke' if SMOKE else 'full'} mode",
+             f"Batched CMP simulator (3x{SIM_GRID}x{SIM_GRID} layouts, "
              f"{SIM_PARAMS.num_steps} steps)"]
     for label, rows in (("default", default_rows),
                         ("stacked", stacked_rows)):
@@ -209,6 +275,17 @@ def test_batched_cmp(benchmark):
         f"{numgrad['batched_s']:.2f}s ({numgrad['speedup']:.2f}x, grad "
         f"max |diff| {numgrad['grad_max_abs_diff']:.1e})"
     )
+    for row in selection["designs"]:
+        lines.append(
+            f"Selection {row['design']} {row['grid'][0]}x{row['grid'][1]} "
+            f"({selection['candidates']} PKB candidates): looped "
+            f"{row['looped_s']:.3f}s, batched {row['batched_s']:.3f}s "
+            f"({row['speedup']:.2f}x, bitwise: {row['bitwise_equal']})"
+        )
+    lines.append(
+        f"Selection total: {selection['looped_s']:.3f}s -> "
+        f"{selection['batched_s']:.3f}s ({selection['speedup']:.2f}x)"
+    )
     write_output("batched_cmp", "\n".join(lines))
 
     # The fidelity contract is bitwise — always asserted, even in smoke.
@@ -217,6 +294,8 @@ def test_batched_cmp(benchmark):
     assert datagen["byte_identical"]
     assert numgrad["grad_max_abs_diff"] == 0.0
     assert numgrad["value_equal"]
+    for row in selection["designs"]:
+        assert row["bitwise_equal"], row
     # Same honest simulation count, sequential pays one extra base eval.
     assert numgrad["batched_simulations"] == numgrad["variables"] + 1
 
@@ -225,3 +304,4 @@ def test_batched_cmp(benchmark):
         at_16 = next(r for r in default_rows if r["batch"] == 16)
         assert at_16["speedup"] >= 2.0, at_16
         assert numgrad["speedup"] > 1.0, numgrad
+        assert selection["speedup"] >= 1.5, selection

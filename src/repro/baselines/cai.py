@@ -135,7 +135,9 @@ def cai_fill(
             full finite-difference gradient = ``n + 1`` simulations).
         fd_eps: finite-difference probe in um^2 of fill (large enough to
             step over the polish loop's time-step quantisation).
-        pkb_candidates: linear-search grid of the PKB starting point.
+        pkb_candidates: linear-search grid of the PKB starting point,
+            ranked in one batched polish
+            (:meth:`SimulatorQuality.quality_batch`).
         sim_batch: finite-difference probes per batched simulation
             (``None`` falls back to one simulator call per probe).  The
             simulation *count* — the figure of merit Table I reports —
@@ -145,7 +147,8 @@ def cai_fill(
         raise ValueError("max_sqp_iterations must be positive")
     t0 = time.perf_counter()
     model = SimulatorQuality(problem, simulator)
-    pkb = pkb_starting_point(problem.layout, model.quality, pkb_candidates)
+    pkb = pkb_starting_point(problem.layout, model.quality_batch,
+                             pkb_candidates)
     optimizer = SqpOptimizer(max_iter=max_sqp_iterations, tol=1e-9)
     result = optimizer.maximize(
         lambda x: model.value_and_numerical_grad(x, fd_eps,

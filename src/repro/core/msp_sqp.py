@@ -114,6 +114,16 @@ class QualityModel:
     def quality(self, fill: np.ndarray) -> float:
         return self.evaluate(fill, want_grad=False).quality
 
+    def quality_rows(self, fills: np.ndarray) -> np.ndarray:
+        """:meth:`quality` of each fill of a stack, one forward per row.
+
+        A batched PKB scorer (:data:`repro.core.pkb.QualityFn`).  The
+        rows are not stacked into one pass on purpose: a ``P``-row
+        forward would trace a capture plan of a new shape, with its own
+        arena, to save a few single-fill forwards.
+        """
+        return np.array([self.quality(fill) for fill in fills])
+
     def value_and_grad(self, fill: np.ndarray) -> tuple[float, np.ndarray]:
         ev = self.evaluate(fill, want_grad=True)
         return ev.quality, ev.gradient

@@ -11,16 +11,22 @@ Two operating modes, matching Table III's rows:
   knowledge and certifiably the best of all located local optima.
 
 Both modes evaluate planarity through the CMP neural network (backprop
-gradients) and performance degradation analytically.
+gradients) and performance degradation analytically.  With a simulator
+attached, the selection decisions (PKB ranking, the PKB accept check and
+MM's verdict) are judged by the real simulator, each as one batched
+polish (:func:`simulator_qualities`).
 """
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
 
 from ..cmp.simulator import CmpSimulator
+from ..layout.layout import apply_fill
+from ..obs import trace as obs_trace
 from ..optimize.nmmso import Nmmso
 from ..optimize.sqp import SqpOptimizer
 from ..surrogate.network import CmpNeuralNetwork
@@ -29,6 +35,29 @@ from .pkb import pkb_starting_point
 from .problem import FillProblem
 from .result import FillResult
 from .scoring import evaluate_solution
+
+
+def simulator_qualities(problem: FillProblem, simulator: CmpSimulator,
+                        fills: np.ndarray) -> np.ndarray:
+    """Simulator-judged quality of each fill of a ``(P, L, N, M)`` stack.
+
+    Each fill is clipped into the feasible box and applied to the
+    layout, all ``P`` layouts polish in one
+    :meth:`~repro.cmp.simulator.CmpSimulator.simulate_batch`, and entry
+    ``p`` is scored by :func:`evaluate_solution` from its own slice of
+    the batch.  ``simulate_batch`` is bitwise equal to looping
+    ``simulate``, so every score is bitwise the quality
+    ``evaluate_solution(problem, fill, ..., simulator=simulator)``
+    reports for that fill alone.
+    """
+    clipped = [problem.clip(fill) for fill in fills]
+    batch = simulator.simulate_batch(
+        [apply_fill(problem.layout, fill) for fill in clipped])
+    return np.array([
+        evaluate_solution(problem, fill, "probe",
+                          cmp_result=batch.entry(p)).quality
+        for p, fill in enumerate(clipped)
+    ])
 
 
 class NeurFill:
@@ -59,10 +88,6 @@ class NeurFill:
         self.simulator = simulator
 
     # ------------------------------------------------------------------
-    def _simulator_quality(self, fill: np.ndarray) -> float:
-        return evaluate_solution(self.problem, fill, "probe",
-                                 simulator=self.simulator).quality
-
     def run_pkb(self, num_candidates: int = 9) -> FillResult:
         """NeurFill (PKB): prior-knowledge starting point + SQP.
 
@@ -73,22 +98,30 @@ class NeurFill:
           (the paper's prior method [12] also ranks them with the model);
         * keeping the refined solution only if the simulator agrees it
           beats the starting point — a guard against surrogate error at
-          reduced training budgets (see EXPERIMENTS.md).
+          reduced training budgets (see EXPERIMENTS.md).  The start's
+          score is the one its ranking already produced.
 
-        Total extra cost: ``num_candidates + 2`` simulator invocations,
-        i.e. ~1e-4 of one finite-difference gradient.
+        Total extra cost: one batched polish of ``num_candidates``
+        layouts plus one polish of the refined fill, i.e. ~1e-4 of one
+        finite-difference gradient.  Without a simulator the surrogate
+        ranks the candidates, one network forward each.
         """
         t0 = time.perf_counter()
         start_evals = self.model.evaluations
-        selector = (self._simulator_quality if self.simulator is not None
-                    else self.model.quality)
-        pkb = pkb_starting_point(
-            self.problem.layout, selector, num_candidates
-        )
+        if self.simulator is not None:
+            scorer = functools.partial(simulator_qualities, self.problem,
+                                       self.simulator)
+        else:
+            scorer = self.model.quality_rows
+        pkb = pkb_starting_point(self.problem.layout, scorer, num_candidates)
         outcome = msp_sqp(self.model, [pkb.fill], self.optimizer)
         best_fill = outcome.best_fill
         if self.simulator is not None:
-            if self._simulator_quality(best_fill) < self._simulator_quality(pkb.fill):
+            with obs_trace.span("core.select", cat="core",
+                                decision="pkb-accept", candidates=1):
+                refined = simulator_qualities(self.problem, self.simulator,
+                                              best_fill[None])[0]
+            if refined < pkb.quality:
                 best_fill = pkb.fill
         self.problem.layout.validate_fill(best_fill)
         final = self.model.evaluate(best_fill, want_grad=False)
@@ -125,7 +158,8 @@ class NeurFill:
         The winner among the refined candidates is picked with the *real*
         CMP simulator when one was passed to the constructor ("the best
         among all available local optimums" must not be an artefact of
-        surrogate error — this costs ``top_k`` simulator calls); without a
+        surrogate error — this costs one batched polish of the ``top_k``
+        refined fills, the first best winning a tie); without a
         simulator, surrogate quality decides.
         """
         t0 = time.perf_counter()
@@ -140,18 +174,17 @@ class NeurFill:
         found = search.run()
         starts = [o.x for o in found.optima[:top_k]]
         if include_pkb:
-            starts.append(
-                pkb_starting_point(self.problem.layout, self.model.quality).fill
-            )
+            starts.append(pkb_starting_point(
+                self.problem.layout, self.model.quality_rows).fill)
         outcome = msp_sqp(self.model, starts, self.optimizer)
         best_fill = outcome.best_fill
         if self.simulator is not None:
             candidates = [r.x for r in outcome.results]
-            verdicts = [
-                evaluate_solution(self.problem, c, "mm-candidate",
-                                  simulator=self.simulator).quality
-                for c in candidates
-            ]
+            with obs_trace.span("core.select", cat="core",
+                                decision="mm-verdict",
+                                candidates=len(candidates)):
+                verdicts = simulator_qualities(
+                    self.problem, self.simulator, np.stack(candidates))
             best_fill = candidates[int(np.argmax(verdicts))]
         self.problem.layout.validate_fill(best_fill)
         final = self.model.evaluate(best_fill, want_grad=False)

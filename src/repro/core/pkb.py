@@ -14,9 +14,11 @@ from typing import Callable
 import numpy as np
 
 from ..layout.layout import Layout
+from ..obs import trace as obs_trace
 
-#: Signature: fill -> quality score (higher is better).
-QualityFn = Callable[[np.ndarray], float]
+#: Batched scorer: a ``(P, L, N, M)`` stack of fill candidates -> their
+#: ``(P,)`` quality scores (higher is better).
+QualityFn = Callable[[np.ndarray], np.ndarray]
 
 
 def fill_for_target_density(layout: Layout, targets: np.ndarray) -> np.ndarray:
@@ -66,26 +68,32 @@ def pkb_starting_point(
     Candidates interpolate each layer's target between its minimum density
     and maximum reachable density with a shared fraction (the paper's 1-D
     "linear search of target layer density"); the candidate with the best
-    quality becomes the starting point.
+    quality becomes the starting point, the first one on a tie.
 
     Args:
         layout: target layout.
-        quality_fn: full quality score evaluator (e.g. surrogate planarity
-            + analytic degradation).
+        quality_fn: batched scorer (:data:`QualityFn`), called once with
+            all ``num_candidates`` fills stacked ``(P, L, N, M)``; e.g.
+            one batched simulator polish, or surrogate planarity +
+            analytic degradation row by row.
         num_candidates: grid size of the linear search.
     """
     if num_candidates < 1:
         raise ValueError("need at least one candidate")
     lo, hi = target_density_range(layout)
-    best: PkbResult | None = None
-    for frac in np.linspace(0.0, 1.0, num_candidates):
-        targets = lo + frac * (hi - lo)
-        fill = fill_for_target_density(layout, targets)
-        quality = float(quality_fn(fill))
-        if best is None or quality > best.quality:
-            best = PkbResult(
-                fill=fill, targets=targets, quality=quality,
-                candidates_evaluated=num_candidates,
-            )
-    assert best is not None
-    return best
+    targets = [lo + frac * (hi - lo)
+               for frac in np.linspace(0.0, 1.0, num_candidates)]
+    fills = np.stack([fill_for_target_density(layout, t) for t in targets])
+    with obs_trace.span("core.select", cat="core", decision="pkb-rank",
+                        candidates=num_candidates):
+        scores = np.asarray(quality_fn(fills), dtype=float)
+    if scores.shape != (num_candidates,):
+        raise ValueError(
+            f"quality_fn must return {num_candidates} scores, one per "
+            f"candidate; got shape {scores.shape}")
+    # argmax returns the first maximum, as a strict ``>`` scan would.
+    best = int(np.argmax(scores))
+    return PkbResult(
+        fill=fills[best], targets=targets[best],
+        quality=float(scores[best]), candidates_evaluated=num_candidates,
+    )

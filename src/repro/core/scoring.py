@@ -104,9 +104,19 @@ def evaluate_solution(
         runtime_s / memory_gb: measured synthesis cost for the runtime and
             memory criteria.
         cmp_result: pre-computed simulation of this exact fill (skips the
-            internal simulation when provided).
+            internal simulation when provided); one layout's ``(L, N, M)``
+            result, e.g. ``batch.entry(p)`` of a ``simulate_batch``.
+
+    Raises:
+        ValueError: ``cmp_result`` is not shaped like the layout (a whole
+            batch would read its batch axis as layers and score wrong).
     """
     layout = problem.layout
+    if cmp_result is not None and cmp_result.height.shape != layout.shape:
+        raise ValueError(
+            f"cmp_result height has shape {cmp_result.height.shape}, but "
+            f"the layout is {layout.shape}; score one batch entry at a "
+            "time (CmpResult.entry)")
     c: ScoreCoefficients = problem.coefficients
     fill = problem.clip(fill)
     if cmp_result is None:

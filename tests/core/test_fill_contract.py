@@ -156,8 +156,9 @@ def keep_refined(monkeypatch):
     """Neutralise the simulator's selection guard (equal verdicts), so
     ``run_pkb`` keeps the refined fill instead of falling back to its
     PKB start."""
-    monkeypatch.setattr(NeurFill, "_simulator_quality",
-                        lambda self, fill: 0.0)
+    neurfill = importlib.import_module("repro.core.neurfill")
+    monkeypatch.setattr(neurfill, "simulator_qualities",
+                        lambda problem, simulator, fills: np.zeros(len(fills)))
 
 
 @pytest.fixture()

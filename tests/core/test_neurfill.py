@@ -99,8 +99,10 @@ class TestNeurFill:
         result = neurfill.run_pkb(num_candidates=5)
         start = pkb_starting_point(
             small_problem.layout,
-            lambda x: evaluate_solution(small_problem, x, "probe",
-                                        simulator=simulator).quality,
+            lambda fills: np.array([
+                evaluate_solution(small_problem, x, "probe",
+                                  simulator=simulator).quality
+                for x in fills]),
             5,
         )
         final_q = evaluate_solution(small_problem, result.fill, "final",

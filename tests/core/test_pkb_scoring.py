@@ -13,7 +13,7 @@ from repro.core import (
     target_density_range,
 )
 from repro.core.problem import FillProblem
-from repro.layout import make_design_a
+from repro.layout import apply_fill, make_design_a
 
 
 @pytest.fixture(scope="module")
@@ -55,17 +55,21 @@ class TestFillForTargetDensity:
         assert np.all(hi <= 1.0)
 
 
+def _totals(fills):
+    """Total fill per candidate of a ``(P, L, N, M)`` stack."""
+    return fills.sum(axis=(1, 2, 3))
+
+
 class TestPkbSearch:
     def test_picks_quality_maximiser(self, layout):
         """With a quality that rewards total fill, PKB picks max target."""
-        result = pkb_starting_point(layout, lambda x: float(x.sum()),
-                                    num_candidates=5)
+        result = pkb_starting_point(layout, _totals, num_candidates=5)
         lo, hi = target_density_range(layout)
         np.testing.assert_allclose(result.targets, hi)
         assert result.candidates_evaluated == 5
 
     def test_picks_zero_when_fill_penalised(self, layout):
-        result = pkb_starting_point(layout, lambda x: -float(x.sum()),
+        result = pkb_starting_point(layout, lambda fills: -_totals(fills),
                                     num_candidates=5)
         assert result.fill.sum() == 0.0
 
@@ -74,15 +78,44 @@ class TestPkbSearch:
         slack_total = layout.slack_stack().sum()
         target_fill = 0.5 * slack_total
 
-        def quality(x):
-            return -abs(float(x.sum()) - target_fill)
+        def quality(fills):
+            return -np.abs(_totals(fills) - target_fill)
 
         result = pkb_starting_point(layout, quality, num_candidates=9)
         assert 0.2 < result.fill.sum() / slack_total < 0.8
 
     def test_candidate_count_validation(self, layout):
         with pytest.raises(ValueError):
-            pkb_starting_point(layout, lambda x: 0.0, num_candidates=0)
+            pkb_starting_point(layout, lambda fills: np.zeros(len(fills)),
+                               num_candidates=0)
+
+    def test_scores_every_candidate_in_one_call(self, layout):
+        calls = []
+
+        def quality(fills):
+            calls.append(fills.shape)
+            return _totals(fills)
+
+        pkb_starting_point(layout, quality, num_candidates=9)
+        assert calls == [(9, *layout.shape)]
+
+    def test_tie_picks_first_candidate(self, layout):
+        """Equal best scores keep the earliest candidate, as the strict
+        ``>`` scan of a candidate loop does."""
+        lo, hi = target_density_range(layout)
+        result = pkb_starting_point(
+            layout, lambda fills: np.array([0.0, 1.0, 0.5, 1.0, 1.0]),
+            num_candidates=5)
+        assert result.quality == 1.0
+        np.testing.assert_array_equal(result.targets, lo + 0.25 * (hi - lo))
+        flat = pkb_starting_point(layout, lambda fills: np.zeros(len(fills)),
+                                  num_candidates=5)
+        np.testing.assert_array_equal(flat.targets, lo)
+
+    def test_score_count_validated(self, layout):
+        with pytest.raises(ValueError, match="5 scores"):
+            pkb_starting_point(layout, lambda fills: np.zeros(3),
+                               num_candidates=5)
 
 
 class TestPlanarityMetrics:
@@ -135,6 +168,22 @@ class TestEvaluateSolution:
         s1 = evaluate_solution(small_problem, fill, "x", cmp_result=res)
         s2 = evaluate_solution(small_problem, fill, "x", simulator=simulator)
         assert s1.delta_h == pytest.approx(s2.delta_h)
+
+    def test_batch_result_rejected(self, simulator):
+        """A whole ``simulate_batch`` result is not one layout's: its
+        batch axis would be read as layers and score silently wrong."""
+        layout = make_design_a(rows=6, cols=6)
+        problem = FillProblem(layout, ScoreCoefficients())
+        fill = 0.5 * problem.upper
+        batch = simulator.simulate_batch([apply_fill(layout, fill)] * 4)
+        with pytest.raises(ValueError) as err:
+            evaluate_solution(problem, fill, "x", cmp_result=batch)
+        assert "(4, 3, 6, 6)" in str(err.value)
+        assert "(3, 6, 6)" in str(err.value)
+        entry = evaluate_solution(problem, fill, "x",
+                                  cmp_result=batch.entry(0))
+        solo = evaluate_solution(problem, fill, "x", simulator=simulator)
+        assert entry.quality == solo.quality
 
     def test_output_file_grows_with_fill(self, layout):
         fill = 0.5 * layout.slack_stack()

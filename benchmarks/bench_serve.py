@@ -26,8 +26,11 @@ Environment knobs:
 
 * ``NEURFILL_BENCH_SMOKE=1`` shrinks the grid and the client matrix so
   the whole file runs in CI; the >=2x served-vs-cold-CLI throughput
-  assertion and the lone-client coalescing gate (batched 1-client p50
-  within 1.25x + 50 ms of unbatched) only apply in full mode, and the
+  assertion, the lone-client coalescing gate (batched 1-client p50
+  within 1.25x + 50 ms of unbatched) and the thread-scaling gate
+  (``thread_scaling``: thread-mode throughput at the top concurrency
+  over its 1-client throughput, >= 0.6 for both the unbatched server
+  and the thread backend) only apply in full mode, and the
   process-vs-thread gates (>=3x peak throughput, 1-client p95 within
   1.25x + 50 ms) only in full mode on a host with >= 4 cores.
 * Fill jobs are compute-bound, so this bench is meaningless on a
@@ -350,6 +353,16 @@ def test_serve_throughput(benchmark, tmp_path):
         report["peak_process_vs_thread_speedup"] = round(
             modes["process"]["runs"][-1]["throughput_jobs_per_s"]
             / peak_thread, 2)
+    # Thread-mode jobs that cannot share a batch take turns on the GIL
+    # instead of fighting over it, so more clients must not cost
+    # throughput: top concurrency over 1 client.
+    scaled = {"served_unbatched": unbatched["runs"]}
+    if modes is not None:
+        scaled["thread_mode"] = modes["thread"]["runs"]
+    report["thread_scaling"] = {
+        label: round(runs[-1]["throughput_jobs_per_s"]
+                     / runs[0]["throughput_jobs_per_s"], 2)
+        for label, runs in scaled.items()}
     if CPU_COUNT == 1:
         report["note"] = (
             "single-core host: fill jobs are compute-bound so neither "
@@ -387,6 +400,11 @@ def test_serve_throughput(benchmark, tmp_path):
             f"  peak process vs thread: "
             f"{report['peak_process_vs_thread_speedup']:.2f}x"
         )
+    lines.append(
+        f"  thread scaling (x{CONCURRENCY[-1]} over x1 clients): "
+        + ", ".join(f"{label} {ratio:.2f}"
+                    for label, ratio in report["thread_scaling"].items())
+    )
     lines.append(
         f"  cold CLI x{cold['invocations']} sequential: "
         f"{cold['throughput_jobs_per_s']:6.2f} jobs/s "
@@ -434,6 +452,11 @@ def test_serve_throughput(benchmark, tmp_path):
             assert report["peak_served_vs_cold_cli_speedup"] >= 2.0, (
                 "resident serve did not reach 2x over cold CLI invocations"
             )
+            for label, ratio in report["thread_scaling"].items():
+                assert ratio >= 0.6, (
+                    f"{label}: thread-mode throughput at {CONCURRENCY[-1]} "
+                    f"clients fell to {ratio}x its 1-client throughput"
+                )
         if modes is not None and CPU_COUNT >= 4:
             # The headline scaling claims need real cores to mean
             # anything; on fewer cores they are recorded but not policed.

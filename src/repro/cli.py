@@ -163,8 +163,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="NAME=CKPT_DIR",
                        help="register a surrogate checkpoint (repeatable)")
     serve.add_argument("--workers", type=int, default=None,
-                       help="worker threads or forked worker processes "
-                            "(default REPRO_SERVE_WORKERS)")
+                       help="jobs in flight: worker threads or forked "
+                            "worker processes (default "
+                            "REPRO_SERVE_WORKERS)")
     serve.add_argument("--worker-mode", choices=("thread", "process"),
                        default=None,
                        help="execute jobs on worker threads (coalescing) "

@@ -28,7 +28,9 @@ DEFAULT_SEED: int = 2021
 # repro.serve defaults.  Every knob has a CLI flag; the environment
 # variables let deployments retune a service without editing unit files.
 
-#: Worker threads executing jobs (``REPRO_SERVE_WORKERS``).
+#: Jobs in flight at once (``REPRO_SERVE_WORKERS``): worker threads, or
+#: forked children in process mode.  In thread mode they are not jobs
+#: computing: jobs that cannot share a batch take turns.
 DEFAULT_SERVE_WORKERS: int = 4
 
 #: Bounded job-queue capacity before backpressure rejection
@@ -48,8 +50,9 @@ DEFAULT_SERVE_FLUSH_MS: float = 4.0
 DEFAULT_SERVE_DRAIN_TIMEOUT_S: float = 30.0
 
 #: Job execution engine (``REPRO_SERVE_WORKER_MODE``): ``thread`` runs
-#: jobs on the worker threads (coalescing across jobs); ``process``
-#: dispatches them to long-lived forked children, GIL-free.
+#: jobs on the worker threads (coalescing across jobs, one batch or job
+#: computing at a time); ``process`` dispatches them to long-lived forked
+#: children, GIL-free, the multi-core path.
 DEFAULT_SERVE_WORKER_MODE: str = "thread"
 
 

@@ -14,7 +14,10 @@ queueing, journaling and transport concerns so the same code runs
   ``NeurFill.run`` and a simulate job of the
   :class:`~repro.serve.batcher.SimulateBatcher` from layout load through
   its polish, so a parked request runs the moment every other member has
-  parked too, in a caller's own thread, and
+  parked too, in a caller's own thread.  Worker threads are jobs in
+  flight, not jobs computing: a job computes only while it holds the
+  executor's :class:`Turn`, which the members of one batcher hold
+  together and every other job holds alone, in arrival order, and
 * inside long-lived forked worker **processes**
   (:mod:`repro.serve.procpool`, ``worker_mode=process``), where each
   child owns a private warm executor and cross-job coalescing is
@@ -32,7 +35,8 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from collections import OrderedDict
+import time
+from collections import OrderedDict, deque
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +100,55 @@ def validate_job(request: Request, allow_train: bool = True) -> str | None:
     return None
 
 
+class Turn:
+    """The right to compute, taken in arrival order and shared by key.
+
+    Jobs holding one key (a batcher they all join) hold the turn
+    together; any other job holds it alone.  A job that arrives while
+    others wait queues behind them even when it shares the holders' key,
+    so nobody is starved.  One job computing at a time beats several
+    contending for the GIL at every small numpy call.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._queue: deque[object] = deque()
+        self._key: object = None
+        self._holders = 0
+
+    @contextlib.contextmanager
+    def hold(self, key: object = None):
+        """Hold the turn for the ``with`` block; yields the seconds waited.
+
+        ``key=None`` holds it alone; other keys compare by identity.
+        """
+        shared = key is not None
+        if not shared:
+            key = object()
+        ticket = object()
+        with obs_trace.span("serve.turn", cat="serve", shared=shared) as span:
+            t0 = time.perf_counter()
+            with self._cond:
+                self._queue.append(ticket)
+                try:
+                    while self._queue[0] is not ticket or (
+                            self._holders and self._key is not key):
+                        self._cond.wait()
+                    self._key = key
+                    self._holders += 1
+                finally:
+                    self._queue.remove(ticket)
+                    self._cond.notify_all()  # the next may share or lead
+            waited = time.perf_counter() - t0
+            span.set(waited_ms=round(waited * 1e3, 3))
+        try:
+            yield waited
+        finally:
+            with self._cond:
+                self._holders -= 1
+                self._cond.notify_all()
+
+
 class JobExecutor:
     """Executes admitted jobs with warm per-executor caches.
 
@@ -148,6 +201,7 @@ class JobExecutor:
         self._solutions: OrderedDict[str, tuple[Layout, FillResult]] = \
             OrderedDict()
         self._lock = threading.Lock()
+        self._turn = Turn()
 
     # ------------------------------------------------------------------
     def execute(self, request: Request) -> dict:
@@ -167,6 +221,20 @@ class JobExecutor:
         for batcher in batchers:
             batcher.close()
         self._sim_batcher.close()
+
+    @contextlib.contextmanager
+    def _turn_for(self, batcher=None):
+        """Hold the executor's turn for a job's compute.
+
+        With coalescing on, jobs that join one ``batcher`` share the
+        turn; every other job holds it alone.  A job takes it before it
+        joins its batcher, so no member waits for a job still queued.
+        """
+        key = batcher if self.max_batch > 1 else None
+        with self._turn.hold(key) as waited:
+            if self.stats is not None:
+                self.stats.record_latency("turn_wait", waited)
+            yield
 
     # ------------------------------------------------------------------
     # Caches
@@ -283,40 +351,43 @@ class JobExecutor:
         layout, fingerprint = self._load_layout(params)
         method = params.get("method", "neurfill-pkb")
         problem = FillProblem(layout, self._coefficients(layout, fingerprint))
+        model_name = params.get("model")
         network = None
         bound_model = None
-        membership = contextlib.nullcontext()
-        if method == "lin":
-            result = lin_fill(problem)
-        elif method == "tao":
-            result = tao_fill(problem)
-        elif method == "cai":
-            result = cai_fill(problem, simulator=self.simulator,
-                              max_sqp_iterations=3)
-        else:
-            model_name = params.get("model")
-            if model_name is not None:
-                network, bound_model = self._coalesced_network(
-                    str(model_name), layout, fingerprint)
-                membership = network.member()
+        if method not in ("lin", "tao", "cai") and model_name is not None:
+            network, bound_model = self._coalesced_network(
+                str(model_name), layout, fingerprint)
+        with self._turn_for(network):
+            if method == "lin":
+                result = lin_fill(problem)
+            elif method == "tao":
+                result = tao_fill(problem)
+            elif method == "cai":
+                result = cai_fill(problem, simulator=self.simulator,
+                                  max_sqp_iterations=3)
             else:
-                network = self._train_inline(layout, params)
-            neurfill = NeurFill(
-                problem, network,
-                optimizer=SqpOptimizer(max_iter=80, tol=1e-9),
-                simulator=self.simulator,
-            )
-            # A member for the whole run: its parked evaluations wait
-            # for the other members, never for jobs that cannot join.
-            with membership:
-                result = neurfill.run(
-                    method,
-                    seed=int(params.get("seed", 0)),
-                    max_evaluations=int(params.get("max_evaluations", 500)),
-                    top_k=int(params.get("top_k", 3)),
+                membership = contextlib.nullcontext()
+                if network is None:
+                    network = self._train_inline(layout, params)
+                else:
+                    membership = network.member()
+                neurfill = NeurFill(
+                    problem, network,
+                    optimizer=SqpOptimizer(max_iter=80, tol=1e-9),
+                    simulator=self.simulator,
                 )
-        return self._reply(params, problem, fingerprint, result, method,
-                           network, bound_model, job_id)
+                # A member for the whole run: its parked evaluations wait
+                # for the other members, never for jobs that cannot join.
+                with membership:
+                    result = neurfill.run(
+                        method,
+                        seed=int(params.get("seed", 0)),
+                        max_evaluations=int(params.get("max_evaluations",
+                                                       500)),
+                        top_k=int(params.get("top_k", 3)),
+                    )
+            return self._reply(params, problem, fingerprint, result, method,
+                               network, bound_model, job_id)
 
     def _train_inline(self, layout: Layout, params: dict):
         """A surrogate trained for this job alone (no registered model)."""
@@ -422,6 +493,7 @@ class JobExecutor:
         parent_layout, parent = self._resolve_parent(params)
         problem = FillProblem(layout, self._coefficients(layout, fingerprint))
         model_name = params.get("model")
+        network = None
         bound_model = None
         if model_name is not None:
             # Direct (uncoalesced) binding: the eco driver evaluates
@@ -429,24 +501,25 @@ class JobExecutor:
             # coalesce anyway.
             network, bound_model = self.registry.bind(
                 str(model_name), layout, fingerprint)
-        else:
-            network = self._train_inline(layout, params)
-        coupling = params.get("coupling_radius")
-        result = eco_refill(
-            problem, network, parent_layout, parent,
-            optimizer=SqpOptimizer(max_iter=80, tol=1e-9),
-            coupling_radius=None if coupling is None else int(coupling),
-        )
-        return self._reply(params, problem, fingerprint, result,
-                           result.method, network, bound_model, job_id,
-                           eco=result.extras.get("eco", {}))
+        with self._turn_for():
+            if network is None:
+                network = self._train_inline(layout, params)
+            coupling = params.get("coupling_radius")
+            result = eco_refill(
+                problem, network, parent_layout, parent,
+                optimizer=SqpOptimizer(max_iter=80, tol=1e-9),
+                coupling_radius=None if coupling is None else int(coupling),
+            )
+            return self._reply(params, problem, fingerprint, result,
+                               result.method, network, bound_model, job_id,
+                               eco=result.extras.get("eco", {}))
 
     def _simulate_job(self, params: dict) -> dict:
         # A member from layout load through the polish: a lone job
         # polishes at once, while overlapping jobs sharing this physics
         # and grid polish as one batched pass, bitwise identical to
-        # simulate_layout.
-        with self._sim_batcher.member():
+        # simulate_layout.  Simulate jobs share the turn with each other.
+        with self._turn_for(self._sim_batcher), self._sim_batcher.member():
             layout, _ = self._load_layout(params)
             simulator = self.simulator
             polish_time = params.get("polish_time")

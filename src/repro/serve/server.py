@@ -27,7 +27,10 @@ Two worker modes share this skeleton (``ServeConfig.worker_mode``):
   jobs of one :class:`~repro.serve.batcher.SimulateBatcher`, and a group
   of their requests runs in a worker thread the moment every member has
   parked (or after ``flush_ms`` for a member busy elsewhere); the server
-  starts no batcher thread.
+  starts no batcher thread.  ``workers`` bounds the jobs in flight, not
+  the jobs computing: jobs that cannot share a batch take the
+  executor's turn one at a time, in arrival order, rather than contend
+  for the GIL.
 * ``process`` — worker threads dispatch to a
   :class:`~repro.serve.procpool.ProcessWorkerPool` of long-lived forked
   children, each owning a private warm executor; numpy-heavy jobs then

@@ -41,7 +41,9 @@ class ServeStats:
 
     #: Pipeline stages with latency tracking: time spent waiting in the
     #: queue, executing, and accepted-to-terminal-response overall.
-    STAGES = ("queue_wait", "execute", "total")
+    #: ``turn_wait`` is the part of ``execute`` a thread-mode job spent
+    #: waiting for the executor's turn before it computed.
+    STAGES = ("queue_wait", "turn_wait", "execute", "total")
 
     def __init__(self, window: int = DEFAULT_WINDOW,
                  registry: MetricsRegistry | None = None):

@@ -6,7 +6,9 @@ transport:
 * served neurfill-pkb fills at 1 / 4 / 16 concurrent clients, with
   micro-batch coalescing on (``max_batch=16``) and off (``max_batch=1``),
   reporting throughput and client-observed p50/p95/p99 latency plus the
-  server's micro-batch size histogram;
+  server's micro-batch size histogram (the lone client submits as many
+  jobs as the 16 clients complete together, so its row is not timed on
+  two samples);
 * the same fill workload on both backends of the one ``FillServer``
   front end — the thread pool and the forked process pool
   (``worker_mode=process``) — so the GIL-escape win is measured on the
@@ -82,6 +84,17 @@ else:
     CLI_INVOCATIONS = 16
 
 WORKERS = 16
+
+
+def _jobs_per_client(clients: int) -> int:
+    """Jobs each client submits in one row.  A lone client runs as many
+    jobs as the top-concurrency row completes, so the 1-client
+    throughput that ``thread_scaling`` divides by, and the lone-client
+    p50, rest on as many samples as the row they are compared with."""
+    if clients == 1:
+        return CONCURRENCY[-1] * JOBS_PER_CLIENT
+    return JOBS_PER_CLIENT
+
 MODEL_NAME = "pkb"
 BASE_CHANNELS = 4
 DEPTH = 2
@@ -226,7 +239,7 @@ def _bench_served(ckpt: str, layout_path: str, max_batch: int) -> dict:
         warm.fill(layout_path=layout_path, method="neurfill-pkb",
                   model=MODEL_NAME, score=False, timeout=600.0)
         warm.close(wait_proc=False)
-        runs = [_run_load(tcp.port, layout_path, c, JOBS_PER_CLIENT)
+        runs = [_run_load(tcp.port, layout_path, c, _jobs_per_client(c))
                 for c in CONCURRENCY]
         stats = tcp.stats()
     finally:
@@ -251,7 +264,7 @@ def _bench_mode(ckpt: str, layout_paths: list[str],
             warm.fill(layout_path=path, method="neurfill-pkb",
                       model=MODEL_NAME, score=False, timeout=600.0)
         warm.close(wait_proc=False)
-        runs = [_run_load(tcp.port, layout_paths, c, JOBS_PER_CLIENT)
+        runs = [_run_load(tcp.port, layout_paths, c, _jobs_per_client(c))
                 for c in CONCURRENCY]
     finally:
         tcp.stop()
@@ -339,6 +352,7 @@ def test_serve_throughput(benchmark, tmp_path):
         "grid": GRID,
         "workers": WORKERS,
         "jobs_per_client": JOBS_PER_CLIENT,
+        "lone_client_jobs": _jobs_per_client(1),
         "served_batched": batched,
         "served_unbatched": unbatched,
         "worker_modes": modes,

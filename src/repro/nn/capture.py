@@ -30,8 +30,9 @@ parameter or running statistic are caught; re-binds are the plan key's
 job (``_state_version``).  Inputs are validated before any is copied,
 and the forward is marked current only after its last closure returns,
 so a :class:`CaptureMiss` or an exception mid-replay never leaves a
-stale arena behind.  The backward sweep never writes forward buffers,
-so re-running it reproduces the full replay's gradient bit for bit.
+stale arena behind.  The backward sweep never writes a forward result
+(its scratch and gradient slots are separate buffers), so re-running it
+reproduces the full replay's gradient bit for bit.
 
 Fidelity
 --------
@@ -47,11 +48,36 @@ updates and ``load_state_dict`` re-binds flow into replays without
 retracing; callers key plans on the module's ``_state_version`` to catch
 re-binds that swap buffer objects (``load_state_dict``).
 
-Parameter *gradients* are intentionally not computed by a plan, not
-even at trace time: the plan temporarily clears ``requires_grad`` on
-parameter leaves during the backward sweep, which skips the expensive
-weight-gradient kernels while leaving the input gradient — the only
-gradient inference callers read — bitwise unchanged.
+Two plan modes
+--------------
+An *inference* plan (the default) computes no parameter gradients, not
+even at trace time: it clears ``requires_grad`` on parameter leaves for
+the backward sweep, which skips the weight-gradient kernels and leaves
+the input gradient — the only gradient inference callers read — bitwise
+unchanged.  A *parameter-gradient* plan (``param_grads=True``, one
+training step of :func:`repro.surrogate.train.train_unet`) keeps them:
+each sweep lends every parameter a gradient buffer of the plan's, so the
+optimizer reads the eager gradients from ``.grad``.  It always runs the
+forward — never the backward-only path — because a training forward
+also moves batch-norm running statistics, and it keeps no leaf snapshot.
+
+Lean arena
+----------
+A plan keeps only what must outlive a kernel call: the graph's forward
+arrays and the arrays closures keep (padded conv inputs, masks, argmax
+indices).  Pure scratch — the shifted-GEMM copies, pre-bias and
+input-gradient correlations, flipped kernels — and the zero-bordered
+dilate-pad maps come from the owner's
+:class:`~repro.nn.dispatch.ScratchPool`, through per-call-site views
+cached so a warm replay neither allocates nor reshapes.  Gradients
+follow a slot plan built with the plan (:func:`_gradient_slots`): nodes
+whose gradients are never live at the same time share one slot of the
+pool, while inputs keep their own buffers and parameters borrow the
+plan's.  One pool per owner is safe because an owner never runs two
+plans at once (a network's replay under its plan lock; a training run's
+one after another), so after a sweep only input and parameter ``.grad``
+values are meaningful.  :attr:`CapturedGraph.arena_bytes` and
+:func:`arena_bytes` count each distinct buffer once.
 
 Any structural mismatch (shape, missing input) raises
 :class:`CaptureMiss`; callers fall back to eager execution, which is
@@ -65,6 +91,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from ..config import same_bits
+from .dispatch import Scratch, ScratchPool
 from .tensor import Array, Tensor, recording, topo_sort
 
 
@@ -73,21 +100,23 @@ class CaptureMiss(RuntimeError):
 
 
 class GraphRecorder:
-    """Collects per-op workspace accounting during a trace."""
+    """Collects what a trace's closures keep, and hands out pooled
+    scratch from the owner's pool."""
 
-    def __init__(self) -> None:
-        self.workspace_bytes = 0
-        self.workspaces: list[dict] = []
+    def __init__(self, pool: ScratchPool) -> None:
+        self.pool = pool
+        self.retained: list[Array] = []
+        self.scratches: list[Scratch] = []
 
-    def note_workspace(self, nbytes: int) -> None:
-        self.workspace_bytes += int(nbytes)
+    def retain(self, *arrays: Array) -> None:
+        """Arrays a closure keeps across calls (padded inputs, masks)."""
+        self.retained.extend(arrays)
 
-    def register_workspace(self, ws: dict) -> dict:
-        """Track a lazily-filled scratch dict (conv im2col buffers etc.)
-        so the plan's arena accounting sees buffers that only materialise
-        on the first backward or replay."""
-        self.workspaces.append(ws)
-        return ws
+    def scratch(self) -> Scratch:
+        """A new call site's handle on the pool."""
+        scratch = Scratch(self.pool)
+        self.scratches.append(scratch)
+        return scratch
 
 
 def _full_topo(roots: Iterable[Tensor]) -> list[Tensor]:
@@ -110,6 +139,67 @@ def _full_topo(roots: Iterable[Tensor]) -> list[Tensor]:
     return topo
 
 
+def _gradient_slots(sweep: list[Tensor]) -> tuple[list[tuple[Tensor, int]],
+                                                 list[tuple[int, np.dtype]]]:
+    """Share gradient buffers among non-leaf nodes of a backward sweep.
+
+    ``sweep`` is the backward order (root first).  A node's gradient is
+    live from its first write — the seed for the root, else the first
+    node of the sweep that accumulates into it — through its own step,
+    whose backward reads it last.  A slot passes to a new node only if
+    its last holder's final use comes strictly before the new node's
+    first write: during the step that writes a node's parents the node
+    still reads its own gradient.  Leaves (inputs, parameters) get no
+    slot.
+
+    Returns ``(node, slot)`` pairs and each slot's ``(size, dtype)``.
+    """
+    step = {id(node): i for i, node in enumerate(sweep)}
+    first = {id(sweep[0]): -1}
+    for i, node in enumerate(sweep):
+        for parent in node._parents:
+            if id(parent) in step:
+                first.setdefault(id(parent), i)
+    holders = sorted((n for n in sweep if n._parents),
+                     key=lambda n: first.get(id(n), -1))
+    free_after: list[int] = []
+    sizes: list[tuple[int, np.dtype]] = []
+    assignment = []
+    for node in holders:
+        start, size, dtype = first.get(id(node), -1), node.data.size, node.data.dtype
+        free = [k for k, end in enumerate(free_after)
+                if end < start and sizes[k][1] == dtype]
+        fits = [k for k in free if sizes[k][0] >= size]
+        if fits:
+            slot = min(fits, key=lambda k: sizes[k][0])
+        elif free:
+            slot = max(free, key=lambda k: sizes[k][0])
+        else:
+            slot = len(sizes)
+            free_after.append(0)
+            sizes.append((0, dtype))
+        free_after[slot] = step[id(node)]
+        sizes[slot] = (max(sizes[slot][0], size), dtype)
+        assignment.append((node, slot))
+    return assignment, sizes
+
+
+def _owner(array: Array) -> Array:
+    """The array that owns ``array``'s memory."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def arena_bytes(plans: Iterable["CapturedGraph"]) -> int:
+    """Bytes ``plans`` hold together, each distinct buffer counted once
+    (plans of one owner share its scratch pool)."""
+    held: dict[int, Array] = {}
+    for plan in plans:
+        held.update(plan.buffers())
+    return sum(a.nbytes for a in held.values())
+
+
 class CapturedGraph:
     """One traced forward+backward graph with a preallocated arena.
 
@@ -124,49 +214,51 @@ class CapturedGraph:
         outputs: dict[str, Tensor],
         root: Tensor,
         recorder: GraphRecorder,
+        param_grads: bool = False,
     ) -> None:
         self.inputs = inputs
         self.outputs = outputs
         self.root = root
+        self.param_grads = param_grads
 
         roots = list(outputs.values())
         if not any(t is root for t in roots):
             roots.append(root)
         everything = _full_topo(roots)
+        self._nodes = everything
         self._forward_nodes = [n for n in everything if n._replay is not None]
         self._btopo = topo_sort(root)
 
         input_ids = {id(t) for t in inputs.values()}
         # Parameter leaves: grad-requiring tensors with no history that are
-        # not plan inputs (conv weights, norm gains/biases).  Shared across
-        # plans; replay skips their gradients.
+        # not plan inputs (conv weights, norm gains/biases), shared across
+        # plans.  Only a parameter-gradient plan computes their gradients,
+        # into buffers of its own that it lends them for each sweep.
         self._params = [
             n for n in self._btopo
             if not n._parents and n.requires_grad and id(n) not in input_ids
         ]
-        param_ids = {id(p) for p in self._params}
+        self._param_bufs = [np.empty(p.data.shape, p.data.dtype)
+                            for p in self._params] if param_grads else []
 
-        # Gradient arena: one C-ordered buffer per non-parameter node of
-        # the sweep — the layout an eager backward's gradient copies have,
-        # so reductions over gradients add in the eager order.
+        # Gradient buffers, C-ordered (the layout of eager gradient copies,
+        # so reductions over gradients add in the eager order): inputs own
+        # theirs; every other node of the sweep borrows a slot of the
+        # owner's pool that no node live at the same time uses.
         for node in self._btopo:
-            if id(node) not in param_ids:
+            if id(node) in input_ids:
                 node._grad_buf = np.empty(node.data.shape, node.data.dtype)
+        self._pool = recorder.pool
+        self._slot_of, self._slot_sizes = _gradient_slots(self._btopo[::-1])
+        self._bind_slots()
 
-        arena = recorder.workspace_bytes
-        for node in everything:
-            if id(node) in param_ids:
-                continue
-            if node.data.base is None:
-                arena += node.data.nbytes
-            if node._grad_buf is not None:
-                arena += node._grad_buf.nbytes
         # Non-input leaves the forward reads (parameters, batch-norm
         # running statistics, constants), snapshotted after every forward
-        # for the backward-only replay check.
-        self._leaves = [n for n in everything
-                        if not n._parents and n._replay is None
-                        and id(n) not in input_ids]
+        # for the backward-only replay check.  A parameter-gradient plan
+        # never takes that path, so it keeps no snapshot.
+        self._leaves = [] if param_grads else [
+            n for n in everything
+            if not n._parents and n._replay is None and id(n) not in input_ids]
         self._leaf_values = np.empty(sum(n.data.size for n in self._leaves))
         self._leaf_views, offset = [], 0
         for n in self._leaves:
@@ -177,20 +269,40 @@ class CapturedGraph:
         self._snapshot_leaves()
         # The trace itself was a completed eager forward on these inputs.
         self._forward_current = True
-        arena += self._leaf_values.nbytes
+        self._recorder = recorder
 
-        self._static_arena_bytes = arena
-        self._workspaces = recorder.workspaces
+    def _bind_slots(self) -> None:
+        """Point every slot holder's gradient buffer at the pool's current
+        slot buffers (again after the pool replaced one)."""
+        flats = [self._pool.take(("grad", k), (size,), dtype)
+                 for k, (size, dtype) in enumerate(self._slot_sizes)]
+        for node, k in self._slot_of:
+            node._grad_buf = flats[k][:node.data.size].reshape(node.data.shape)
+        self._generation = self._pool.generation
+
+    def buffers(self) -> dict[int, Array]:
+        """Every array the plan holds, keyed by identity of the array that
+        owns the memory: computed graph arrays and constants, gradient
+        buffers, arrays closures keep, the pooled scratch its call sites
+        view, and the leaf snapshot.  Parameters, and the module buffers
+        leaves view, belong to the module."""
+        arrays = [n.data for n in self._nodes
+                  if n._parents or n.data.base is None]
+        arrays += [n._grad_buf for n in self._btopo if n._grad_buf is not None]
+        arrays += self._param_bufs + self._recorder.retained
+        for scratch in self._recorder.scratches:
+            arrays += scratch.views.values()
+        arrays.append(self._leaf_values)
+        held = {id(owner): owner for owner in map(_owner, arrays)}
+        for p in self._params:
+            held.pop(id(_owner(p.data)), None)
+        return held
 
     @property
     def arena_bytes(self) -> int:
-        """Bytes held by the plan: retained graph arrays, gradient
-        buffers, the leaf-value snapshot, and per-op scratch (grows once,
-        when the first replay warms the lazily-allocated conv
-        workspaces)."""
-        return self._static_arena_bytes + sum(
-            buf.nbytes for ws in self._workspaces for buf in ws.values()
-        )
+        """Bytes held by the plan (:meth:`buffers`), each buffer once;
+        grows when the first replay warms the call sites' scratch."""
+        return sum(a.nbytes for a in self.buffers().values())
 
     # ------------------------------------------------------------------
     @classmethod
@@ -201,6 +313,9 @@ class CapturedGraph:
         grad_inputs: Iterable[str] = (),
         root: str = "root",
         seed: Array | None = None,
+        *,
+        param_grads: bool = False,
+        pool: ScratchPool | None = None,
     ) -> "CapturedGraph":
         """Run ``build`` eagerly under a recorder and freeze the graph.
 
@@ -218,14 +333,19 @@ class CapturedGraph:
             seed: upstream gradient for the trace backward (defaults to
                 ones) — pass the triggering call's seed so the trace
                 result doubles as that call's answer.
+            param_grads: make a parameter-gradient plan (a training
+                step): every sweep leaves the parameters' ``.grad`` set,
+                and every replay runs the forward.
+            pool: the owner's scratch pool, shared by all its plans
+                (a private one if omitted).
 
-        The trace's backward is the plan's own sweep (parameter gradients
-        skipped, gradients accumulated in the arena), which yields the
-        eager input gradient bit for bit without the weight-gradient
-        kernels or the per-node allocations of an eager backward.
+        The trace's backward is the plan's own sweep, which yields the
+        eager gradients bit for bit without the per-node allocations of
+        an eager backward; an inference plan also skips the
+        weight-gradient kernels.
         """
         grad_names = tuple(grad_inputs)
-        recorder = GraphRecorder()
+        recorder = GraphRecorder(pool if pool is not None else ScratchPool())
         tensors = {
             name: Tensor(np.array(value, dtype=float),
                          requires_grad=name in grad_names)
@@ -233,8 +353,9 @@ class CapturedGraph:
         }
         with recording(recorder):
             outputs = build(dict(tensors))
-        plan = cls(tensors, outputs, outputs[root], recorder)
-        if grad_names:
+        plan = cls(tensors, outputs, outputs[root], recorder,
+                   param_grads=param_grads)
+        if grad_names or param_grads:
             plan._replay_backward(plan._seed_array(seed))
         return plan
 
@@ -249,13 +370,15 @@ class CapturedGraph:
         """Re-execute the captured pass on new input values, in place.
 
         Results are read from ``self.outputs[...].data`` / :meth:`grad`
-        afterwards (copy before handing them out — the buffers belong to
-        the plan and are overwritten by the next replay).
+        (or the parameters' ``.grad``) afterwards (copy before handing
+        them out — the buffers belong to the plan and are overwritten by
+        the next replay).
 
         Returns:
             ``True`` when the call was a backward-only replay: it wanted
             the gradient of the forward the arena already holds (see the
-            module docstring), so only the backward sweep ran.
+            module docstring), so only the backward sweep ran.  Never
+            for a parameter-gradient plan.
         """
         arrays = []
         for name, tensor in self.inputs.items():
@@ -269,7 +392,8 @@ class CapturedGraph:
                 )
             arrays.append((tensor, value))
         seed_arr = self._seed_array(seed) if want_grad else None
-        if want_grad and self._holds_forward(arrays):
+        if (want_grad and not self.param_grads
+                and self._holds_forward(arrays)):
             self._replay_backward(seed_arr)
             return True
         self._forward_current = False
@@ -319,19 +443,27 @@ class CapturedGraph:
         return seed_arr
 
     def _replay_backward(self, seed_arr: Array) -> None:
-        root = self.root
+        if self._generation != self._pool.generation:
+            self._bind_slots()
         for node in self._btopo:
             node.grad = None
-        for p in self._params:
-            p.requires_grad = False
+        params = self._params
+        for p, buf in zip(params, self._param_bufs):
+            p._grad_buf = buf
+        if not self.param_grads:
+            # Inference callers read only input gradients: skip the
+            # weight-gradient kernels (the input gradient is unchanged).
+            for p in params:
+                p.requires_grad = False
         try:
-            root._accumulate(seed_arr)
+            self.root._accumulate(seed_arr)
             for node in reversed(self._btopo):
                 if node._backward is not None and node.grad is not None:
                     node._backward(node.grad)
         finally:
-            for p in self._params:
+            for p in params:
                 p.requires_grad = True
+                p._grad_buf = None
 
     # ------------------------------------------------------------------
     def grad(self, name: str) -> Array | None:

@@ -8,9 +8,12 @@ padded-input copy: the padded map and its windows are recomputed from
 ``x.data`` on demand, so the forward graph of a deep network holds one
 set of activations, not two.
 
-Under graph capture the trade flips: padded/dilated scratch maps *are*
-retained (they become arena workspaces whose zero borders never change),
-and replay closures refresh only the interiors before re-running the
+Under graph capture the trade flips: a conv keeps its padded input
+(replay refreshes only the interior, and weight gradients read it
+instead of padding again), while pure scratch — shifted-GEMM copies,
+pre-bias and input-gradient correlations, flipped kernels, pooling
+gradients — and the zero-bordered dilate-pad maps come from the owner's
+:class:`~repro.nn.dispatch.ScratchPool`.  Replay closures re-run the
 dispatcher with ``out=`` into the original output buffers.  Replays
 present the same shapes as the trace, so the rule picks the same backend
 and the bit pattern is identical.
@@ -62,36 +65,34 @@ def _flip_transpose(weight: Array) -> Array:
 
 
 def _dilate_pad_into(values: Array, kh: int, kw: int, stride: int,
-                     ws: dict | None, name: str) -> Array:
-    """:func:`_dilate_pad` with a reusable destination under capture.
+                     ws: dispatch.Scratch | None) -> Array:
+    """:func:`_dilate_pad` into the pooled map under capture.
 
-    The zero dilation lattice and the (k-1) border of the retained buffer
-    never change; refreshing only the stride-spaced interior slots is
-    value-identical to rebuilding the map from scratch.
+    The zero dilation lattice and the (k-1) border of the map never
+    change — the pool shares a map only among call sites with equal
+    shape, kernel and stride — so refreshing only the stride-spaced
+    interior slots is value-identical to rebuilding it from scratch.
     """
     if ws is None:
         return _dilate_pad(values, kh, kw, stride)
-    buf = ws.get(name)
-    if buf is None:
-        buf = _dilate_pad(values, kh, kw, stride)
-        ws[name] = buf
-        return buf
     B, C, H, W = values.shape
+    shape = (B, C, (H - 1) * stride + 2 * kh - 1, (W - 1) * stride + 2 * kw - 1)
+    buf = ws.views.get("gdp")
+    if buf is None:
+        buf = ws.views["gdp"] = ws.pool.dilate_pad(shape, kh, kw, stride,
+                                                   values.dtype)
     buf[:, :, kh - 1 : kh - 1 + (H - 1) * stride + 1 : stride,
         kw - 1 : kw - 1 + (W - 1) * stride + 1 : stride] = values
     return buf
 
 
-def _flip_transpose_into(weight: Array, ws: dict | None, name: str) -> Array:
-    """:func:`_flip_transpose` with a reusable destination under capture."""
+def _flip_transpose_into(weight: Array, ws: dispatch.Scratch | None) -> Array:
+    """:func:`_flip_transpose` into pooled scratch under capture."""
     if ws is None:
         return _flip_transpose(weight)
-    buf = ws.get(name)
-    if buf is None:
-        buf = _flip_transpose(weight)
-        ws[name] = buf
-    else:
-        np.copyto(buf, weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+    O, C, kh, kw = weight.shape
+    buf = ws.get("fw", (C, O, kh, kw), weight.dtype)
+    np.copyto(buf, weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
     return buf
 
 
@@ -114,19 +115,25 @@ def conv2d(
         raise ValueError("kernel larger than padded input")
 
     recorder = capture_recorder()
+    fws = bws = None
+    if recorder is not None:
+        fws, bws = recorder.scratch(), recorder.scratch()
     xp = _pad_spatial(x.data, padding)
-    corr = dispatch.corr2d(xp, weight.data, stride, tag="fwd")
+    corr = dispatch.corr2d(xp, weight.data, stride, tag="fwd", workspace=fws)
     if bias is not None:
         out_data = corr + bias.data[None, :, None, None]
     else:
         out_data = corr
+    del corr
     padded_shape = xp.shape
-    if recorder is None:
-        del xp  # recomputed on demand in backward; do not retain a copy
+    # Eager backward recomputes the padded input on demand; a captured
+    # plan keeps it (its forward refreshes the interior in place), so
+    # weight gradients read it instead of calling np.pad.
+    kept = xp if recorder is not None and padding else None
+    del xp
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = Tensor(out_data, _parents=parents)
-    bws = None if recorder is None else recorder.register_workspace({})
 
     def backward(grad: Array) -> None:
         if bias is not None and bias.requires_grad:
@@ -134,34 +141,28 @@ def conv2d(
         if weight.requires_grad:
             weight._accumulate(
                 dispatch.corr2d_weight_grad(
-                    grad, _pad_spatial(x.data, padding), kh, kw, stride,
-                    tag="bwd_weight",
+                    grad, _pad_spatial(x.data, padding) if kept is None
+                    else kept, kh, kw, stride, tag="bwd_weight",
                 )
             )
         if x.requires_grad:
             # Input gradient as a full correlation of the dilated upstream
             # gradient with the flipped, channel-transposed kernel.
+            gdp = _dilate_pad_into(grad, kh, kw, stride, bws)
             gfull = dispatch.corr2d(
-                _dilate_pad_into(grad, kh, kw, stride, bws, "gdp"),
-                _flip_transpose_into(weight.data, bws, "fw"),
-                1, tag="bwd_input",
-                out=None if bws is None else bws.get("gfull"),
+                gdp, _flip_transpose_into(weight.data, bws), 1,
+                tag="bwd_input",
+                out=None if bws is None else bws.get(
+                    "gfull", (B, C, gdp.shape[2] - kh + 1,
+                              gdp.shape[3] - kw + 1), gdp.dtype),
                 workspace=bws,
             )
-            if bws is not None:
-                bws["gfull"] = gfull
             if gfull.shape == padded_shape:
                 gxp = gfull
             else:
                 # Trailing rows/cols of the padded input that no window
                 # covers (when (H - kh) % stride != 0) get zero gradient.
-                # Under capture the zero tail of the retained buffer is
-                # never written, so refilling the head is equivalent.
-                gxp = None if bws is None else bws.get("gxp")
-                if gxp is None:
-                    gxp = np.zeros(padded_shape, dtype=gfull.dtype)
-                    if bws is not None:
-                        bws["gxp"] = gxp
+                gxp = np.zeros(padded_shape, dtype=gfull.dtype)
                 gxp[:, :, : gfull.shape[2], : gfull.shape[3]] = gfull
             if padding:
                 gxp = gxp[:, :, padding:-padding or None, padding:-padding or None]
@@ -169,22 +170,21 @@ def conv2d(
 
     out._backward = backward
     if recorder is not None:
-        recorder.note_workspace(
-            (xp.nbytes if padding else 0) + (corr.nbytes if bias is not None else 0)
-        )
-        fws = recorder.register_workspace({})
+        if kept is not None:
+            recorder.retain(kept)
 
         def replay() -> None:
-            if padding:
-                np.copyto(xp[:, :, padding : padding + H, padding : padding + W],
-                          x.data)
-                src = xp
-            else:
+            if kept is None:
                 src = x.data
+            else:
+                np.copyto(kept[:, :, padding : padding + H, padding : padding + W],
+                          x.data)
+                src = kept
             if bias is None:
                 dispatch.corr2d(src, weight.data, stride, tag="fwd",
                                 out=out.data, workspace=fws)
             else:
+                corr = fws.get("corr", out.data.shape, out.data.dtype)
                 dispatch.corr2d(src, weight.data, stride, tag="fwd", out=corr,
                                 workspace=fws)
                 np.add(corr, bias.data[None, :, None, None], out=out.data)
@@ -204,12 +204,16 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     ]
     Ho, Wo = windows.shape[2], windows.shape[3]
     flat = windows.reshape(B, C, Ho, Wo, kernel * kernel)
+    recorder = capture_recorder()
+    if recorder is not None and not flat.flags.writeable:
+        # One window per map reshapes to a read-only view of x; the
+        # replay refreshes a copy of its own.
+        flat = flat.copy()
     arg = flat.argmax(axis=-1)
     out = Tensor(np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0],
                  _parents=(x,))
 
-    recorder = capture_recorder()
-    bws = None if recorder is None else recorder.register_workspace({})
+    bws = None if recorder is None else recorder.scratch()
 
     def backward(grad: Array) -> None:
         if not x.requires_grad:
@@ -217,12 +221,8 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
         if bws is None:
             gx = np.zeros_like(x.data)
         else:
-            gx = bws.get("gx")
-            if gx is None:
-                gx = np.zeros_like(x.data)
-                bws["gx"] = gx
-            else:
-                gx.fill(0)
+            gx = bws.get("maxpool_gx", x.data.shape, x.data.dtype)
+            gx.fill(0)
         bi, ci, hi, wi = np.ogrid[:B, :C, :Ho, :Wo]
         rows = hi * stride + arg // kernel
         cols = wi * stride + arg % kernel
@@ -231,7 +231,7 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
 
     out._backward = backward
     if recorder is not None:
-        recorder.note_workspace(flat.nbytes + arg.nbytes)
+        recorder.retain(flat, arg)
 
         def replay() -> None:
             # `windows` is a strided view of x.data, so it tracks in-place

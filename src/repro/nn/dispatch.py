@@ -30,6 +30,7 @@ them to benches and tests.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable
 
@@ -42,24 +43,82 @@ from ..obs import trace as obs_trace
 Array = np.ndarray
 
 
-def _workspace_buffer(workspace: dict | None, name: str, shape: tuple,
-                      dtype) -> Array:
-    """Fetch-or-create a reusable scratch array in a caller-owned dict.
+class ScratchPool:
+    """Scratch memory shared by every captured plan of one owner.
 
-    Captured-graph replay closures (:mod:`repro.nn.capture` via
-    :mod:`repro.nn.conv`) pass a per-call-site dict so hot repeated calls
-    reuse their im2col/result scratch instead of reallocating it every
-    iteration; eager calls pass None and allocate fresh.  Buffer shape,
-    layout and dtype are identical either way, so results are bitwise
-    equal.
+    Pure scratch — written and read within one kernel call: the
+    shifted-GEMM copies, the pre-bias and input-gradient correlations,
+    the flipped kernels — lives in one flat buffer per role, grown to the
+    largest request, so an owner holds each role once, not once per call
+    site.  Dilate-pad maps keep a zero border between calls, so they are
+    shared only by call sites with equal shape, kernel and stride.
+    Captured plans also keep their gradient slots here
+    (:mod:`repro.nn.capture`).  Sharing is safe because an owner never
+    runs two plans at once: a network's plans replay under its plan
+    lock, and a training run's plans one after another.
+    ``generation`` changes whenever a flat buffer is replaced, which
+    tells cached views to re-bind.
     """
+
+    def __init__(self) -> None:
+        self._flat: dict[tuple, Array] = {}
+        self._maps: dict[tuple, Array] = {}
+        self.generation = 0
+
+    def take(self, role, shape: tuple, dtype=np.float64) -> Array:
+        """A C-ordered ``shape`` view of the role's flat buffer."""
+        size = math.prod(shape)
+        key = (role, np.dtype(dtype))
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size:
+            flat = self._flat[key] = np.empty(size, dtype=dtype)
+            self.generation += 1
+        return flat[:size].reshape(shape)
+
+    def dilate_pad(self, shape: tuple, kh: int, kw: int, stride: int,
+                   dtype=np.float64) -> Array:
+        """The zero-bordered map for one (shape, kernel, stride)."""
+        key = (shape, kh, kw, stride, np.dtype(dtype))
+        buf = self._maps.get(key)
+        if buf is None:
+            buf = self._maps[key] = np.zeros(shape, dtype=dtype)
+        return buf
+
+
+class Scratch:
+    """One call site's handle on its owner's :class:`ScratchPool`.
+
+    :meth:`get` caches one view per role, so a warm replay neither
+    allocates nor reshapes; views re-bind after the pool replaces a
+    buffer.
+    """
+
+    __slots__ = ("pool", "views", "_generation")
+
+    def __init__(self, pool: ScratchPool) -> None:
+        self.pool = pool
+        self.views: dict[str, Array] = {}
+        self._generation = pool.generation
+
+    def get(self, role: str, shape: tuple, dtype=np.float64) -> Array:
+        views = self.views
+        if self._generation != self.pool.generation:
+            views.clear()
+            self._generation = self.pool.generation
+        view = views.get(role)
+        if view is None or view.shape != shape:
+            view = views[role] = self.pool.take(role, shape, dtype)
+        return view
+
+
+def _workspace_buffer(workspace: Scratch | None, name: str, shape: tuple,
+                      dtype) -> Array:
+    """Scratch for one kernel call: a fresh array in eager mode, the call
+    site's pooled view under captured replay.  Shape, layout and dtype
+    are identical either way, so results are bitwise equal."""
     if workspace is None:
         return np.empty(shape, dtype=dtype)
-    buf = workspace.get(name)
-    if buf is None or buf.shape != shape or buf.dtype != dtype:
-        buf = np.empty(shape, dtype=dtype)
-        workspace[name] = buf
-    return buf
+    return workspace.get(name, shape, dtype)
 
 
 # ----------------------------------------------------------------------
@@ -67,14 +126,14 @@ def _workspace_buffer(workspace: dict | None, name: str, shape: tuple,
 #   out[b, o, h, w] = sum_{c,i,j} xp[b, c, h*s + i, w*s + j] * w[o, c, i, j]
 # ----------------------------------------------------------------------
 def _corr_im2col(xp: Array, w: Array, stride: int, out: Array | None = None,
-                 workspace: dict | None = None) -> Array:
+                 workspace: Scratch | None = None) -> Array:
     kh, kw = w.shape[2:]
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     return np.einsum("bchwij,ocij->bohw", win, w, optimize=True, out=out)
 
 
 def _corr_matmul(xp: Array, w: Array, stride: int, out: Array | None = None,
-                 workspace: dict | None = None) -> Array:
+                 workspace: Scratch | None = None) -> Array:
     O, C, kh, kw = w.shape
     B, _, H, W = xp.shape
     Ho = (H - kh) // stride + 1
@@ -118,14 +177,14 @@ def _corr_matmul(xp: Array, w: Array, stride: int, out: Array | None = None,
 # ----------------------------------------------------------------------
 def _wgrad_im2col(g: Array, xp: Array, kh: int, kw: int, stride: int,
                   out: Array | None = None,
-                  workspace: dict | None = None) -> Array:
+                  workspace: Scratch | None = None) -> Array:
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     return np.einsum("bohw,bchwij->ocij", g, win, optimize=True, out=out)
 
 
 def _wgrad_matmul(g: Array, xp: Array, kh: int, kw: int, stride: int,
                   out: Array | None = None,
-                  workspace: dict | None = None) -> Array:
+                  workspace: Scratch | None = None) -> Array:
     B, O, Ho, Wo = g.shape
     C = xp.shape[1]
     gw = out if out is not None else np.empty(
@@ -214,17 +273,17 @@ def _dispatch(op: str, key: str, kh: int, kw: int,
 # public API
 # ----------------------------------------------------------------------
 def corr2d(xp: Array, w: Array, stride: int = 1, tag: str = "",
-           out: Array | None = None, workspace: dict | None = None) -> Array:
+           out: Array | None = None, workspace: Scratch | None = None) -> Array:
     """Valid cross-correlation ``xp (B,C,H,W) * w (O,C,kh,kw)``.
 
     ``xp`` must already carry any zero padding; the shape rule picks the
     backend (see module docstring).  ``tag`` labels the call for
     observability only (``"fwd"`` / ``"bwd_input"`` from the conv
     layers); it never affects dispatch or numerics.  ``out`` receives the
-    result in place and ``workspace`` (a caller-owned dict) preserves the
-    im2col scratch across calls (captured-graph replay); values are
+    result in place and ``workspace`` (a call site's :class:`Scratch`)
+    supplies pooled scratch under captured replay; values are
     bitwise identical either way — backends that cannot write in place
-    compute normally and copy, backends without scratch ignore the dict.
+    compute normally and copy, backends without scratch ignore it.
     """
     B, C, H, W = xp.shape
     O, _, kh, kw = w.shape
@@ -240,7 +299,7 @@ def corr2d(xp: Array, w: Array, stride: int = 1, tag: str = "",
 def corr2d_weight_grad(g: Array, xp: Array, kh: int, kw: int,
                        stride: int = 1, tag: str = "",
                        out: Array | None = None,
-                       workspace: dict | None = None) -> Array:
+                       workspace: Scratch | None = None) -> Array:
     """Kernel-shaped adjoint ``gw[o,c,i,j] = sum g[b,o,h,w] xp[b,c,hs+i,ws+j]``."""
     B, C, H, W = xp.shape
     O = g.shape[1]

@@ -11,8 +11,8 @@ installs a ``_replay`` closure that recomputes its output — and any
 state its backward closure captured (masks, gate arrays) — in place via
 ``out=`` ufuncs.  Every closure applies the same ufuncs to the same
 operands as the eager path, so replayed values are bitwise identical.
-Scratch buffers the closures need are allocated once at trace time and
-reported to the recorder for arena accounting.
+Scratch buffers and masks the closures keep are allocated once at trace
+time and handed to the recorder for arena accounting.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import numpy as np
 from .tensor import Array, Tensor, capture_recorder
 
 
-def _note(*buffers: np.ndarray) -> None:
+def _retain(*buffers: np.ndarray) -> None:
     recorder = capture_recorder()
     if recorder is not None:
-        recorder.note_workspace(sum(b.nbytes for b in buffers))
+        recorder.retain(*buffers)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -38,6 +38,7 @@ def relu(x: Tensor) -> Tensor:
 
     out._backward = backward
     if capture_recorder() is not None:
+        _retain(mask)
 
         def replay() -> None:
             np.maximum(x.data, 0.0, out=out.data)
@@ -58,7 +59,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out._backward = backward
     if capture_recorder() is not None:
         tmp = np.empty_like(value)
-        _note(tmp)
+        _retain(tmp)
 
         def replay() -> None:
             # `value` is out.data (same-dtype construction), so refreshing
@@ -89,6 +90,7 @@ def maximum(x: Tensor, other) -> Tensor:
 
     out._backward = backward
     if capture_recorder() is not None:
+        _retain(take_x)
 
         def replay() -> None:
             np.maximum(x.data, other.data, out=out.data)
@@ -111,6 +113,7 @@ def minimum(x: Tensor, other) -> Tensor:
 
     out._backward = backward
     if capture_recorder() is not None:
+        _retain(take_x)
 
         def replay() -> None:
             np.minimum(x.data, other.data, out=out.data)
@@ -128,7 +131,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         np.concatenate([t.data for t in tensors], axis=axis), _parents=tuple(tensors)
     )
     sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + sizes).tolist()
 
     def backward(grad: Array) -> None:
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
@@ -142,7 +145,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         slots = []
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             index = [slice(None)] * out.ndim
-            index[axis] = slice(int(start), int(stop))
+            index[axis] = slice(start, stop)
             slots.append((tuple(index), t))
 
         def replay() -> None:

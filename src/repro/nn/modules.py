@@ -13,7 +13,7 @@ import numpy as np
 from . import functional as F
 from .conv import conv2d
 from .init import kaiming_normal
-from .tensor import Tensor
+from .tensor import Tensor, capture_recorder
 
 
 class Module:
@@ -159,14 +159,29 @@ class BatchNorm2d(Module):
         if self.training:
             mean = x.mean(axis=(0, 2, 3), keepdims=True)
             var = x.var(axis=(0, 2, 3), keepdims=True)
-            m = self.momentum
-            self.running_mean[...] = (1 - m) * self.running_mean + m * mean.data.ravel()
-            self.running_var[...] = (1 - m) * self.running_var + m * var.data.ravel()
+            self._update_running(mean.data, var.data)
         else:
             mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
             var = Tensor(self.running_var.reshape(1, -1, 1, 1))
         xn = (x - mean) / ((var + self.eps) ** 0.5)
-        return xn * self.gamma.reshape(1, -1, 1, 1) + self.beta.reshape(1, -1, 1, 1)
+        out = xn * self.gamma.reshape(1, -1, 1, 1) + self.beta.reshape(1, -1, 1, 1)
+        if self.training and capture_recorder() is not None:
+            # A captured training step replays the update too.  It hangs
+            # on the block output, which replays after every node of the
+            # block: ``var`` replays before the outer ``mean`` does.
+            compute = out._replay
+
+            def replay() -> None:
+                compute()
+                self._update_running(mean.data, var.data)
+
+            out._replay = replay
+        return out
+
+    def _update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
+        m = self.momentum
+        self.running_mean[...] = (1 - m) * self.running_mean + m * mean.ravel()
+        self.running_var[...] = (1 - m) * self.running_var + m * var.ravel()
 
 
 class ReLU(Module):

@@ -48,8 +48,8 @@ def capture_recorder():
     """This thread's active graph recorder, or ``None`` in eager mode.
 
     Ops consult it to decide whether to attach ``_replay`` closures; the
-    recorder itself only needs to expose ``note_workspace(nbytes)`` (for
-    arena accounting of op-private scratch buffers).
+    recorder (:class:`repro.nn.capture.GraphRecorder`) also takes the
+    arrays their closures keep and hands out pooled scratch.
     """
     return getattr(_TRACE, "recorder", None)
 

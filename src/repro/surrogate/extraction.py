@@ -124,9 +124,7 @@ def extract_parameter_matrix(fill: Tensor, consts: ExtractionConstants) -> Tenso
         mtmp = np.empty_like(fill.data)
         stmp = np.empty(empty.shape, dtype=np.result_type(wire_area, mtmp))
         nkeep = np.empty(empty.shape, dtype=bool)
-        recorder.note_workspace(
-            mtmp.nbytes + stmp.nbytes + empty.nbytes + nkeep.nbytes
-        )
+        recorder.retain(wire_area, mtmp, stmp, empty, nkeep)
 
         def refresh() -> None:
             np.maximum(fill.data, 0.0, out=mtmp)

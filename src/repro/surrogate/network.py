@@ -24,7 +24,8 @@ import numpy as np
 
 from ..layout.layout import Layout
 from ..nn import functional as F
-from ..nn.capture import CaptureMiss, CapturedGraph
+from ..nn.capture import CaptureMiss, CapturedGraph, arena_bytes
+from ..nn.dispatch import ScratchPool
 from ..nn.modules import Module
 from ..nn.tensor import Tensor
 from ..obs import metrics as obs_metrics
@@ -42,10 +43,10 @@ from .objectives import (
 #: permanently instead of re-tracing (and re-failing) every call.
 _BROKEN = object()
 
-#: Captured plans retained per network (LRU).  Each plan owns a workspace
-#: arena sized like one forward+backward pass at its input shape;
-#: MSP-SQP's shrinking lockstep batches are the main consumer of several
-#: live keys.
+#: Captured plans retained per network (LRU).  Each plan holds the
+#: forward arrays of one pass at its input shape; scratch and gradient
+#: slots come from the network's shared pool.  MSP-SQP's shrinking
+#: lockstep batches are the main consumer of several live keys.
 MAX_CAPTURE_PLANS: int = 8
 
 #: Named outputs of every evaluation graph: the ``(K,)`` planarity terms
@@ -195,6 +196,8 @@ class CmpNeuralNetwork:
         self.capture = bool(capture)
         self._plans: OrderedDict[tuple, object] = OrderedDict()
         self._plans_lock = threading.Lock()
+        # One scratch pool for all plans: they replay under the plan lock.
+        self._pool = ScratchPool()
         self._capture_counts = {"trace": 0, "replay": 0, "reuse": 0,
                                 "miss": 0, "bypass": 0}
 
@@ -206,17 +209,17 @@ class CmpNeuralNetwork:
 
         ``"reuse"`` counts backward-only replays (a gradient call at the
         inputs of the plan's last forward); each is also a ``"replay"``.
+        ``"plans"`` maps each plan key to the bytes that plan holds;
+        ``"arena_bytes"`` counts every buffer once, though the plans
+        share the network's scratch pool.
         """
         with self._plans_lock:
-            plans = {
-                repr(key): plan.arena_bytes
-                for key, plan in self._plans.items()
-                if plan is not _BROKEN
-            }
+            live = {repr(key): plan for key, plan in self._plans.items()
+                    if plan is not _BROKEN}
             return {
                 **self._capture_counts,
-                "plans": plans,
-                "arena_bytes": sum(plans.values()),
+                "plans": {key: plan.arena_bytes for key, plan in live.items()},
+                "arena_bytes": arena_bytes(live.values()),
             }
 
     def _run(self, kind: str, signature: tuple, weights: PlanarityWeights,
@@ -270,12 +273,12 @@ class CmpNeuralNetwork:
                         with obs_trace.span("capture.trace", cat="nn", kind=kind):
                             plan = CapturedGraph.trace(
                                 build, inputs, grad_inputs=("x",),
-                                root="s_plan", seed=seed,
+                                root="s_plan", seed=seed, pool=self._pool,
                             )
                     else:
                         plan = CapturedGraph.trace(
                             build, inputs, grad_inputs=("x",),
-                            root="s_plan", seed=seed,
+                            root="s_plan", seed=seed, pool=self._pool,
                         )
                 except Exception:
                     self._plans[key] = _BROKEN
@@ -287,8 +290,8 @@ class CmpNeuralNetwork:
                 if tracer is not None:
                     obs_metrics.registry().set_gauge(
                         "capture.arena_bytes",
-                        sum(p.arena_bytes for p in self._plans.values()
-                            if p is not _BROKEN),
+                        arena_bytes(p for p in self._plans.values()
+                                    if p is not _BROKEN),
                     )
                 return _read(plan.outputs, plan.inputs["x"], seed is not None)
             try:

@@ -8,6 +8,8 @@ import numpy as np
 
 from ..config import rng_from_seed
 from ..layout.layout import Layout
+from ..nn.capture import CapturedGraph
+from ..nn.dispatch import ScratchPool
 from ..nn.loss import mse_loss
 from ..nn.modules import Module
 from ..nn.optim import Adam
@@ -54,9 +56,33 @@ class TrainHistory:
         return self.losses[-1]
 
 
+def _loss_graph(unet: Module, variance_weight: float):
+    """The Eq. 20 training loss of one batch, as a capture build."""
+
+    def build(tensors: dict[str, Tensor]) -> dict[str, Tensor]:
+        pred = unet(tensors["x"])
+        target = tensors["y"]
+        loss = mse_loss(pred, target)
+        if variance_weight > 0:
+            pred_var = pred.var(axis=(2, 3))
+            target_var = target.var(axis=(2, 3))
+            mismatch = pred_var - target_var
+            loss = loss + (mismatch * mismatch).mean() * variance_weight
+        return {"loss": loss}
+
+    return build
+
+
 def train_unet(unet: Module, dataset: SurrogateDataset,
                config: TrainConfig | None = None) -> TrainHistory:
-    """Minimise the Eq. 20 MSE objective with Adam mini-batches."""
+    """Minimise the Eq. 20 MSE objective with Adam mini-batches.
+
+    Each batch shape (the full batch and an epoch's remainder) traces
+    one parameter-gradient :class:`~repro.nn.capture.CapturedGraph`, a
+    training step in eager mode; later steps copy their batch in and
+    replay forward and backward, which hands Adam the eager gradients
+    bit for bit.  The plans share one scratch pool.
+    """
     config = config or TrainConfig()
     if config.epochs <= 0 or config.batch_size <= 0:
         raise ValueError("epochs and batch_size must be positive")
@@ -66,6 +92,9 @@ def train_unet(unet: Module, dataset: SurrogateDataset,
     rng = rng_from_seed(config.seed)
     optimizer = Adam(unet.parameters(), lr=config.learning_rate)
     history = TrainHistory()
+    build = _loss_graph(unet, config.variance_weight)
+    pool = ScratchPool()
+    plans: dict[int, CapturedGraph] = {}
     unet.train()
     with obs_trace.span("train.fit", cat="train", samples=int(n),
                         epochs=config.epochs, batch_size=config.batch_size):
@@ -75,19 +104,17 @@ def train_unet(unet: Module, dataset: SurrogateDataset,
                 epoch_losses = []
                 for start in range(0, n, config.batch_size):
                     idx = order[start : start + config.batch_size]
+                    batch = {"x": X[idx], "y": Y[idx]}
                     optimizer.zero_grad()
-                    pred = unet(Tensor(X[idx]))
-                    target = Tensor(Y[idx])
-                    loss = mse_loss(pred, target)
-                    if config.variance_weight > 0:
-                        pred_var = pred.var(axis=(2, 3))
-                        target_var = target.var(axis=(2, 3))
-                        mismatch = pred_var - target_var
-                        loss = loss + (mismatch * mismatch).mean() \
-                            * config.variance_weight
-                    loss.backward()
+                    plan = plans.get(len(idx))
+                    if plan is None:
+                        plans[len(idx)] = plan = CapturedGraph.trace(
+                            build, batch, root="loss", param_grads=True,
+                            pool=pool)
+                    else:
+                        plan.replay(batch)
                     optimizer.step()
-                    epoch_losses.append(loss.item())
+                    epoch_losses.append(plan.outputs["loss"].item())
                 epoch_loss = float(np.mean(epoch_losses))
                 history.losses.append(epoch_loss)
                 obs_trace.event("train.epoch_loss", cat="train",

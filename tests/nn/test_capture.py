@@ -12,9 +12,11 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.nn import UNet
 from repro.nn import functional as F
-from repro.nn.capture import CaptureMiss, CapturedGraph
+from repro.nn.capture import CaptureMiss, CapturedGraph, arena_bytes
 from repro.nn.conv import conv2d, max_pool2d, upsample2x
+from repro.nn.dispatch import Scratch, ScratchPool
 from repro.nn.tensor import Tensor
 
 
@@ -396,3 +398,151 @@ class TestGraphTeardown:
         del hidden
         gc.collect()
         assert ref() is not None
+
+
+def unet_plans(param_grads, batches=(3, 2)):
+    """Plans of one depth-2 UNet on a shared pool: training steps
+    (``param_grads``) or inference passes with an input gradient."""
+    unet = UNet(2, 1, base_channels=4, depth=2, rng=0)
+    if not param_grads:
+        unet.eval()
+
+    def build(tensors):
+        pred = unet(tensors["x"])
+        return {"root": ((pred - tensors["y"]) ** 2.0).sum(), "pred": pred}
+
+    pool = ScratchPool()
+    plans = []
+    for k, batch in enumerate(batches):
+        x, y = rng_arrays((batch, 2, 7, 9), (batch, 1, 7, 9), seed=40 + k,
+                          lo=-1.0)
+        plans.append(CapturedGraph.trace(
+            build, {"x": x, "y": y}, root="root", pool=pool,
+            grad_inputs=() if param_grads else ("x",),
+            param_grads=param_grads))
+    return unet, build, plans
+
+
+def sweep_intervals(plan):
+    """(first write, last read) of every non-leaf node's gradient, by
+    sweep step, computed from the graph alone."""
+    sweep = plan._btopo[::-1]
+    step = {id(n): i for i, n in enumerate(sweep)}
+    intervals = {id(sweep[0]): [-1, 0]}
+    for i, node in enumerate(sweep):
+        for parent in node._parents:
+            if id(parent) in step and id(parent) not in intervals:
+                intervals[id(parent)] = [i, step[id(parent)]]
+    return [(n, intervals[id(n)]) for n in sweep if n._parents]
+
+
+class TestGradientSlots:
+    @pytest.mark.parametrize("param_grads", [False, True])
+    def test_holders_of_one_slot_are_never_live_together(self, param_grads):
+        _, _, plans = unet_plans(param_grads)
+        for plan in plans:
+            holders = sweep_intervals(plan)
+            buffers = {id(n._grad_buf) for n, _ in holders}
+            assert len(buffers) == len(holders)  # one view per holder
+            for i, (a, (a0, a1)) in enumerate(holders):
+                for b, (b0, b1) in holders[i + 1:]:
+                    if np.shares_memory(a._grad_buf, b._grad_buf):
+                        assert a1 < b0 or b1 < a0, (a, b)
+
+    def test_no_parent_reuses_its_childs_slot(self):
+        _, _, (plan, _) = unet_plans(param_grads=True)
+        sweep = plan._btopo[::-1]
+        for node in sweep:
+            for parent in node._parents:
+                if parent._parents and parent in sweep:
+                    assert not np.shares_memory(node._grad_buf,
+                                                parent._grad_buf)
+
+    def test_slots_are_shared(self):
+        _, _, plans = unet_plans(param_grads=True)
+        for plan in plans:
+            holders = sweep_intervals(plan)
+            assert len(plan._slot_sizes) < len(holders) // 4
+
+    def test_plans_of_one_pool_share_slots(self):
+        _, _, (big, small) = unet_plans(param_grads=True)
+        assert any(np.shares_memory(a._grad_buf, b._grad_buf)
+                   for a, _ in sweep_intervals(big)
+                   for b, _ in sweep_intervals(small))
+
+    def test_two_parents_of_one_child(self):
+        """A child writes both parents in the step that reads its own
+        gradient; neither parent may take the child's slot."""
+        def build(tensors):
+            u = tensors["x"] * 2.0
+            v = tensors["x"] + 1.0
+            w = u * v
+            return {"root": (w * w).sum()}
+
+        (x0,) = rng_arrays((3, 4), seed=45)
+        (x1,) = rng_arrays((3, 4), seed=46)
+        assert_replay_matches_eager(build, {"x": x0}, {"x": x1})
+
+
+def closure_arrays(fn, seen):
+    """Arrays (and pooled scratch views) a closure keeps, recursively."""
+    if fn is None or id(fn) in seen:
+        return
+    seen.add(id(fn))
+    for cell in fn.__closure__ or ():
+        try:
+            value = cell.cell_contents
+        except ValueError:
+            continue
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, Scratch):
+            yield from value.views.values()
+        elif getattr(value, "__closure__", None):
+            yield from closure_arrays(value, seen)
+
+
+def owner(array):
+    """The array that owns ``array``'s memory (through stride-trick
+    wrappers too)."""
+    while getattr(array, "base", None) is not None:
+        array = array.base
+    return array
+
+
+class TestArenaAccounting:
+    @pytest.mark.parametrize("param_grads", [False, True])
+    def test_each_buffer_counted_once(self, param_grads):
+        unet, build, plans = unet_plans(param_grads)
+        for k, plan in enumerate(plans):
+            x, y = rng_arrays(plan.inputs["x"].shape, plan.inputs["y"].shape,
+                              seed=50 + k)
+            plan.replay({"x": x, "y": y})  # warm every call site
+            held = plan.buffers()
+            assert plan.arena_bytes == sum(a.nbytes for a in held.values())
+            arrays = list(held.values())
+            for i, a in enumerate(arrays):
+                assert a.base is None
+                assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+            # Everything the graph and its closures keep is counted,
+            # except the parameters, which the module owns.
+            params = {id(p.data) for p in unet.parameters()}
+            kept = [n.data for n in plan._nodes] + [
+                n._grad_buf for n in plan._btopo if n._grad_buf is not None]
+            seen = set()
+            for node in plan._nodes:
+                kept += closure_arrays(node._replay, seen)
+                kept += closure_arrays(node._backward, seen)
+            buffers = {id(p.data) for p in unet.parameters()} | {
+                id(b) for _, b in unet.named_buffers()}
+            for array in kept:
+                base = owner(array)
+                assert id(base) in held or id(base) in buffers, array.shape
+            assert not params & set(held)
+        together = arena_bytes(plans)
+        union = {}
+        for plan in plans:
+            union.update(plan.buffers())
+        assert together == sum(a.nbytes for a in union.values())
+        # The plans share their owner's pool, so that is counted once.
+        assert together < sum(plan.arena_bytes for plan in plans)

@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.layout import make_design_a
 from repro.nn import UNet
@@ -347,3 +349,110 @@ class TestAllocationRegression:
         ]
         assert not grown, [str(d) for d in grown]
         assert net.capture_stats()["replay"] == 5
+
+    def test_interleaved_plans_allocate_no_new_large_arrays(self, layout):
+        """Plans sharing the network's pool re-bind their views when it
+        grows, then settle: warm interleaved replays keep nothing new."""
+        net = build_net(layout, True)
+        fills = fills_for(layout, 4, seed=13)
+        batches = fills_for(layout, 4, seed=14, batch=3)
+        trial, region, base = region_setup(net)
+        calls = [lambda i: net.evaluate(fills[i], WEIGHTS),
+                 lambda i: net.evaluate_batch(batches[i], WEIGHTS),
+                 lambda i: net.evaluate_region(trial * (0.5 + 0.1 * i),
+                                               region, base, WEIGHTS)]
+        for i in range(2):  # trace, then warm every call site
+            for call in calls:
+                call(i)
+
+        gc.collect()
+        tracemalloc.start()
+        before = tracemalloc.take_snapshot()
+        for i in range(2, 4):
+            for call in calls:
+                result = call(i)
+        del result
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+        tracemalloc.stop()
+
+        grown = [
+            d for d in after.compare_to(before, "lineno")
+            if d.size_diff > 32 * 1024
+        ]
+        assert not grown, [str(d) for d in grown]
+        assert net.capture_stats()["trace"] == 3
+
+
+class TestLeanArena:
+    """Every plan of a network draws scratch and gradient slots from one
+    pool; interleaving plans must never leak one plan's pass into
+    another's result."""
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(rows=st.integers(1, 11), cols=st.integers(1, 11),
+           ks=st.lists(st.integers(1, 3), min_size=2, max_size=3,
+                       unique=True),
+           corner=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+           seed=st.integers(0, 2**16))
+    def test_interleaved_plans_match_eager(self, rows, cols, ks, corner, seed):
+        gc.collect()  # plans are reference cycles; free earlier examples
+        layout = make_design_a(rows=rows, cols=cols, seed=seed % 7)
+        unet = UNet(NUM_FEATURE_CHANNELS, 1, base_channels=4, depth=2,
+                    rng=seed % 5)
+        norm = HeightNormalizer(2500.0, 300.0)
+        captured = CmpNeuralNetwork(layout, unet, norm)
+        eager = CmpNeuralNetwork(layout, unet, norm, capture=False)
+        rng = np.random.default_rng(seed)
+        slack = layout.slack_stack()
+
+        active = np.zeros((rows, cols), bool)
+        r, c = int(corner[0] * (rows - 1)), int(corner[1] * (cols - 1))
+        active[r:r + 2, c:c + 2] = True
+        region = captured.plan_region(active)
+        base_fill = rng.random(slack.shape) * slack
+        base = eager.predict_heights(base_fill)
+
+        def batch_call(fills):
+            return lambda net, **kw: net.evaluate_batch(fills, WEIGHTS, **kw)
+
+        def region_call(trial):
+            return lambda net, **kw: net.evaluate_region(trial, region, base,
+                                                         WEIGHTS, **kw)
+
+        calls = [batch_call(rng.random((k, *slack.shape)) * slack)
+                 for k in ks]
+        trial = base_fill.copy()
+        trial[:, active] = (rng.random(slack.shape) * slack)[:, active]
+        calls.insert(1, region_call(trial))
+        # Every plan runs a forward-only call, then (after the other
+        # plans have replayed) a gradient call at the same inputs, which
+        # replays its backward only; then everything once more.
+        for call in calls + calls:
+            call(captured, want_grad=False)
+        for call in calls:
+            got, want = call(captured), call(eager)
+            assert np.array_equal(got.s_plan, want.s_plan)
+            assert np.array_equal(got.heights, want.heights)
+            assert np.array_equal(got.gradient, want.gradient)
+        assert captured.capture_stats()["reuse"] == len(calls)
+
+    def test_arena_bytes_counts_shared_buffers_once(self, layout):
+        net = build_net(layout, True)
+        (fill,) = fills_for(layout, 1, seed=30)
+        (batch,) = fills_for(layout, 1, seed=31, batch=3)
+        for _ in range(2):  # trace, then warm every call site
+            net.evaluate(fill, WEIGHTS)
+            net.evaluate_batch(batch, WEIGHTS)
+        stats = net.capture_stats()
+        plans = [p for p in net._plans.values()]
+        held = {}
+        for plan in plans:
+            held.update(plan.buffers())
+        assert stats["arena_bytes"] == sum(a.nbytes for a in held.values())
+        assert sorted(stats["plans"].values()) == sorted(
+            p.arena_bytes for p in plans)
+        assert stats["arena_bytes"] < sum(stats["plans"].values())
+        pool = set(map(id, net._pool._flat.values()))
+        assert pool <= set(held)

@@ -1,20 +1,18 @@
-"""Batched multi-start refinement and parallel datagen speedups.
+"""Batched multi-start refinement speedup.
 
-Two perf levers, both guaranteed result-identical to their serial
-counterparts (see DESIGN.md "Batching and parallelism"):
-
-* MSP-SQP with K starts — an explicit start-by-start
-  ``SqpOptimizer.maximize`` loop vs ``msp_sqp``'s lockstep broker, which
-  services every round with one stacked network pass and answers a
-  start's gradient request at its just-evaluated point from that round's
-  all-row backward sweep (so it runs fewer network rows than the loop).
-* Teacher-data generation — serial simulation loop vs a process pool.
+MSP-SQP with K starts: an explicit start-by-start
+``SqpOptimizer.maximize`` loop vs ``msp_sqp``'s lockstep broker, which
+services every round with one stacked network pass and answers a start's
+gradient request at its just-evaluated point from that round's all-row
+backward sweep (so it runs fewer network rows than the loop when starts
+are out of phase).  Both are result-identical (see DESIGN.md
+"Batching").
 
 Results go to ``benchmarks/output/batched_msp.txt`` and, machine-readable,
-to ``BENCH_batched_msp.json`` at the repo root.  Speedups depend on grid
-size and core count (the datagen lever needs >1 core; the batching lever
-amortises per-layer Python overhead and pays off even on one core), so
-the JSON records the measured environment alongside the timings.
+to ``BENCH_batched_msp.json`` at the repo root.  The speedup depends on
+grid size and host (batching amortises per-layer Python overhead and
+pays off even on one core), so the JSON records the core count alongside
+the timings.
 """
 
 import json
@@ -27,14 +25,13 @@ import numpy as np
 from _common import write_output
 from repro.core import FillProblem, QualityModel, ScoreCoefficients, msp_sqp
 from repro.cmp import CmpSimulator
-from repro.layout import make_design_a, make_design_b
+from repro.layout import make_design_a
 from repro.nn import UNet
 from repro.optimize import SqpOptimizer, random_starting_points_stacked
 from repro.surrogate import (
     NUM_FEATURE_CHANNELS,
     CmpNeuralNetwork,
     HeightNormalizer,
-    build_dataset,
 )
 
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_batched_msp.json"
@@ -42,8 +39,6 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_batched_msp.json"
 MSP_GRID = 16
 NUM_STARTS = 8
 SQP_ITERS = 6
-DATAGEN_COUNT = 8
-DATAGEN_WORKERS = 4
 
 
 def _timed(fn):
@@ -52,7 +47,7 @@ def _timed(fn):
     return result, time.perf_counter() - t0
 
 
-def test_batched_msp_and_parallel_datagen(benchmark):
+def test_batched_msp(benchmark):
     # Untrained weights time identically to trained ones, so skip the
     # expensive pretraining and build the setup directly.
     layout = make_design_a(rows=MSP_GRID, cols=MSP_GRID)
@@ -99,29 +94,6 @@ def test_batched_msp_and_parallel_datagen(benchmark):
     grad_cache_hits = sum(r.evaluations for r in bat_results) - bat_evals
     msp_speedup = seq_s / bat_s
 
-    # The datagen lever is a process pool: on a single-core host the
-    # workers only add fork/pickle overhead and the "speedup" is pure
-    # noise (<1x), so the comparison is skipped and annotated instead of
-    # recorded as a misleading regression.
-    cores = os.cpu_count() or 1
-    sources = [make_design_a(rows=10, cols=10), make_design_b(rows=10, cols=10)]
-    serial, serial_s = _timed(lambda: build_dataset(
-        sources, count=DATAGEN_COUNT, rows=10, cols=10, seed=0))
-    if cores > 1:
-        par, par_s = _timed(lambda: build_dataset(
-            sources, count=DATAGEN_COUNT, rows=10, cols=10, seed=0,
-            n_workers=DATAGEN_WORKERS))
-        identical = (serial.inputs.tobytes() == par.inputs.tobytes()
-                     and serial.targets.tobytes() == par.targets.tobytes())
-        datagen_speedup = serial_s / par_s
-        datagen_note = None
-    else:
-        par_s = None
-        identical = None
-        datagen_speedup = None
-        datagen_note = ("single-core host: parallel comparison skipped "
-                        "(a process pool cannot win on 1 core)")
-
     report = {
         "cpu_count": os.cpu_count(),
         "msp_sqp": {
@@ -137,15 +109,6 @@ def test_batched_msp_and_parallel_datagen(benchmark):
             "batched_evaluations": bat_evals,
             "grad_cache_hits": grad_cache_hits,
         },
-        "datagen": {
-            "count": DATAGEN_COUNT,
-            "n_workers": DATAGEN_WORKERS,
-            "serial_s": round(serial_s, 4),
-            "parallel_s": round(par_s, 4) if par_s is not None else None,
-            "speedup": round(datagen_speedup, 2) if datagen_speedup is not None else None,
-            "byte_identical": identical,
-            "note": datagen_note,
-        },
     }
     JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -154,25 +117,13 @@ def test_batched_msp_and_parallel_datagen(benchmark):
         f"{SQP_ITERS} SQP iters): sequential {seq_s:.2f}s, batched "
         f"{bat_s:.2f}s — {msp_speedup:.1f}x, "
         f"best-fill max |diff| {fill_diff:.2e}, network rows "
-        f"{seq_evals} -> {bat_evals} ({grad_cache_hits} cached gradients)\n"
+        f"{seq_evals} -> {bat_evals} ({grad_cache_hits} cached gradients), "
+        f"{os.cpu_count()} cores"
     )
-    if datagen_note is None:
-        text += (
-            f"Parallel datagen ({DATAGEN_COUNT} samples, "
-            f"{DATAGEN_WORKERS} workers, {cores} cores): serial "
-            f"{serial_s:.2f}s, parallel {par_s:.2f}s — {datagen_speedup:.1f}x, "
-            f"byte-identical: {identical}"
-        )
-    else:
-        text += (
-            f"Parallel datagen: serial {serial_s:.2f}s; {datagen_note}"
-        )
     write_output("batched_msp", text)
 
-    # Correctness is asserted; speedups are recorded, not asserted, since
-    # they depend on the host (core count, BLAS threading).
-    if datagen_note is None:
-        assert identical
+    # Correctness is asserted; the speedup is recorded, not asserted
+    # beyond > 1, since it depends on the host (BLAS threading).
     assert fill_diff < 1e-8
     assert same_paths
     assert start_diff < 1e-8

@@ -194,34 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-train", action="store_true",
                        help="reject neurfill jobs without a registered "
                             "model instead of training inline")
-    serve.add_argument("--shadow-rate", type=float, default=None,
-                       metavar="FRAC",
-                       help="fraction of served fills to shadow-check "
-                            "against the real simulator (0 disables; "
-                            "default REPRO_LIFECYCLE_SHADOW_RATE)")
-    serve.add_argument("--drift-bound", type=float, default=None,
-                       metavar="RMSE_A",
-                       help="height-RMSE (Angstrom) a shadow residual "
-                            "must exceed to count toward a drift trip "
-                            "(default REPRO_LIFECYCLE_DRIFT_BOUND)")
-    serve.add_argument("--auto-retrain", action="store_true",
-                       help="on a drift trip, retrain in the background "
-                            "and hot-swap the validated checkpoint")
-    serve.add_argument("--lifecycle-dir", default=None, metavar="DIR",
-                       help="directory for lifecycle state + retrained "
-                            "checkpoint generations "
-                            "(default: <journal>.lifecycle)")
-
-    lifecycle = sub.add_parser(
-        "lifecycle-status",
-        help="inspect drift/retrain/generation state of a server")
-    where = lifecycle.add_mutually_exclusive_group(required=True)
-    where.add_argument("--dir", dest="lifecycle_dir", metavar="DIR",
-                       help="read the persisted lifecycle state file "
-                            "from a (possibly stopped) server's "
-                            "lifecycle directory")
-    where.add_argument("--tcp", metavar="HOST:PORT",
-                       help="query a running TCP server's live status")
 
     tracecmd = sub.add_parser(
         "trace",
@@ -292,7 +264,10 @@ def _load_or_train_network(layout, simulator, args):
     training with the same knobs the serve executor uses."""
     model_dir = getattr(args, "model", None)
     if model_dir:
-        network = load_surrogate(model_dir, layout)
+        try:
+            network = load_surrogate(model_dir, layout)
+        except ValueError as exc:  # corrupt checkpoint; names the file
+            raise CliError(str(exc))
         print(f"loaded surrogate checkpoint {model_dir}", file=sys.stderr)
         return network
     rows, cols = layout.grid.shape
@@ -475,14 +450,6 @@ def _cmd_serve(args) -> int:
         overrides["allow_train"] = False
     if args.worker_mode is not None:
         overrides["worker_mode"] = args.worker_mode
-    if args.shadow_rate is not None:
-        overrides["shadow_sample_rate"] = args.shadow_rate
-    if args.drift_bound is not None:
-        overrides["drift_bound"] = args.drift_bound
-    if args.auto_retrain:
-        overrides["auto_retrain"] = True
-    if args.lifecycle_dir is not None:
-        overrides["lifecycle_dir"] = args.lifecycle_dir
     try:
         serve_config = ServeConfig(**overrides)
     except ValueError as exc:
@@ -509,33 +476,6 @@ def _cmd_serve(args) -> int:
     return serve_pipe(server)
 
 
-def _cmd_lifecycle_status(args) -> int:
-    if args.tcp:
-        host, sep, port = args.tcp.rpartition(":")
-        if not sep or not port.isdigit():
-            raise CliError(f"bad --tcp address {args.tcp!r}: "
-                           f"expected HOST:PORT")
-        from .serve import ServeClient
-        try:
-            with ServeClient.connect(host or "127.0.0.1", int(port),
-                                     timeout=5.0) as client:
-                status = client.lifecycle(timeout=30.0)
-        except (ConnectionError, TimeoutError, OSError) as exc:
-            raise CliError(f"cannot query {args.tcp}: {exc}")
-        print(json.dumps(status, indent=2, sort_keys=True, default=str))
-        return 0
-
-    from .lifecycle import STATE_FILENAME, read_state
-    state_path = Path(args.lifecycle_dir)
-    if state_path.is_dir():
-        state_path = state_path / STATE_FILENAME
-    state = read_state(state_path)
-    if state is None:
-        raise CliError(f"no readable lifecycle state at {state_path}")
-    print(json.dumps(state, indent=2, sort_keys=True, default=str))
-    return 0
-
-
 _HANDLERS = {
     "gen-design": _cmd_gen_design,
     "simulate": _cmd_simulate,
@@ -544,7 +484,6 @@ _HANDLERS = {
     "compare": _cmd_compare,
     "train-surrogate": _cmd_train_surrogate,
     "serve": _cmd_serve,
-    "lifecycle-status": _cmd_lifecycle_status,
 }
 
 

@@ -100,99 +100,6 @@ def serve_worker_mode_default() -> str:
     return raw
 
 
-# ----------------------------------------------------------------------
-# repro.lifecycle defaults (drift monitor + background retrain + swap).
-# Shadow simulation is OFF by default: a rate of 0 keeps serving on the
-# exact PR 3/6 fast path (no sampling, no background thread).
-
-#: Fraction of served surrogate fills shadow-checked against the real
-#: simulator (``REPRO_LIFECYCLE_SHADOW_RATE``); 0 disables the monitor.
-DEFAULT_LIFECYCLE_SHADOW_RATE: float = 0.0
-
-#: Height-RMSE drift bound in Angstroms (``REPRO_LIFECYCLE_DRIFT_BOUND``);
-#: shadow residuals above it count toward a drift trip.
-DEFAULT_LIFECYCLE_DRIFT_BOUND: float = 50.0
-
-#: Residuals in the sliding drift window (``REPRO_LIFECYCLE_WINDOW``).
-DEFAULT_LIFECYCLE_WINDOW: int = 8
-
-#: Exceedances within the window required to trip
-#: (``REPRO_LIFECYCLE_TRIP_COUNT``) — hysteresis against one outlier.
-DEFAULT_LIFECYCLE_TRIP_COUNT: int = 3
-
-#: Teacher samples per background retrain
-#: (``REPRO_LIFECYCLE_TRAIN_SAMPLES``).
-DEFAULT_LIFECYCLE_TRAIN_SAMPLES: int = 12
-
-#: Training epochs per background retrain
-#: (``REPRO_LIFECYCLE_TRAIN_EPOCHS``).
-DEFAULT_LIFECYCLE_TRAIN_EPOCHS: int = 4
-
-#: Deterministic seed threaded through retrain datagen + weight init
-#: (``REPRO_LIFECYCLE_SEED``); a fixed seed yields byte-identical
-#: retrained checkpoints.
-DEFAULT_LIFECYCLE_SEED: int = 0
-
-
-def lifecycle_shadow_rate_default() -> float:
-    value = _env_number("REPRO_LIFECYCLE_SHADOW_RATE",
-                        DEFAULT_LIFECYCLE_SHADOW_RATE, float, 0.0)
-    if value > 1.0:
-        raise ValueError(
-            f"REPRO_LIFECYCLE_SHADOW_RATE={value}: must be <= 1")
-    return value
-
-
-def lifecycle_drift_bound_default() -> float:
-    return _env_number("REPRO_LIFECYCLE_DRIFT_BOUND",
-                       DEFAULT_LIFECYCLE_DRIFT_BOUND, float, 0.0)
-
-
-def lifecycle_window_default() -> int:
-    return int(_env_number("REPRO_LIFECYCLE_WINDOW",
-                           DEFAULT_LIFECYCLE_WINDOW, int, 1))
-
-
-def lifecycle_trip_count_default() -> int:
-    return int(_env_number("REPRO_LIFECYCLE_TRIP_COUNT",
-                           DEFAULT_LIFECYCLE_TRIP_COUNT, int, 1))
-
-
-def lifecycle_auto_retrain_default() -> bool:
-    raw = os.environ.get("REPRO_LIFECYCLE_AUTO_RETRAIN", "").strip().lower()
-    if not raw:
-        return False
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(
-        f"REPRO_LIFECYCLE_AUTO_RETRAIN={raw!r}: expected a boolean")
-
-
-def lifecycle_train_samples_default() -> int:
-    return int(_env_number("REPRO_LIFECYCLE_TRAIN_SAMPLES",
-                           DEFAULT_LIFECYCLE_TRAIN_SAMPLES, int, 2))
-
-
-def lifecycle_train_epochs_default() -> int:
-    return int(_env_number("REPRO_LIFECYCLE_TRAIN_EPOCHS",
-                           DEFAULT_LIFECYCLE_TRAIN_EPOCHS, int, 1))
-
-
-def lifecycle_seed_default() -> int:
-    return int(_env_number("REPRO_LIFECYCLE_SEED",
-                           DEFAULT_LIFECYCLE_SEED, int, 0))
-
-
-def lifecycle_dir_default() -> str | None:
-    """Checkpoint/state directory for retrained generations
-    (``REPRO_LIFECYCLE_DIR``); ``None`` means the server picks a
-    per-journal sibling or a temporary directory."""
-    raw = os.environ.get("REPRO_LIFECYCLE_DIR", "").strip()
-    return raw or None
-
-
 def rng_from_seed(seed: int | np.random.Generator | None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for ``seed``.
 

@@ -169,7 +169,7 @@ class MetricsRegistry:
 
     def set_gauge(self, name: str, value: float) -> None:
         """Record the latest value of a point-in-time quantity (queue
-        depth, live model generation, ...).  Last write wins —
+        depth, ...).  Last write wins —
         gauges report state, not events, so there is no windowing."""
         with self._lock:
             if self._room_for(name, self._gauges):

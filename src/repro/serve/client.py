@@ -231,24 +231,6 @@ class ServeClient:
     def ping(self, timeout: float | None = None) -> bool:
         return bool(self.call("ping", timeout=timeout)["result"]["pong"])
 
-    def lifecycle(self, timeout: float | None = None) -> dict:
-        """Drift/retrain/generation status of the server."""
-        return self.call("lifecycle", timeout=timeout)["result"]
-
-    def swap(self, model: str, directory: str,
-             generation: int | None = None,
-             timeout: float | None = None) -> int:
-        """Hot-swap ``model`` to the checkpoint in ``directory``.
-
-        Returns the new generation.  In-flight jobs finish on the old
-        checkpoint; jobs admitted after this returns bind the new one.
-        """
-        params: dict = {"model": model, "directory": directory}
-        if generation is not None:
-            params["generation"] = int(generation)
-        result = self.call("swap", params, timeout=timeout)
-        return int(result["result"]["generation"])
-
     def cancel(self, job_id: str, timeout: float | None = None) -> bool:
         result = self.call("cancel", {"job_id": job_id}, timeout=timeout)
         return bool(result["result"]["cancelled"])

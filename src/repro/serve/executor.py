@@ -166,11 +166,6 @@ class JobExecutor:
             configuration — a child executor never sees concurrency).
             ``flush_ms`` bounds how long a parked request waits for a
             job that is busy elsewhere.
-        shadow: optional :class:`~repro.lifecycle.ShadowExecutor`; every
-            registered-model fill is offered to it (it samples).  ``None``
-            — the default — keeps the fill path exactly the
-            pre-lifecycle one: no sampling counter, no extra branches
-            beyond one ``is None`` check.
     """
 
     def __init__(self, registry: ModelRegistry | None = None, *,
@@ -179,8 +174,7 @@ class JobExecutor:
                  allow_train: bool = True,
                  max_bound_networks: int = 8,
                  max_batch: int = 1,
-                 flush_ms: float = 0.0,
-                 shadow=None):
+                 flush_ms: float = 0.0):
         self.registry = registry or ModelRegistry()
         self.simulator = simulator or CmpSimulator()
         self.stats = stats
@@ -188,7 +182,6 @@ class JobExecutor:
         self.max_bound_networks = max_bound_networks
         self.max_batch = max_batch
         self.flush_ms = flush_ms
-        self.shadow = shadow
         self._layout_cache: OrderedDict[str, tuple[tuple, Layout, str]] = \
             OrderedDict()
         self._coeff_cache: OrderedDict[str, ScoreCoefficients] = OrderedDict()
@@ -210,8 +203,8 @@ class JobExecutor:
             if request.op == "simulate":
                 return self._simulate_job(request.params)
             if request.op == "eco":
-                return self._eco_job(request.params, job_id=request.id)
-            return self._fill_job(request.params, job_id=request.id)
+                return self._eco_job(request.params)
+            return self._fill_job(request.params)
 
     def close(self) -> None:
         """Close every batcher: parked requests flush themselves."""
@@ -285,26 +278,23 @@ class JobExecutor:
 
     def _coalesced_network(self, model_name: str, layout: Layout,
                            fingerprint: str):
-        """(batcher standing in for the bound network, model snapshot)
-        for a registered model.
+        """The batcher standing in for a registered model's bound network.
 
-        Batchers are keyed by *(model, fingerprint, generation, stamp)*
-        so a hot swap never coalesces old- and new-generation
-        evaluations in one batch; when a new generation's batcher is
-        installed, stale same-model entries are evicted.  Closing an
-        evicted batcher is safe for in-flight jobs still evaluating
-        through it: a closed batcher flushes every evaluation at once,
-        so those jobs finish on the old generation's weights — the
-        no-drain half of the swap guarantee.
+        Batchers are keyed by *(model, fingerprint, checkpoint stamp)*
+        so an in-place overwrite of the checkpoint never coalesces old-
+        and new-weight evaluations in one batch; when a new stamp's
+        batcher is installed, stale same-model entries are evicted.
+        Closing an evicted batcher is safe for in-flight jobs still
+        evaluating through it: a closed batcher flushes every evaluation
+        at once, so those jobs finish on the weights they bound.
         """
         network, model = self.registry.bind(model_name, layout, fingerprint)
-        token = (model.generation, model.stamp)
-        key = (model_name, fingerprint) + token
+        key = (model_name, fingerprint, model.stamp)
         with self._lock:
             batcher = self._batchers.get(key)
             if batcher is not None:
                 self._batchers.move_to_end(key)
-                return batcher, model
+                return batcher
         batcher = MicroBatcher(
             network, max_batch=self.max_batch,
             max_delay_s=self.flush_ms / 1e3, stats=self.stats,
@@ -317,7 +307,7 @@ class JobExecutor:
                 batcher = self._batchers[key]
             else:
                 for stale in [k for k in self._batchers
-                              if k[0] == model_name and k[2:] != token]:
+                              if k[0] == model_name and k[2] != model.stamp]:
                     evicted.append(self._batchers.pop(stale))
                 self._batchers[key] = batcher
                 self._batchers.move_to_end(key)
@@ -325,7 +315,7 @@ class JobExecutor:
                     evicted.append(self._batchers.popitem(last=False)[1])
         for old in evicted:
             old.close()
-        return batcher, model
+        return batcher
 
     def _remember_solution(self, fingerprint: str, layout: Layout,
                            result: FillResult) -> None:
@@ -347,15 +337,14 @@ class JobExecutor:
     # ------------------------------------------------------------------
     # Job kinds
     # ------------------------------------------------------------------
-    def _fill_job(self, params: dict, job_id: str | None = None) -> dict:
+    def _fill_job(self, params: dict) -> dict:
         layout, fingerprint = self._load_layout(params)
         method = params.get("method", "neurfill-pkb")
         problem = FillProblem(layout, self._coefficients(layout, fingerprint))
         model_name = params.get("model")
         network = None
-        bound_model = None
         if method not in ("lin", "tao", "cai") and model_name is not None:
-            network, bound_model = self._coalesced_network(
+            network = self._coalesced_network(
                 str(model_name), layout, fingerprint)
         with self._turn_for(network):
             if method == "lin":
@@ -386,8 +375,7 @@ class JobExecutor:
                                                        500)),
                         top_k=int(params.get("top_k", 3)),
                     )
-            return self._reply(params, problem, fingerprint, result, method,
-                               network, bound_model, job_id)
+            return self._reply(params, problem, fingerprint, result, method)
 
     def _train_inline(self, layout: Layout, params: dict):
         """A surrogate trained for this job alone (no registered model)."""
@@ -408,8 +396,7 @@ class JobExecutor:
         return network
 
     def _reply(self, params: dict, problem: FillProblem, fingerprint: str,
-               result: FillResult, method: str, network, bound_model,
-               job_id: str | None, **extra) -> dict:
+               result: FillResult, method: str, **extra) -> dict:
         """Remember a solved fill or eco job and build its reply.
 
         The solution becomes the warm-start parent of later eco jobs on
@@ -431,13 +418,6 @@ class JobExecutor:
             "starts": result.starts,
             **extra,
         }
-        if bound_model is not None:
-            payload["generation"] = bound_model.generation
-            if self.shadow is not None:
-                self.shadow.submit(
-                    job_id=job_id or "", model=bound_model.name,
-                    generation=bound_model.generation, layout=layout,
-                    fill=result.fill, network=network)
         if params.get("score", True):
             score = evaluate_solution(problem, result.fill, method,
                                       self.simulator,
@@ -488,18 +468,17 @@ class JobExecutor:
             "re-run the parent fill here or pass parent_fill/parent_layout "
             "explicitly")
 
-    def _eco_job(self, params: dict, job_id: str | None = None) -> dict:
+    def _eco_job(self, params: dict) -> dict:
         layout, fingerprint = self._load_layout(params)
         parent_layout, parent = self._resolve_parent(params)
         problem = FillProblem(layout, self._coefficients(layout, fingerprint))
         model_name = params.get("model")
         network = None
-        bound_model = None
         if model_name is not None:
             # Direct (uncoalesced) binding: the eco driver evaluates
             # through cropped region passes the micro-batcher cannot
             # coalesce anyway.
-            network, bound_model = self.registry.bind(
+            network = self.registry.network_for(
                 str(model_name), layout, fingerprint)
         with self._turn_for():
             if network is None:
@@ -511,8 +490,7 @@ class JobExecutor:
                 coupling_radius=None if coupling is None else int(coupling),
             )
             return self._reply(params, problem, fingerprint, result,
-                               result.method, network, bound_model, job_id,
-                               eco=result.extras.get("eco", {}))
+                               result.method, eco=result.extras.get("eco", {}))
 
     def _simulate_job(self, params: dict) -> dict:
         # A member from layout load through the polish: a lone job

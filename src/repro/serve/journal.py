@@ -11,7 +11,10 @@ but not fsync'd (losing one merely re-runs an idempotent job on resume
 — at-least-once semantics).  On restart, :meth:`JobJournal.recover`
 replays the file, returns every accepted spec without a matching
 ``done``, and truncates the journal so the new process starts clean.
-A half-written trailing line (the crash case) is ignored.
+A half-written trailing line (the crash case) is ignored, and so are
+lines of unknown events and fields a done line does not need (journals
+written by older versions also hold ``swap`` events and a done line's
+``generation``).
 """
 
 from __future__ import annotations
@@ -45,32 +48,10 @@ class JobJournal:
             fsync=True,
         )
 
-    def record_done(self, job_id: str, status: str,
-                    generation: int | None = None) -> None:
-        """Log a terminal outcome (done/error/cancelled/timeout/...).
-
-        ``generation`` records which model generation computed the
-        result (lifecycle audit trail across hot swaps); ``None`` for
-        jobs that did not bind a registered model.
-        """
-        entry: dict = {"event": _TERMINAL_EVENT, "id": job_id,
-                       "status": status}
-        if generation is not None:
-            entry["generation"] = int(generation)
-        self._append(entry, fsync=False)
-
-    def record_swap(self, model: str, generation: int,
-                    directory: str) -> None:
-        """Log a completed hot swap (audit marker between generations).
-
-        Replay ignores unknown events, so old readers skip these lines;
-        they let an auditor split a journal into per-generation epochs.
-        """
-        self._append(
-            {"event": "swap", "model": model, "generation": int(generation),
-             "directory": directory},
-            fsync=True,
-        )
+    def record_done(self, job_id: str, status: str) -> None:
+        """Log a terminal outcome (done/error/cancelled/timeout/...)."""
+        self._append({"event": _TERMINAL_EVENT, "id": job_id,
+                      "status": status}, fsync=False)
 
     def _append(self, entry: dict, fsync: bool) -> None:
         line = json.dumps(entry, separators=(",", ":"))
@@ -119,41 +100,8 @@ class JobJournal:
         return list(pending.values())
 
     @staticmethod
-    def read_requests(path: str | Path,
-                      job_ids: list[str] | None = None) -> dict[str, dict]:
-        """Accepted request dicts by job id (optionally filtered).
-
-        The lifecycle manager uses this to snapshot the layouts of
-        drift-offending jobs into a retrain augmentation set.
-        """
-        path = Path(path)
-        if not path.is_file():
-            return {}
-        wanted = set(job_ids) if job_ids is not None else None
-        requests: dict[str, dict] = {}
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(entry, dict) \
-                    or entry.get("event") != _ACCEPT_EVENT:
-                continue
-            job_id = entry.get("id")
-            if not isinstance(job_id, str):
-                continue
-            if wanted is not None and job_id not in wanted:
-                continue
-            if isinstance(entry.get("request"), dict):
-                requests[job_id] = entry["request"]
-        return requests
-
-    @staticmethod
     def read_dones(path: str | Path) -> list[dict]:
-        """All terminal entries in order (id, status, generation?)."""
+        """All terminal entries in order (id, status)."""
         path = Path(path)
         if not path.is_file():
             return []

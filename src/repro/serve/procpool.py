@@ -17,10 +17,11 @@ child answers with ``encode({...})`` frames —
 * ``{"kind": "result", "job": id, "status": "done"|"error", ...}`` with
   the result payload passed through :func:`~repro.serve.protocol.json_safe`
   — exactly the NaN-safe sanitisation the client response gets, so the
-  bytes a client receives are identical in thread and process mode;
-* ``{"kind": "residual", ...}`` shadow residuals (drift monitor), which
-  can trail a result; the monitor thread forwards those of idle
-  children so they never wait for the child's next job.
+  bytes a client receives are identical in thread and process mode.
+
+A child never hears of a new checkpoint: its registry revalidates the
+checkpoint stamp on every bind, so a checkpoint overwritten in place is
+reloaded by each child at its next job on that model.
 
 Crash containment: a child that dies mid-job (OOM kill, segfault,
 SIGKILL) is detected by the waiting parent thread through pipe EOF or
@@ -32,13 +33,12 @@ A closing pool never re-runs.  Idle children that die are respawned by
 the monitor thread.
 
 Children are started with the ``fork`` start method where available
-(parallel datagen proved cross-process simulation byte-identical under
-fork); ``spawn`` is the fallback on platforms without it.
+(they inherit the parent's warm module state); ``spawn`` is the
+fallback on platforms without it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import threading
@@ -46,7 +46,6 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..lifecycle.monitor import ShadowExecutor
 from . import protocol
 from .executor import JobExecutor
 from .protocol import ProtocolError, Request
@@ -66,18 +65,12 @@ class RemoteJobError(RuntimeError):
 class WorkerSpec:
     """Everything a child needs to build its executor (picklable).
 
-    ``models`` entries are ``(name, checkpoint_dir)`` or
-    ``(name, checkpoint_dir, generation)``; ``shadow_sample_rate > 0``
-    gives each child its own drift-monitor shadow executor whose
-    residual records stream to the parent as ``{"kind": "residual"}``
-    pipe frames.
+    ``models`` entries are ``(name, checkpoint_dir)`` pairs.
     """
 
-    models: tuple[tuple, ...] = ()
+    models: tuple[tuple[str, str], ...] = ()
     allow_train: bool = True
     max_bound_networks: int = 8
-    shadow_sample_rate: float = 0.0
-    drift_bound: float = 50.0
 
 
 def _mp_context():
@@ -94,9 +87,8 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
     obs_metrics.reset()
 
     registry = ModelRegistry(max_bound=spec.max_bound_networks)
-    for name, directory, *rest in spec.models:
-        registry.register(name, directory,
-                          generation=int(rest[0]) if rest else None)
+    for name, directory in spec.models:
+        registry.register(name, directory)
     executor = JobExecutor(
         registry=registry,
         allow_train=spec.allow_train,
@@ -104,55 +96,11 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
         max_batch=1,  # one job at a time per child; no cross-job traffic
     )
 
-    send_lock = threading.Lock()
-
     def send(payload: dict) -> None:
-        line = protocol.encode(payload)
-        with send_lock:
-            try:
-                conn.send_bytes(line.encode())
-            except (BrokenPipeError, OSError, ValueError):
-                pass  # parent is gone; the loop will exit on recv
-
-    if spec.shadow_sample_rate > 0:
-        # Each child samples its own served fills; the parent folds the
-        # streamed residual frames into one pool-wide drift window.
-        executor.shadow = ShadowExecutor(
-            simulator=executor.simulator,
-            sample_rate=spec.shadow_sample_rate,
-            drift_bound=spec.drift_bound,
-            sink=lambda record: send({"kind": "residual",
-                                      **record.to_wire()}),
-        )
-
-    def handle_control(message: dict) -> None:
-        """Apply a parent control frame (hot swap) and ack it."""
-        action = message.get("action")
-        if action != "swap":
-            send({"kind": "control_error", "action": action,
-                  "error": f"unknown control action {action!r}"})
-            return
-        name = str(message.get("model"))
-        directory = str(message.get("directory"))
-        generation = message.get("generation")
-        generation = int(generation) if generation is not None else None
         try:
-            try:
-                registry.swap(name, directory, generation)
-            except KeyError:  # model arrived after this child forked
-                registry.register(name, directory, generation)
-            except ValueError:
-                # Already at (or past) this generation — e.g. a respawn
-                # that booted from the post-swap spec.  Not an error.
-                if generation is None \
-                        or registry.generation_of(name) < generation:
-                    raise
-        except Exception as exc:
-            send({"kind": "control_error", "action": "swap",
-                  "model": name, "error": str(exc)})
-            return
-        send({"kind": "control_ok", "action": "swap", "model": name,
-              "generation": registry.generation_of(name)})
+            conn.send_bytes(protocol.encode(payload).encode())
+        except (BrokenPipeError, OSError, ValueError):
+            pass  # parent is gone; the loop will exit on recv
 
     send({"kind": "ready", "pid": os.getpid()})
     try:
@@ -161,16 +109,8 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
                 raw = conn.recv_bytes()
             except (EOFError, OSError):
                 break  # parent closed the pipe: clean shutdown
-            line = raw.decode("utf-8")
             try:
-                frame = protocol.decode(line)
-            except ProtocolError:
-                frame = {}
-            if isinstance(frame, dict) and frame.get("kind") == "control":
-                handle_control(frame)
-                continue
-            try:
-                request = protocol.parse_request(line)
+                request = protocol.parse_request(raw.decode("utf-8"))
             except ProtocolError as exc:  # impossible from our parent
                 send({"kind": "result", "job": None, "status": "error",
                       "error": str(exc)})
@@ -184,8 +124,6 @@ def _worker_main(conn, spec: WorkerSpec) -> None:
                 send({"kind": "result", "job": request.id, "status": "done",
                       "result": protocol.json_safe(result)})
     finally:
-        if executor.shadow is not None:
-            executor.shadow.close()
         executor.close()
 
 
@@ -193,20 +131,16 @@ class _WorkerHandle:
     """One child process slot; respawned in place when the child dies."""
 
     def __init__(self, index: int, spec: WorkerSpec, ctx,
-                 start_timeout_s: float = 60.0, on_frame=None):
+                 start_timeout_s: float = 60.0):
         self.index = index
         self.spec = spec
         self.ctx = ctx
         self.start_timeout_s = start_timeout_s
-        self.on_frame = on_frame
         self.process = None
         self.conn = None
         self.pid: int | None = None
         self.jobs = 0
         self.in_use = False
-        #: Highest pool swap sequence this child has applied (or booted
-        #: with).  Lagging handles are caught up lazily at acquire time.
-        self.swap_seq = 0
         self.spawn()
 
     # ------------------------------------------------------------------
@@ -240,28 +174,11 @@ class _WorkerHandle:
                     f"{self.start_timeout_s}s")
 
     def _recv(self) -> dict:
-        raw = self.conn.recv_bytes()
-        message = protocol.decode(raw.decode("utf-8"))
-        # Residual frames (child shadow executor) can interleave with
-        # anything; dispatch them here so every recv loop forwards them.
-        if message.get("kind") == "residual" and self.on_frame is not None:
-            try:
-                self.on_frame(message)
-            except Exception:
-                pass  # a monitor bug must never break the job channel
-        return message
+        return protocol.decode(self.conn.recv_bytes().decode("utf-8"))
 
     @property
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
-
-    def drain(self) -> None:
-        """Consume frames that arrived while idle (trailing residuals)."""
-        try:
-            while self.conn.poll(0):
-                self._recv()
-        except (EOFError, OSError):
-            pass
 
     # ------------------------------------------------------------------
     def run(self, request: Request, poll_s: float = 0.1) -> dict:
@@ -301,43 +218,6 @@ class _WorkerHandle:
                 return message.get("result") or {}
             raise RemoteJobError(str(message.get("error", "worker error")))
 
-    def control(self, payload: dict, timeout_s: float = 60.0) -> dict:
-        """Send one control frame and wait for its ack.
-
-        Only called on a claimed (``in_use``) handle, so no job result
-        can interleave — just residual frames, which the wait loop skips.
-
-        Raises:
-            WorkerDiedError: the child died or timed out mid-control.
-        """
-        line = protocol.encode(payload)
-        action = payload.get("action")
-        try:
-            self.conn.send_bytes(line.encode())
-        except (BrokenPipeError, OSError):
-            raise WorkerDiedError(
-                f"worker pid {self.pid} died before control {action!r}")
-        deadline = time.monotonic() + timeout_s
-        while True:
-            try:
-                if self.conn.poll(0.05):
-                    message = self._recv()
-                else:
-                    if not self.alive and not self.conn.poll(0):
-                        raise WorkerDiedError(
-                            f"worker pid {self.pid} died during control "
-                            f"{action!r}")
-                    if time.monotonic() > deadline:
-                        raise WorkerDiedError(
-                            f"worker pid {self.pid} did not ack control "
-                            f"{action!r} within {timeout_s}s")
-                    continue
-            except (EOFError, OSError):
-                raise WorkerDiedError(
-                    f"worker pid {self.pid} died during control {action!r}")
-            if message.get("kind") in ("control_ok", "control_error"):
-                return message
-
     def close(self, timeout: float = 2.0) -> None:
         try:
             self.conn.close()  # child sees EOF and exits its loop
@@ -363,21 +243,17 @@ class ProcessWorkerPool:
     """
 
     def __init__(self, workers: int, spec: WorkerSpec | None = None,
-                 stats: ServeStats | None = None, on_residual=None):
+                 stats: ServeStats | None = None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.spec = spec or WorkerSpec()
         self.stats = stats
-        self.on_residual = on_residual
         self._ctx = _mp_context()
         self._handles: list[_WorkerHandle] = []
         self._cond = threading.Condition()
         self._closed = False
         self._monitor: threading.Thread | None = None
-        self._swap_seq = 0
-        #: Latest swap per model: name -> (directory, generation, seq).
-        self._swaps: dict[str, tuple[str, int, int]] = {}
         # layout_fingerprint -> worker index, learned from done payloads.
         # Each forked child owns a *private* executor, so an eco job's
         # cached parent solution lives in exactly one child; prefer it.
@@ -387,11 +263,8 @@ class ProcessWorkerPool:
     def start(self) -> None:
         if self._handles:
             return
-        self._handles = [
-            _WorkerHandle(i, self.spec, self._ctx,
-                          on_frame=self.on_residual)
-            for i in range(self.workers)
-        ]
+        self._handles = [_WorkerHandle(i, self.spec, self._ctx)
+                         for i in range(self.workers)]
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="repro-serve-proc-monitor",
             daemon=True)
@@ -407,73 +280,6 @@ class ProcessWorkerPool:
             handle.close(timeout=timeout)
 
     # ------------------------------------------------------------------
-    def swap(self, name: str, directory: str, generation: int) -> None:
-        """Broadcast a checkpoint swap to every child, without respawning.
-
-        Idle children reload the checkpoint immediately over their
-        control channel; children busy with a job are caught up lazily
-        right before their next job (:meth:`_acquire`) — the in-flight
-        job finishes on the weights it bound.  The pool spec is updated
-        too, so any future respawn boots straight into the new
-        generation.
-        """
-        directory = str(directory)
-        generation = int(generation)
-        with self._cond:
-            self._swap_seq += 1
-            seq = self._swap_seq
-            self._swaps[name] = (directory, generation, seq)
-            entries: list[tuple] = []
-            replaced = False
-            for entry in self.spec.models:
-                if entry[0] == name:
-                    entries.append((name, directory, generation))
-                    replaced = True
-                else:
-                    entries.append(tuple(entry))
-            if not replaced:
-                entries.append((name, directory, generation))
-            self.spec = dataclasses.replace(self.spec,
-                                            models=tuple(entries))
-            for handle in self._handles:
-                handle.spec = self.spec
-            if self._closed:
-                return
-            idle = [handle for handle in self._handles
-                    if not handle.in_use and handle.swap_seq < seq]
-            for handle in idle:
-                handle.in_use = True  # claim for the control round-trip
-        for handle in idle:
-            try:
-                self._apply_swaps(handle)
-            finally:
-                self._release(handle)
-
-    def _apply_swaps(self, handle: _WorkerHandle) -> None:
-        """Bring one *claimed* worker up to the newest swap sequence."""
-        with self._cond:
-            pending = sorted(
-                (seq, name, directory, generation)
-                for name, (directory, generation, seq) in self._swaps.items()
-                if seq > handle.swap_seq)
-            target = self._swap_seq
-        try:
-            for _, name, directory, generation in pending:
-                message = handle.control({
-                    "kind": "control", "action": "swap", "model": name,
-                    "directory": directory, "generation": generation})
-                if message.get("kind") != "control_ok":
-                    raise WorkerDiedError(
-                        f"worker pid {handle.pid} refused swap of "
-                        f"{name!r}: {message.get('error')}")
-        except WorkerDiedError:
-            # A respawn boots from the updated spec — same end state.
-            self._revive(handle)
-            return
-        handle.swap_seq = target
-        if self.stats is not None and pending:
-            self.stats.incr("worker_swaps")
-
     def run(self, request: Request) -> dict:
         """Execute ``request`` on a free worker (see handle.run).
 
@@ -541,9 +347,6 @@ class ProcessWorkerPool:
                 break
         if not handle.alive:
             self._revive(handle)
-        handle.drain()
-        if handle.swap_seq < self._swap_seq:
-            self._apply_swaps(handle)  # lazy catch-up after a busy swap
         return handle
 
     def _release(self, handle: _WorkerHandle) -> None:
@@ -557,16 +360,10 @@ class ProcessWorkerPool:
             if self._closed:
                 return
         handle.close(timeout=0.5)
-        # Capture the sequence before spawning: the fresh child boots
-        # from handle.spec, which reflects every swap up to this point;
-        # a swap that lands mid-spawn keeps a higher seq and is applied
-        # lazily at the next acquire.
-        target = self._swap_seq
         try:
             handle.spawn()
         except WorkerDiedError:
             return  # next acquire retries; the slot stays claimable
-        handle.swap_seq = target
         with self._cond:
             # The fresh child's executor caches are empty: any eco job
             # routed here by stale affinity would miss its parent.
@@ -577,21 +374,17 @@ class ProcessWorkerPool:
             self.stats.incr("worker_respawns")
 
     def _monitor_loop(self) -> None:
-        """Respawn idle workers that died between jobs, and forward the
-        residual frames idle children sent after their last result."""
+        """Respawn idle workers that died between jobs."""
         while True:
             with self._cond:
                 if self._closed:
                     return
-                idle = [handle for handle in self._handles
-                        if not handle.in_use]
-                for handle in idle:
-                    handle.in_use = True  # claim for the drain / respawn
-            for handle in idle:
-                if handle.alive:
-                    handle.drain()
-                else:
-                    self._revive(handle)
+                dead = [handle for handle in self._handles
+                        if not handle.in_use and not handle.alive]
+                for handle in dead:
+                    handle.in_use = True  # claim for the respawn
+            for handle in dead:
+                self._revive(handle)
                 self._release(handle)
             time.sleep(0.5)
 

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 JOB_OPS = frozenset({"fill", "eco", "simulate"})
 
 #: Ops answered immediately by the transport thread.
-IMMEDIATE_OPS = frozenset({"stats", "models", "cancel", "ping", "shutdown",
-                           "lifecycle", "swap"})
+IMMEDIATE_OPS = frozenset({"stats", "models", "cancel", "ping", "shutdown"})
 
 OPS = JOB_OPS | IMMEDIATE_OPS
 

@@ -9,14 +9,11 @@ extraction constants; bound networks are cached per (model, layout
 fingerprint) with a small LRU so memory stays bounded under many
 distinct layouts.
 
-Generations: every registered checkpoint carries a monotonically
-increasing ``generation`` tag (explicit, or read from the checkpoint's
-``surrogate.json``), and :meth:`ModelRegistry.swap` atomically rebinds a
-name to a new checkpoint **without draining** — jobs that already bound
-a network keep the old generation's weights; new binds see the new one.
-Binding revalidates the checkpoint's content stamp (mtime + size, like
-the PR 6 LRU caches) so a checkpoint overwritten in place is reloaded
-rather than served stale.
+Served weights change in one way: overwrite the checkpoint in place.
+Every bind revalidates the checkpoint's content stamp (mtime + size per
+file, like the executor's layout cache), so the next bind after an
+overwrite reloads the weights rather than serve them stale, while jobs
+that already bound a network finish on the weights they bound.
 """
 
 from __future__ import annotations
@@ -63,15 +60,13 @@ def parse_model_spec(spec: str) -> tuple[str, str]:
 class RegisteredModel:
     """One named checkpoint, already warm.
 
-    ``generation`` tags every result the checkpoint serves (auditable
-    per-generation fidelity); ``stamp`` is the on-disk content stamp at
-    load time, used to detect in-place overwrites.
+    ``stamp`` is the on-disk content stamp at load time, used to detect
+    in-place overwrites.
     """
 
     name: str
     directory: Path
     bundle: SurrogateBundle
-    generation: int = 1
     stamp: tuple = field(default=())
 
 
@@ -95,80 +90,27 @@ class ModelRegistry:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _load(name: str, directory: str | Path,
-              generation: int | None) -> RegisteredModel:
-        if not name:
-            raise ValueError("model name must be non-empty")
-        bundle = load_surrogate_bundle(directory)
-        if generation is None:
-            meta_generation = bundle.metadata.get("generation")
-            generation = int(meta_generation) if meta_generation else 1
-        return RegisteredModel(
-            name=name, directory=Path(directory), bundle=bundle,
-            generation=int(generation), stamp=checkpoint_stamp(directory))
-
-    def _install(self, model: RegisteredModel) -> None:
-        """Lock held by caller is NOT required; rebinds atomically."""
-        with self._lock:
-            self._models[model.name] = model
-            for key in [k for k in self._bound if k[0] == model.name]:
-                del self._bound[key]  # stale bindings of a replaced model
-
-    def register(self, name: str, directory: str | Path,
-                 generation: int | None = None) -> RegisteredModel:
+    def register(self, name: str, directory: str | Path) -> RegisteredModel:
         """Warm-load a checkpoint under ``name`` (replaces an old one).
 
-        ``generation`` defaults to the checkpoint metadata's tag, or 1.
+        The bundle is loaded before the rebind, so the registry never
+        serves a half-loaded model.
         """
-        model = self._load(name, directory, generation)
-        self._install(model)
+        if not name:
+            raise ValueError("model name must be non-empty")
+        model = RegisteredModel(
+            name=name, directory=Path(directory),
+            bundle=load_surrogate_bundle(directory),
+            stamp=checkpoint_stamp(directory))
+        with self._lock:
+            self._models[name] = model
+            for key in [k for k in self._bound if k[0] == name]:
+                del self._bound[key]  # stale bindings of a replaced model
         return model
 
     def register_spec(self, spec: str) -> RegisteredModel:
         """Register from a ``name=directory`` CLI spec."""
         return self.register(*parse_model_spec(spec))
-
-    def swap(self, name: str, directory: str | Path,
-             generation: int | None = None) -> RegisteredModel:
-        """Atomically rebind ``name`` to a new checkpoint, no draining.
-
-        The bundle is warm-loaded *before* the rebind, so the registry
-        never serves a half-loaded model; in-flight jobs holding the old
-        bound network finish on the old generation, new binds get the
-        new one.  The generation must strictly increase (explicit arg >
-        checkpoint metadata > current + 1).
-
-        Raises:
-            KeyError: ``name`` was never registered.
-            ValueError: non-monotonic generation.
-        """
-        with self._lock:
-            current = self._models.get(name)
-        if current is None:
-            raise KeyError(
-                f"cannot swap unknown model {name!r}; register it first")
-        bundle = load_surrogate_bundle(directory)
-        if generation is None:
-            meta_generation = bundle.metadata.get("generation")
-            generation = (int(meta_generation) if meta_generation
-                          else current.generation + 1)
-        generation = int(generation)
-        if generation <= current.generation:
-            raise ValueError(
-                f"swap generation must increase: model {name!r} is at "
-                f"generation {current.generation}, got {generation}")
-        model = RegisteredModel(
-            name=name, directory=Path(directory), bundle=bundle,
-            generation=generation, stamp=checkpoint_stamp(directory))
-        self._install(model)
-        return model
-
-    def generation_of(self, name: str) -> int:
-        with self._lock:
-            if name not in self._models:
-                raise KeyError(f"unknown model {name!r}")
-            return self._models[name].generation
 
     def model(self, name: str) -> RegisteredModel:
         with self._lock:
@@ -199,7 +141,6 @@ class ModelRegistry:
                     "directory": str(model.directory),
                     "arch": model.bundle.arch,
                     "numpy": model.bundle.metadata.get("numpy"),
-                    "generation": model.generation,
                 }
                 for name, model in self._models.items()
             }
@@ -210,14 +151,12 @@ class ModelRegistry:
              ) -> tuple[CmpNeuralNetwork, RegisteredModel]:
         """A bound network plus the exact model snapshot that served it.
 
-        Returning the :class:`RegisteredModel` lets callers tag results
-        with the generation they were actually computed under, without a
-        racy second lookup across a concurrent :meth:`swap`.
-
         The checkpoint's on-disk stamp is revalidated here: if the files
         changed under the registered path (overwritten in place), the
-        checkpoint is reloaded before binding — a swapped-in-place file
-        is never served stale.
+        checkpoint is reloaded before binding, so an overwritten
+        checkpoint is never served stale.  The returned snapshot's
+        ``stamp`` names the weights the network was bound to, without a
+        racy second lookup across a concurrent reload.
 
         Raises:
             KeyError: unknown model name (message lists what exists).
@@ -228,10 +167,9 @@ class ModelRegistry:
         except OSError:
             stamp = model.stamp  # mid-rewrite; serve the warm copy
         if stamp != model.stamp:
-            model = self.register(name, model.directory,
-                                  generation=model.generation)
+            model = self.register(name, model.directory)
         fingerprint = fingerprint or layout_fingerprint(layout)
-        key = (name, fingerprint, model.generation, model.stamp)
+        key = (name, fingerprint, model.stamp)
         with self._lock:
             cached = self._bound.get(key)
             if cached is not None:

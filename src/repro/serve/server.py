@@ -40,7 +40,11 @@ Two worker modes share this skeleton (``ServeConfig.worker_mode``):
   ``worker_died`` (safe to retry — the job did not complete).
 
 :meth:`FillServer._execute` is the seam between the two; transport,
-admission, journal, lifecycle and stats are shared.
+admission, journal and stats are shared.
+
+Served weights change only when a registered checkpoint is overwritten
+in place: every bind revalidates the checkpoint's stamp, in this process
+and in each forked child, and a job finishes on the weights it bound.
 
 A dedicated expiry timer retires deadline-passed jobs promptly even
 while every worker is busy — queued jobs no longer wait for a worker to
@@ -56,15 +60,12 @@ path re-runs every accepted-but-unfinished job spec.
 from __future__ import annotations
 
 import sys
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .. import config as repro_config
 from ..cmp.simulator import CmpSimulator
-from ..lifecycle import STATE_FILENAME, LifecycleManager
 from .executor import FILL_METHODS, JobExecutor, validate_job
 from .jobqueue import BoundedJobQueue, Job, JobState
 from .journal import JobJournal
@@ -114,34 +115,6 @@ class ServeConfig:
     #: jobs); ``process`` dispatches them to forked worker children.
     worker_mode: str = field(
         default_factory=repro_config.serve_worker_mode_default)
-    #: Fraction of registered-model fills shadow-checked against the
-    #: real simulator; 0 (the default) disables the drift monitor and
-    #: keeps serving on the exact pre-lifecycle fast path.
-    shadow_sample_rate: float = field(
-        default_factory=repro_config.lifecycle_shadow_rate_default)
-    #: Height-RMSE drift bound in Angstroms; shadow residuals above it
-    #: count toward a drift trip and mark their layouts as offenders.
-    drift_bound: float = field(
-        default_factory=repro_config.lifecycle_drift_bound_default)
-    #: Sliding-window length of the drift statistic.
-    drift_window: int = field(
-        default_factory=repro_config.lifecycle_window_default)
-    #: Exceedances within the window needed to trip (hysteresis).
-    drift_trip_count: int = field(
-        default_factory=repro_config.lifecycle_trip_count_default)
-    #: Retrain on drift trips and hot-swap validated candidates in.
-    auto_retrain: bool = field(
-        default_factory=repro_config.lifecycle_auto_retrain_default)
-    retrain_samples: int = field(
-        default_factory=repro_config.lifecycle_train_samples_default)
-    retrain_epochs: int = field(
-        default_factory=repro_config.lifecycle_train_epochs_default)
-    retrain_seed: int = field(
-        default_factory=repro_config.lifecycle_seed_default)
-    #: Directory for retrained generation checkpoints + lifecycle state;
-    #: ``None`` derives a journal sibling (or a temp dir).
-    lifecycle_dir: str | None = field(
-        default_factory=repro_config.lifecycle_dir_default)
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -157,26 +130,6 @@ class ServeConfig:
             raise ValueError(
                 f"worker_mode must be one of {WORKER_MODES}, "
                 f"got {self.worker_mode!r}")
-        if not 0.0 <= self.shadow_sample_rate <= 1.0:
-            raise ValueError(
-                f"shadow_sample_rate must be in [0, 1], "
-                f"got {self.shadow_sample_rate}")
-        if self.drift_bound <= 0:
-            raise ValueError(
-                f"drift_bound must be > 0, got {self.drift_bound}")
-        if self.drift_window < 1:
-            raise ValueError(
-                f"drift_window must be >= 1, got {self.drift_window}")
-        if not 1 <= self.drift_trip_count <= self.drift_window:
-            raise ValueError(
-                f"drift_trip_count must be in [1, drift_window="
-                f"{self.drift_window}], got {self.drift_trip_count}")
-        if self.retrain_samples < 2:
-            raise ValueError(
-                f"retrain_samples must be >= 2, got {self.retrain_samples}")
-        if self.retrain_epochs < 1:
-            raise ValueError(
-                f"retrain_epochs must be >= 1, got {self.retrain_epochs}")
 
 
 class FillServer:
@@ -187,10 +140,8 @@ class FillServer:
             mode children warm-load their own copies from specs).
         serve_config: knobs; ``worker_mode`` picks the execution engine.
         journal_path: at-least-once crash journal (accepts fsync'd).
-        model_specs: ``(name, checkpoint_dir[, generation])`` tuples
-            shipped to forked workers.  Defaults to the registry's
-            registered directories; explicit entries are upgraded to the
-            registry's current generation after lifecycle state restore.
+        model_specs: ``(name, checkpoint_dir)`` pairs shipped to forked
+            workers.  Defaults to the registry's registered directories.
     """
 
     def __init__(self, registry: ModelRegistry | None = None,
@@ -207,37 +158,6 @@ class FillServer:
         if journal_path is not None:
             self._resume_specs, self._journal = JobJournal.recover(
                 journal_path)
-        self.lifecycle: LifecycleManager | None = None
-        if self.config.shadow_sample_rate > 0 or self.config.auto_retrain:
-            lifecycle_dir = self._resolve_lifecycle_dir(journal_path)
-            self.lifecycle = LifecycleManager(
-                self.config,
-                simulator=self.simulator,
-                stats=self.stats,
-                state_path=(lifecycle_dir / STATE_FILENAME
-                            if lifecycle_dir is not None else None),
-                checkpoint_root=(lifecycle_dir
-                                 if self.config.auto_retrain else None),
-                apply_swap=self._do_swap,
-                model_info=self._model_info,
-                journal_reader=self._journal_requests,
-                # Thread mode shadows in-process; process mode shadows in
-                # the forked children (residuals arrive as pipe frames).
-                local_shadow=self.config.worker_mode != "process",
-            )
-            # Resume the newest persisted generation instead of the boot
-            # checkpoint — a restart must not silently roll back a swap.
-            for name, (directory, generation) in \
-                    self.lifecycle.restore().items():
-                if name in self.registry and \
-                        generation > self.registry.generation_of(name):
-                    try:
-                        self.registry.swap(name, directory, generation)
-                    except (OSError, ValueError, FileNotFoundError):
-                        pass  # stale state; keep the boot checkpoint
-            for name, info in self.registry.describe().items():
-                self.lifecycle.set_generation(
-                    name, info["generation"], info["directory"])
         self.executor = JobExecutor(
             registry=self.registry,
             simulator=self.simulator,
@@ -246,23 +166,13 @@ class FillServer:
             max_bound_networks=self.config.max_bound_networks,
             max_batch=self.config.max_batch,
             flush_ms=self.config.flush_ms,
-            shadow=(self.lifecycle.shadow if self.lifecycle is not None
-                    else None),
         )
         self._pool: ProcessWorkerPool | None = None
         if self.config.worker_mode == "process":
-            described = self.registry.describe()
             if model_specs is None:
                 model_specs = [
-                    (name, info["directory"], info["generation"])
-                    for name, info in sorted(described.items())
-                ]
-            else:
-                model_specs = [
-                    (entry[0], described[entry[0]]["directory"],
-                     described[entry[0]]["generation"])
-                    if entry[0] in described else tuple(entry)
-                    for entry in model_specs
+                    (name, info["directory"])
+                    for name, info in sorted(self.registry.describe().items())
                 ]
             self._pool = ProcessWorkerPool(
                 self.config.workers,
@@ -270,11 +180,8 @@ class FillServer:
                     models=tuple(model_specs),
                     allow_train=self.config.allow_train,
                     max_bound_networks=self.config.max_bound_networks,
-                    shadow_sample_rate=self.config.shadow_sample_rate,
-                    drift_bound=self.config.drift_bound,
                 ),
                 stats=self.stats,
-                on_residual=self._on_worker_residual,
             )
         self._drain_cond = threading.Condition()
         self._inflight = 0
@@ -290,7 +197,7 @@ class FillServer:
         self._shutdown_event = threading.Event()
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Start and shutdown
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Spawn the worker pool and resume journalled jobs."""
@@ -360,8 +267,6 @@ class FillServer:
         if self._pool is not None:
             self._pool.close()
         self.executor.close()
-        if self.lifecycle is not None:
-            self.lifecycle.close()
         if self._journal is not None:
             self._journal.close()
         self._shutdown_event.set()
@@ -445,11 +350,6 @@ class FillServer:
         elif request.op == "models":
             reply(response(request.id, "done",
                            result={"models": self.registry.describe()}))
-        elif request.op == "lifecycle":
-            reply(response(request.id, "done",
-                           result=self.lifecycle_status()))
-        elif request.op == "swap":
-            self._handle_swap(request, reply)
         elif request.op == "cancel":
             self._handle_cancel(request, reply)
         elif request.op == "shutdown":
@@ -472,111 +372,6 @@ class FillServer:
                        result={"job_id": target,
                                "cancelled": job is not None}))
 
-    # ------------------------------------------------------------------
-    # Lifecycle: hot swap + drift status
-    # ------------------------------------------------------------------
-    def _resolve_lifecycle_dir(self, journal_path: str | None) -> Path | None:
-        """Directory for generation checkpoints + persisted state."""
-        if self.config.lifecycle_dir:
-            directory = Path(self.config.lifecycle_dir)
-        elif journal_path is not None:
-            directory = Path(journal_path).with_name(
-                Path(journal_path).name + ".lifecycle")
-        elif self.config.auto_retrain:
-            directory = Path(tempfile.mkdtemp(prefix="repro-lifecycle-"))
-        else:
-            return None  # monitor-only, nothing to persist
-        directory.mkdir(parents=True, exist_ok=True)
-        return directory
-
-    def _on_worker_residual(self, frame: dict) -> None:
-        """Residual frame from a forked worker's shadow executor."""
-        if self.lifecycle is not None:
-            self.lifecycle.observe_wire(frame)
-
-    def _model_info(self, name: str) -> dict:
-        model = self.registry.model(name)
-        return {"arch": dict(model.bundle.arch),
-                "directory": str(model.directory),
-                "generation": model.generation}
-
-    def _journal_requests(self, job_ids: list[str]) -> dict[str, dict]:
-        if self._journal is None:
-            return {}
-        return JobJournal.read_requests(self._journal.path, job_ids)
-
-    def _do_swap(self, name: str, directory: str,
-                 generation: int | None = None):
-        """Registry + worker-pool rebind, journalled; no drain anywhere.
-
-        This is the lifecycle manager's ``apply_swap`` callback (the
-        manager records its own state afterwards); operator-initiated
-        swaps go through :meth:`swap_model`, which also notifies the
-        manager.
-        """
-        model = self.registry.swap(name, directory, generation)
-        if self._pool is not None:
-            self._pool.swap(name, str(model.directory), model.generation)
-        if self._journal is not None:
-            self._journal.record_swap(name, model.generation,
-                                      str(model.directory))
-        self.stats.incr("swaps")
-        self.stats.set_gauge(f"generation.{name}", float(model.generation))
-        return model
-
-    def swap_model(self, name: str, directory: str,
-                   generation: int | None = None) -> int:
-        """Hot-swap ``name`` to a new checkpoint; returns the generation.
-
-        In-flight jobs finish on the generation they bound; everything
-        admitted after this call binds the new one.
-
-        Raises:
-            KeyError: unknown model.
-            ValueError: non-monotonic generation.
-            FileNotFoundError: missing/partial checkpoint directory.
-        """
-        model = self._do_swap(name, directory, generation)
-        if self.lifecycle is not None:
-            self.lifecycle.note_swap(name, str(model.directory),
-                                     model.generation)
-        return model.generation
-
-    def _handle_swap(self, request: Request, reply) -> None:
-        name = request.params.get("model")
-        directory = request.params.get("directory")
-        if not isinstance(name, str) or not name \
-                or not isinstance(directory, str) or not directory:
-            reply(response(request.id, "error",
-                           error="swap params need 'model' and "
-                                 "'directory' strings"))
-            return
-        generation = request.params.get("generation")
-        try:
-            generation = self.swap_model(
-                name, directory,
-                int(generation) if generation is not None else None)
-        except (KeyError, ValueError, FileNotFoundError) as exc:
-            self.stats.incr("swap_rejected")
-            reply(response(request.id, "error", error=str(exc)))
-            return
-        reply(response(request.id, "done",
-                       result={"model": name, "generation": generation}))
-
-    def lifecycle_status(self) -> dict:
-        """Payload of the ``lifecycle`` op: generations + drift state."""
-        result: dict = {
-            "enabled": self.lifecycle is not None,
-            "models": {
-                name: {"generation": info["generation"],
-                       "directory": info["directory"]}
-                for name, info in self.registry.describe().items()
-            },
-        }
-        if self.lifecycle is not None:
-            result.update(self.lifecycle.status())
-        return result
-
     def stats_snapshot(self) -> dict:
         snapshot = self.stats.snapshot()
         snapshot.update({
@@ -594,8 +389,6 @@ class FillServer:
         })
         if self._pool is not None:
             snapshot["proc_workers"] = self._pool.describe()
-        if self.lifecycle is not None:
-            snapshot["lifecycle"] = self.lifecycle.status()
         return snapshot
 
     # ------------------------------------------------------------------
@@ -669,9 +462,7 @@ class FillServer:
         if counted:
             self.stats.incr("completed" if status == "done" else status)
         if self._journal is not None:
-            generation = (result.get("generation")
-                          if isinstance(result, dict) else None)
-            self._journal.record_done(job.id, status, generation=generation)
+            self._journal.record_done(job.id, status)
         self._release_id(job.id)
         job.reply(response(job.id, status, result=result, error=error))
 

@@ -6,15 +6,14 @@ legal fill) -> extraction-layer feature planes -> full-chip CMP simulation
 
 Sample *generation* (assembly + random fill) is cheap and RNG-driven;
 sample *labelling* (the teacher CMP simulation) is expensive and fully
-deterministic.  :func:`build_dataset` therefore always draws layouts in
-the parent process with the one seeded RNG stream, and optionally farms
-only the simulations out to a :class:`~concurrent.futures.ProcessPoolExecutor`
-— serial and parallel runs produce byte-identical datasets.
+deterministic.  :func:`build_dataset` draws every layout from the one
+seeded RNG stream, then labels them in micro-batches through the
+batched simulator, which is bitwise identical to labelling them one by
+one.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -111,14 +110,6 @@ def simulate_group(
     return [(feats[k], result.height[k]) for k in range(len(pairs))]
 
 
-def _simulate_group(
-    args: tuple[list[tuple[Layout, np.ndarray]], CmpSimulator],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Picklable worker wrapper around :func:`simulate_group`."""
-    group, simulator = args
-    return simulate_group(group, simulator)
-
-
 def build_dataset(
     sources: list[Layout],
     count: int,
@@ -127,7 +118,6 @@ def build_dataset(
     simulator: CmpSimulator | None = None,
     seed: int = 0,
     normalizer: HeightNormalizer | None = None,
-    n_workers: int | None = None,
     sim_batch: int = 8,
 ) -> SurrogateDataset:
     """Generate ``count`` labelled samples via the two-step procedure.
@@ -142,32 +132,19 @@ def build_dataset(
         normalizer: reuse an existing normalisation (e.g. the training
             set's) instead of fitting one — required for a comparable
             test/extension set.
-        n_workers: number of worker processes for the teacher simulations.
-            ``None`` or ``1`` keeps everything in-process.  Layout assembly
-            always runs in the parent with the seeded RNG, and the farmed
-            simulations are deterministic, so the dataset is byte-identical
-            for every worker count.
         sim_batch: layouts per batched teacher simulation (micro-batch).
-            Composes with ``n_workers``: each worker polishes whole
-            micro-batches.  ``1`` disables batching.  The batched
-            simulator is bitwise identical to the solo one, so the
-            dataset is byte-identical for every ``sim_batch``.
+            ``1`` disables batching.  The batched simulator is bitwise
+            identical to the solo one, so the dataset is byte-identical
+            for every ``sim_batch``.
     """
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
-    if n_workers is not None and n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     if sim_batch < 1:
         raise ValueError(f"sim_batch must be >= 1, got {sim_batch}")
     simulator = simulator or CmpSimulator()
     pairs = generate_training_layouts(sources, count, rows, cols, seed=seed)
     groups = [pairs[i : i + sim_batch] for i in range(0, len(pairs), sim_batch)]
-    if n_workers is not None and n_workers > 1:
-        tasks = [(group, simulator) for group in groups]
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(groups))) as pool:
-            grouped = list(pool.map(_simulate_group, tasks))
-    else:
-        grouped = [simulate_group(group, simulator) for group in groups]
+    grouped = [simulate_group(group, simulator) for group in groups]
     results = [pair for group in grouped for pair in group]
     feats = [f for f, _ in results]
     heights = [h for _, h in results]

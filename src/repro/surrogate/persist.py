@@ -13,13 +13,17 @@ attaches a bundle to a layout.  :func:`load_surrogate` composes both.
 
 Writes are **atomic and deterministic**: each file is written to a
 temporary name in the same directory, fsync'd, and ``os.replace``'d into
-place, so a concurrent reader (a hot-swapping server) can never observe
-a torn file; and the ``.npz`` archive is emitted with fixed zip
-timestamps, so the same weights always produce the same bytes — the
-lifecycle retrain path asserts byte-identical checkpoints for a fixed
-seed.  Atomicity is per file; generation checkpoints written by the
-lifecycle are one-directory-per-generation and never mutated, while
-in-place overwrites are detected by readers via :func:`checkpoint_stamp`.
+place, so a concurrent reader (a running server) can never observe a
+torn file; and the ``.npz`` archive is emitted with fixed zip
+timestamps, so the same weights always produce the same bytes.
+Atomicity is per file: overwriting a checkpoint in place is how a served
+model's weights change, and readers detect it via
+:func:`checkpoint_stamp`.
+
+Loading a corrupt checkpoint (bad JSON, missing keys, a truncated or
+empty ``unet.npz``, weights of another architecture) raises
+:class:`ValueError` naming the file; only a missing file raises
+:class:`FileNotFoundError`.
 """
 
 from __future__ import annotations
@@ -101,15 +105,13 @@ def checkpoint_stamp(directory: str | Path) -> tuple:
 def save_surrogate(directory: str | Path, unet: UNet,
                    normalizer: HeightNormalizer,
                    base_channels: int, depth: int,
-                   batch_norm: bool = True,
-                   extra_meta: dict | None = None) -> Path:
+                   batch_norm: bool = True) -> Path:
     """Write UNet weights + metadata into ``directory``.
 
     Returns the directory path.  Layout binding is *not* stored — a saved
-    surrogate can be re-bound to any layout of the same process.
-    ``extra_meta`` entries (e.g. the lifecycle's ``generation`` tag) are
-    merged into ``surrogate.json``; both files are written atomically
-    (temp + fsync + rename) with deterministic bytes.
+    surrogate can be re-bound to any layout of the same process.  Both
+    files are written atomically (temp + fsync + rename) with
+    deterministic bytes.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -123,12 +125,6 @@ def save_surrogate(directory: str | Path, unet: UNet,
         },
         "numpy": np.__version__,
     }
-    if extra_meta:
-        for key, value in extra_meta.items():
-            if key in meta:
-                raise ValueError(
-                    f"extra_meta may not override reserved key {key!r}")
-            meta[key] = value
     # Weights land first, metadata last: surrogate.json is the marker a
     # loader checks, so it must never describe weights that are not
     # fully on disk yet.
@@ -161,8 +157,9 @@ def load_surrogate_bundle(directory: str | Path) -> SurrogateBundle:
             ``unet.npz`` is missing — the message names the attempted
             path, so callers see *what* was missing, not a bare
             ``KeyError``/``OSError`` from deep inside numpy.
-        ValueError: when the files exist but are corrupt or inconsistent
-            with the recorded architecture.
+        ValueError: when the files exist but are corrupt (undecodable
+            JSON, a truncated or empty archive) or inconsistent with the
+            recorded architecture; the message names the file.
     """
     directory = Path(directory)
     meta_path = directory / "surrogate.json"
@@ -204,10 +201,17 @@ def load_surrogate_bundle(directory: str | Path) -> SurrogateBundle:
         )
     try:
         load_module(unet, weights_path)
+    except FileNotFoundError:
+        raise
     except (KeyError, ValueError) as exc:
         raise ValueError(
             f"surrogate weights {weights_path} do not match the recorded "
             f"architecture {arch}: {exc}"
+        )
+    except (EOFError, OSError, zipfile.BadZipFile) as exc:
+        raise ValueError(
+            f"corrupt surrogate weights {weights_path}: "
+            f"{type(exc).__name__}: {exc}"
         )
     return SurrogateBundle(unet=unet, normalizer=normalizer,
                            arch=dict(arch), metadata=meta)

@@ -183,22 +183,19 @@ def pretrain_surrogate(
     config: TrainConfig | None = None,
     simulator=None,
     seed: int = 0,
-    n_workers: int | None = None,
 ) -> tuple[CmpNeuralNetwork, TrainHistory, AccuracyReport]:
     """One-call pipeline: dataset -> UNet -> pre-train -> bind to a layout.
 
     Defaults are CPU-scale; raise ``sample_count``/``config.epochs`` for
-    paper-scale fidelity.  ``n_workers`` parallelises the teacher
-    simulations (see :func:`~repro.surrogate.datagen.build_dataset`)
-    without changing the dataset.  Returns the bound CMP neural network,
-    the training history and the held-out accuracy report.
+    paper-scale fidelity.  Returns the bound CMP neural network, the
+    training history and the held-out accuracy report.
     """
     with obs_trace.span("train.dataset", cat="train",
                         samples=sample_count,
                         tiles=[tile_rows, tile_cols]):
         dataset = build_dataset(
             sources, sample_count, tile_rows, tile_cols,
-            simulator=simulator, seed=seed, n_workers=n_workers,
+            simulator=simulator, seed=seed,
         )
     train_set, test_set = dataset.split(test_fraction=0.2, seed=seed)
     unet = UNet(

@@ -72,6 +72,35 @@ class TestCrashTolerance:
         assert [spec["id"] for spec in pending] == ["good"]
 
 
+class TestOlderJournals:
+    def test_swap_events_and_done_generations_are_skipped(self, tmp_path):
+        """Journals written by versions that could hot-swap models hold
+        ``swap`` events and done lines tagged with a ``generation``."""
+        path = tmp_path / "journal.jsonl"
+        lines = [
+            {"event": "accept", "id": "j1",
+             "request": make_request("j1").to_wire()},
+            {"event": "accept", "id": "j2",
+             "request": make_request("j2").to_wire()},
+            {"event": "done", "id": "j1", "status": "done", "generation": 1},
+            {"event": "swap", "model": "pkb", "generation": 2,
+             "directory": "ckpt-2"},
+            {"event": "accept", "id": "j3",
+             "request": make_request("j3").to_wire()},
+            {"event": "done", "id": "j3", "status": "error",
+             "generation": 2},
+            {"event": "accept", "id": "j4",
+             "request": make_request("j4").to_wire()},
+        ]
+        path.write_text("".join(json.dumps(line, separators=(",", ":"))
+                                + "\n" for line in lines))
+        expected = [make_request(rid).to_wire() for rid in ("j2", "j4")]
+        assert JobJournal.read_pending(path) == expected
+        pending, fresh = JobJournal.recover(path)
+        fresh.close()
+        assert pending == expected
+
+
 class TestRecover:
     def test_recover_truncates_and_reopens(self, tmp_path):
         path = tmp_path / "journal.jsonl"

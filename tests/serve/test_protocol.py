@@ -41,6 +41,23 @@ class TestValidation:
         with pytest.raises(ProtocolError, match="unknown op"):
             parse_request(encode({"id": "j1", "op": "explode"}))
 
+    @pytest.mark.parametrize("op", ["swap", "lifecycle"])
+    def test_retired_op_rejected(self, op):
+        """Older servers answered these ops; this one has neither."""
+        from repro.serve import FillServer, ServeConfig
+
+        with pytest.raises(ProtocolError, match="unknown op"):
+            parse_request(encode({"id": "j1", "op": op}))
+        server = FillServer(serve_config=ServeConfig(workers=1,
+                                                     worker_mode="thread"))
+        replies = []
+        server.handle_line(encode({"id": "j1", "op": op,
+                                   "params": {"model": "m"}}),
+                           replies.append)
+        server.shutdown(timeout=5.0)
+        assert [reply["status"] for reply in replies] == ["error"]
+        assert "unknown op" in replies[0]["error"]
+
     def test_missing_id_rejected(self):
         with pytest.raises(ProtocolError, match="request id"):
             parse_request(encode({"op": "ping"}))

@@ -1,11 +1,28 @@
 """Tests for the warm-loading model registry and its bound-network LRU."""
 
+import json
+import os
+import shutil
+
 import numpy as np
 import pytest
 
 from repro.layout import make_design_a, make_design_b
 from repro.serve import ModelRegistry, layout_fingerprint
 from repro.surrogate import save_surrogate
+
+
+def overwrite_in_place(checkpoint, source):
+    """Copy checkpoint ``source`` over ``checkpoint`` file by file.
+
+    Each mtime is bumped so the stamp changes even on coarse-mtime
+    filesystems.
+    """
+    for name in ("surrogate.json", "unet.npz"):
+        target = os.path.join(checkpoint, name)
+        shutil.copy2(os.path.join(source, name), target)
+        stat = os.stat(target)
+        os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
 
 
 @pytest.fixture()
@@ -114,7 +131,7 @@ class TestBinding:
 class TestStampInvalidation:
     """Binding must key on checkpoint *content*, not path alone.
 
-    Regression: the pre-lifecycle registry cached bound networks by
+    Regression: an earlier registry cached bound networks by
     (model, fingerprint) only, so a checkpoint overwritten in place at
     the same path kept serving the stale warm copy forever.
     """
@@ -134,23 +151,15 @@ class TestStampInvalidation:
 
     def test_in_place_overwrite_is_rebound(self, trained_surrogate,
                                            checkpoint, tmp_path):
-        import os
-        import shutil
-
         registry = ModelRegistry()
         registry.register("pkb", checkpoint)
         layout = make_design_a(rows=8, cols=8)
         fill = 0.25 * layout.slack_stack()
         before = registry.network_for("pkb", layout).predict_heights(fill)
 
-        altered = self._altered_copy(trained_surrogate, tmp_path / "v2")
-        for name in ("surrogate.json", "unet.npz"):
-            shutil.copy2(altered / name, os.path.join(checkpoint, name))
-            # mtime_ns must actually differ for the stamp to change even
-            # on coarse-mtime filesystems.
-            stat = os.stat(os.path.join(checkpoint, name))
-            os.utime(os.path.join(checkpoint, name),
-                     ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
+        overwrite_in_place(checkpoint,
+                           self._altered_copy(trained_surrogate,
+                                              tmp_path / "v2"))
 
         after = registry.network_for("pkb", layout).predict_heights(fill)
         assert not np.array_equal(before, after), \
@@ -164,64 +173,24 @@ class TestStampInvalidation:
             is registry.network_for("pkb", layout)
 
 
-class TestGenerationSwap:
-    @pytest.fixture()
-    def second_checkpoint(self, trained_surrogate, tmp_path):
-        net = trained_surrogate
-        return str(save_surrogate(tmp_path / "gen2", net.unet,
-                                  net.normalizer, base_channels=6, depth=2,
-                                  extra_meta={"generation": 2}))
+class TestOlderCheckpoints:
+    def test_generation_tag_is_ignored(self, checkpoint, tmp_path,
+                                       small_layout):
+        """Checkpoints written by older versions may carry a
+        ``generation`` key in ``surrogate.json``; it changes nothing."""
+        tagged = tmp_path / "tagged"
+        shutil.copytree(checkpoint, tagged)
+        meta_path = tagged / "surrogate.json"
+        meta = json.loads(meta_path.read_text())
+        meta["generation"] = 3
+        meta_path.write_text(json.dumps(meta, indent=2))
 
-    def test_register_defaults_to_generation_one(self, checkpoint):
         registry = ModelRegistry()
-        assert registry.register("pkb", checkpoint).generation == 1
-        assert registry.generation_of("pkb") == 1
-
-    def test_register_reads_generation_from_metadata(self,
-                                                     second_checkpoint):
-        registry = ModelRegistry()
-        assert registry.register("pkb", second_checkpoint).generation == 2
-
-    def test_swap_rebinds_without_drain(self, checkpoint,
-                                        second_checkpoint):
-        registry = ModelRegistry()
-        registry.register("pkb", checkpoint)
-        layout = make_design_a(rows=8, cols=8)
-        old_network, old_model = registry.bind("pkb", layout)
-        swapped = registry.swap("pkb", second_checkpoint)
-        assert swapped.generation == 2
-        new_network, new_model = registry.bind("pkb", layout)
-        # The old binding object is still fully usable (in-flight jobs
-        # holding it finish on generation 1)...
-        assert old_model.generation == 1
-        old_network.predict_heights(0.25 * layout.slack_stack())
-        # ...while new binds see generation 2.
-        assert new_model.generation == 2
-        assert new_network is not old_network
-
-    def test_swap_generation_must_increase(self, checkpoint,
-                                           second_checkpoint):
-        registry = ModelRegistry()
-        registry.register("pkb", second_checkpoint)  # already generation 2
-        with pytest.raises(ValueError, match="must increase"):
-            registry.swap("pkb", checkpoint, generation=2)
-        with pytest.raises(ValueError, match="must increase"):
-            registry.swap("pkb", checkpoint, generation=1)
-
-    def test_swap_unknown_model_raises(self, checkpoint):
-        registry = ModelRegistry()
-        with pytest.raises(KeyError, match="register it first"):
-            registry.swap("ghost", checkpoint)
-
-    def test_swap_defaults_to_increment(self, checkpoint):
-        registry = ModelRegistry()
-        registry.register("pkb", checkpoint)
-        assert registry.swap("pkb", checkpoint).generation == 2
-        assert registry.swap("pkb", checkpoint).generation == 3
-
-    def test_describe_reports_generation(self, checkpoint,
-                                         second_checkpoint):
-        registry = ModelRegistry()
-        registry.register("pkb", checkpoint)
-        registry.swap("pkb", second_checkpoint)
-        assert registry.describe()["pkb"]["generation"] == 2
+        registry.register("plain", checkpoint)
+        registry.register("tagged", tagged)
+        assert "generation" not in registry.describe()["tagged"]
+        fill = 0.25 * small_layout.slack_stack()
+        plain = registry.network_for("plain", small_layout)
+        old = registry.network_for("tagged", small_layout)
+        assert plain.predict_heights(fill).tobytes() \
+            == old.predict_heights(fill).tobytes()

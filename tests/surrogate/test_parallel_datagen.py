@@ -1,7 +1,7 @@
-"""Parallel teacher-data generation must be byte-identical to serial.
+"""Batched teacher-data generation must be byte-identical to unbatched.
 
-Layout assembly stays in the parent with the one seeded RNG stream; only
-the deterministic simulations are farmed out, so any worker count yields
+Layout assembly draws from the one seeded RNG stream; only the
+deterministic simulations are grouped, so any micro-batch size yields
 the exact same dataset.
 """
 
@@ -17,34 +17,6 @@ def sources():
     return [make_design_a(rows=10, cols=10), make_design_b(rows=10, cols=10)]
 
 
-class TestParallelBuildDataset:
-    def test_byte_identical_to_serial(self, sources):
-        serial = build_dataset(sources, count=3, rows=8, cols=8, seed=3)
-        parallel = build_dataset(sources, count=3, rows=8, cols=8, seed=3,
-                                 n_workers=2)
-        assert serial.inputs.tobytes() == parallel.inputs.tobytes()
-        assert serial.targets.tobytes() == parallel.targets.tobytes()
-        assert serial.normalizer == parallel.normalizer
-
-    def test_one_worker_is_serial_path(self, sources):
-        serial = build_dataset(sources, count=2, rows=8, cols=8, seed=1)
-        same = build_dataset(sources, count=2, rows=8, cols=8, seed=1,
-                             n_workers=1)
-        np.testing.assert_array_equal(serial.inputs, same.inputs)
-        np.testing.assert_array_equal(serial.targets, same.targets)
-
-    def test_workers_capped_by_count(self, sources):
-        # More workers than samples must not hang or reorder anything.
-        serial = build_dataset(sources, count=2, rows=8, cols=8, seed=2)
-        parallel = build_dataset(sources, count=2, rows=8, cols=8, seed=2,
-                                 n_workers=8)
-        assert serial.targets.tobytes() == parallel.targets.tobytes()
-
-    def test_invalid_workers_rejected(self, sources):
-        with pytest.raises(ValueError):
-            build_dataset(sources, count=2, rows=8, cols=8, n_workers=0)
-
-
 class TestBatchedBuildDataset:
     """Micro-batched teacher simulation is byte-identical to unbatched —
     the batched simulator contract, observed end to end."""
@@ -58,14 +30,6 @@ class TestBatchedBuildDataset:
             assert base.inputs.tobytes() == batched.inputs.tobytes()
             assert base.targets.tobytes() == batched.targets.tobytes()
             assert base.normalizer == batched.normalizer
-
-    def test_composes_with_workers(self, sources):
-        serial = build_dataset(sources, count=4, rows=8, cols=8, seed=5,
-                               sim_batch=1)
-        both = build_dataset(sources, count=4, rows=8, cols=8, seed=5,
-                             sim_batch=2, n_workers=2)
-        assert serial.inputs.tobytes() == both.inputs.tobytes()
-        assert serial.targets.tobytes() == both.targets.tobytes()
 
     def test_invalid_sim_batch_rejected(self, sources):
         with pytest.raises(ValueError):

@@ -84,6 +84,17 @@ class TestDiagnostics:
         with pytest.raises(ValueError, match="corrupt"):
             load_surrogate(checkpoint, small_layout)
 
+    @pytest.mark.parametrize("keep", [0.5, 0.0], ids=["truncated", "empty"])
+    def test_corrupt_weights_raise_value_error(self, checkpoint, keep,
+                                               small_layout):
+        weights = checkpoint / "unet.npz"
+        data = weights.read_bytes()
+        weights.write_bytes(data[:int(len(data) * keep)])
+        with pytest.raises(ValueError, match="corrupt surrogate weights") \
+                as excinfo:
+            load_surrogate_bundle(checkpoint)
+        assert str(weights) in str(excinfo.value)
+
     def test_metadata_missing_key_raises_value_error(self, checkpoint,
                                                      small_layout):
         meta = json.loads((checkpoint / "surrogate.json").read_text())
@@ -162,8 +173,7 @@ class TestAtomicWrites:
         monkeypatch.setattr(persist_module.os, "replace", crash_replace)
         with pytest.raises(OSError, match="simulated crash"):
             save_surrogate(directory, net.unet, net.normalizer,
-                           base_channels=6, depth=2,
-                           extra_meta={"generation": 2})
+                           base_channels=6, depth=2)
         monkeypatch.setattr(persist_module.os, "replace", real_replace)
 
         # Old bytes untouched, no temp litter, checkpoint still loads.
@@ -194,8 +204,7 @@ class TestAtomicWrites:
     def test_deterministic_bytes_across_saves(self, trained_surrogate,
                                               tmp_path):
         """Same weights always serialize to identical bytes (no zip
-        wall-clock timestamps), which the lifecycle's byte-identical
-        retrain guarantee builds on."""
+        wall-clock timestamps)."""
         net = trained_surrogate
         a = save_surrogate(tmp_path / "a", net.unet, net.normalizer,
                            base_channels=6, depth=2)
@@ -204,11 +213,3 @@ class TestAtomicWrites:
         assert (a / "unet.npz").read_bytes() == (b / "unet.npz").read_bytes()
         assert (a / "surrogate.json").read_bytes() \
             == (b / "surrogate.json").read_bytes()
-
-    def test_extra_meta_cannot_shadow_reserved_keys(self, trained_surrogate,
-                                                    tmp_path):
-        net = trained_surrogate
-        with pytest.raises(ValueError, match="reserved"):
-            save_surrogate(tmp_path / "ckpt", net.unet, net.normalizer,
-                           base_channels=6, depth=2,
-                           extra_meta={"arch": {}})

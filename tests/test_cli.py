@@ -118,6 +118,48 @@ class TestErrorHandling:
         assert main(["simulate", str(bad)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.fixture()
+    def corrupt_checkpoint(self, tmp_path):
+        """A checkpoint factory: ``truncated`` weights or ``bad-meta``."""
+        from repro.nn import UNet
+        from repro.surrogate import (
+            NUM_FEATURE_CHANNELS,
+            HeightNormalizer,
+            save_surrogate,
+        )
+
+        def make(kind):
+            unet = UNet(NUM_FEATURE_CHANNELS, 1, base_channels=4, depth=2,
+                        rng=0)
+            ckpt = save_surrogate(tmp_path / kind, unet,
+                                  HeightNormalizer(2500.0, 300.0),
+                                  base_channels=4, depth=2)
+            if kind == "truncated":
+                weights = ckpt / "unet.npz"
+                weights.write_bytes(weights.read_bytes()[:200])
+            else:
+                (ckpt / "surrogate.json").write_text("{broken")
+            return str(ckpt)
+        return make
+
+    @pytest.mark.parametrize("kind,command", [
+        ("truncated", "fill"), ("bad-meta", "fill"), ("truncated", "serve"),
+    ])
+    def test_corrupt_checkpoint_is_one_line_error(self, design_file, kind,
+                                                  command, corrupt_checkpoint,
+                                                  capsys):
+        ckpt = corrupt_checkpoint(kind)
+        if command == "fill":
+            argv = ["fill", str(design_file), "--method", "neurfill-pkb",
+                    "--model", ckpt]
+        else:
+            argv = ["serve", "--pipe", "--model", f"m={ckpt}"]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("repro: error: ")
+        assert ckpt in lines[0]
+
     def test_missing_model_checkpoint(self, design_file, tmp_path, capsys):
         missing = tmp_path / "no-ckpt"
         rc = main(["fill", str(design_file), "--method", "neurfill-pkb",

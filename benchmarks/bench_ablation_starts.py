@@ -39,7 +39,7 @@ def test_ablation_starting_points(benchmark, setup_a):
                                          3, seed=1)
         results["random-x3"] = msp_sqp(model, randoms, optimizer).best_fill
         from repro.optimize import Nmmso
-        found = Nmmso(model.quality, s.problem.lower, s.problem.upper,
+        found = Nmmso(model.quality_rows, s.problem.lower, s.problem.upper,
                       max_evaluations=400, seed=0).run()
         starts = [o.x for o in found.optima[:3]]
         results["nmmso-x3"] = msp_sqp(model, starts, optimizer).best_fill

@@ -56,11 +56,15 @@ def test_fig6_topography(benchmark):
     peaks = _grid_local_maxima(surface)
     best_idx = np.unravel_index(np.argmax(surface), surface.shape)
 
-    def q2(x):
-        fill = np.zeros(layout.shape)
-        fill[0, i1, j1] = x[0]
-        fill[0, i2, j2] = x[1]
-        return model.quality(fill)
+    def q2(xs):
+        """NMMSO's batched objective, one simulator polish per row."""
+        values = []
+        for x in xs:
+            fill = np.zeros(layout.shape)
+            fill[0, i1, j1] = x[0]
+            fill[0, i2, j2] = x[1]
+            values.append(model.quality(fill))
+        return np.array(values)
 
     found = Nmmso(q2, np.zeros(2), np.array([s1, s2]),
                   max_evaluations=700, merge_distance=0.12, seed=0).run()

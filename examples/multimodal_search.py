@@ -59,11 +59,15 @@ def main() -> None:
 
     print("\n== NMMSO multi-modal search over the same 2-D problem")
 
-    def quality_2d(x):
-        fill = np.zeros(layout.shape)
-        fill[0, i1, j1] = x[0]
-        fill[0, i2, j2] = x[1]
-        return model.quality(fill)
+    def quality_2d(xs):
+        """NMMSO's batched objective: one quality score per row."""
+        values = []
+        for x in xs:
+            fill = np.zeros(layout.shape)
+            fill[0, i1, j1] = x[0]
+            fill[0, i2, j2] = x[1]
+            values.append(model.quality(fill))
+        return np.array(values)
 
     search = Nmmso(
         quality_2d, lower=np.zeros(2), upper=np.array([s1, s2]),

@@ -180,8 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "waits for a job busy elsewhere, in "
                             "milliseconds")
     serve.add_argument("--no-coalesce", action="store_true",
-                       help="shorthand for --max-batch 1 (strict one-shot "
-                            "numerical parity)")
+                       help="shorthand for --max-batch 1 (every "
+                            "evaluation runs alone)")
     serve.add_argument("--journal", default=None, metavar="PATH",
                        help="crash-safe job journal; resumes unfinished "
                             "jobs recorded by a previous run")

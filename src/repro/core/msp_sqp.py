@@ -25,6 +25,15 @@ from ..surrogate.objectives import PlanarityBreakdown
 from .degradation import DegradationBreakdown, PerformanceDegradation
 from .problem import FillProblem
 
+#: Rows per stacked pass of :meth:`QualityModel.quality_rows`.  NMMSO's
+#: full PSO steps send 8 probes; on design C (12x12, default UNet,
+#: 2-core host) 8 single forward-only rows took 20.2 ms, two 4-row
+#: stacks 12.6 ms and one 8-row stack 11.3 ms.  The 8-row plan is left
+#: out for memory: a perfbench cli-fill run with 8-row stacks peaked at
+#: 69.7 MB against 61.7 MB with 4, at the same pass time.  A remainder
+#: runs row by row on the K = 1 plan, so a scorer adds one plan shape.
+PROBE_STACK: int = 4
+
 
 @dataclass
 class QualityEvaluation:
@@ -78,10 +87,10 @@ class QualityModel:
         The planarity term runs as a single ``(K * L, C, N, M)`` network
         forward plus one mask-seeded backward; the analytic degradation
         term is cheap and stays a per-start loop.  Row ``k`` equals
-        :meth:`evaluate` on ``fills[k]`` — same clipping, same maths —
-        to machine precision (BLAS contraction order may differ with the
-        batch size at the last ulp), so sequential and batched MSP-SQP
-        agree up to floating-point round-off.
+        :meth:`evaluate` on ``fills[k]`` bitwise — same clipping, same
+        maths, and no network op mixes rows of a stack
+        (``tests/surrogate/test_batch_invariance.py``) — so sequential
+        and batched MSP-SQP agree bit for bit.
 
         Args:
             fills: stacked fill vectors ``(K, L, N, M)``.
@@ -115,14 +124,24 @@ class QualityModel:
         return self.evaluate(fill, want_grad=False).quality
 
     def quality_rows(self, fills: np.ndarray) -> np.ndarray:
-        """:meth:`quality` of each fill of a stack, one forward per row.
+        """:meth:`quality` of each fill of a ``(P, L, N, M)`` stack.
 
-        A batched PKB scorer (:data:`repro.core.pkb.QualityFn`).  The
-        rows are not stacked into one pass on purpose: a ``P``-row
-        forward would trace a capture plan of a new shape, with its own
-        arena, to save a few single-fill forwards.
+        The batched scorer of PKB (:data:`repro.core.pkb.QualityFn`) and
+        NMMSO (:data:`repro.optimize.nmmso.Objective`).  Rows run in
+        forward-only stacks of :data:`PROBE_STACK` through
+        :meth:`evaluate_many` and any remainder row by row, so the
+        scorer uses only the ``PROBE_STACK`` and K = 1 plans, whatever
+        ``P`` is.  Rows are independent, so the result is bitwise
+        ``[quality(f) for f in fills]``; :attr:`evaluations` grows by
+        ``P``.
         """
-        return np.array([self.quality(fill) for fill in fills])
+        fills = np.asarray(fills, dtype=float)
+        whole = fills.shape[0] - fills.shape[0] % PROBE_STACK
+        values = [self.evaluate_many(fills[k:k + PROBE_STACK],
+                                     need_grad=False)[0]
+                  for k in range(0, whole, PROBE_STACK)]
+        values.append([self.quality(fill) for fill in fills[whole:]])
+        return np.concatenate(values)
 
     def value_and_grad(self, fill: np.ndarray) -> tuple[float, np.ndarray]:
         ev = self.evaluate(fill, want_grad=True)
@@ -152,9 +171,9 @@ def msp_sqp(
     through ``network.evaluate``.  Several starts advance in lockstep,
     one batched network forward/backward per round — the surrogate's
     batch axis is exactly what makes many starting points cheap.  The
-    per-start mathematics is shared, so lockstep results match a
-    start-by-start loop up to floating-point round-off (BLAS batch-size
-    sensitivity, ~1e-11 on the refined fill).
+    per-start mathematics is shared and a row of a stacked pass is
+    bitwise the solo pass, so lockstep results equal a start-by-start
+    loop bit for bit.
 
     Args:
         model: the quality-score evaluator.

@@ -149,7 +149,9 @@ class NeurFill:
         """NeurFill (MM): multi-modal starting-point search + MSP-SQP.
 
         Args:
-            max_evaluations: NMMSO objective budget (network forwards).
+            max_evaluations: NMMSO objective budget (network rows; each
+                PSO step's probes go out in
+                :data:`~repro.core.msp_sqp.PROBE_STACK`-row stacks).
             top_k: number of located optima refined by SQP.
             include_pkb: additionally seed with the PKB start (off by
                 default — the paper stresses MM needs no prior knowledge).
@@ -165,7 +167,7 @@ class NeurFill:
         t0 = time.perf_counter()
         start_evals = self.model.evaluations
         search = Nmmso(
-            self.model.quality,
+            self.model.quality_rows,
             lower=self.problem.lower,
             upper=self.problem.upper,
             max_evaluations=max_evaluations,

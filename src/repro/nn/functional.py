@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Array, Tensor, capture_recorder
+from .tensor import Array, Tensor, _pow_value, _unbroadcast, capture_recorder
 
 
 def _retain(*buffers: np.ndarray) -> None:
@@ -118,6 +118,64 @@ def minimum(x: Tensor, other) -> Tensor:
         def replay() -> None:
             np.minimum(x.data, other.data, out=out.data)
             np.less_equal(x.data, other.data, out=take_x)
+
+        out._replay = replay
+    return out
+
+
+def batch_norm_eval(x: Tensor, mean: Tensor, var: Tensor, gamma: Tensor,
+                    beta: Tensor, eps: float) -> Tensor:
+    """Eval-mode batch norm of ``(B, C, H, W)`` as one graph node.
+
+    Bitwise the ``Tensor`` chain ``(x - mean) / (var + eps) ** 0.5 *
+    gamma + beta`` — the chain's ufuncs in the chain's order, written
+    into one output buffer — and so are the gradients: ``x`` gets
+    ``(g * gamma) / s`` with ``s = (var + eps) ** 0.5``, and
+    ``gamma``/``beta`` get the chain's broadcast sums when they require
+    grad.  The chain builds nine nodes and four full-size arrays.
+
+    ``mean``/``var`` are the running statistics and ``gamma``/``beta``
+    the affine parameters, each with ``C`` entries.  All four are graph
+    leaves that the replay closure reads live, so in-place updates flow
+    into replays and a plan's leaf snapshot covers them.  The ``gamma``
+    gradient recomputes the normalised input from ``x`` (bitwise the
+    forward's) instead of keeping it.
+    """
+    shape = (1, -1, 1, 1)
+    neg_mean = np.negative(mean.data.reshape(shape))
+    scale = _pow_value(var.data.reshape(shape) + eps, 0.5)
+    value = np.add(x.data, neg_mean)
+    np.divide(value, scale, out=value)
+    np.multiply(value, gamma.data.reshape(shape), out=value)
+    np.add(value, beta.data.reshape(shape), out=value)
+    out = Tensor(value, _parents=(x, mean, var, gamma, beta))
+
+    def backward(grad: Array) -> None:
+        if x.requires_grad:
+            gx = np.multiply(grad, gamma.data.reshape(shape))
+            np.divide(gx, scale, out=gx)
+            x._accumulate(gx)
+        if gamma.requires_grad:
+            xn = np.add(x.data, neg_mean)
+            np.divide(xn, scale, out=xn)
+            gamma._accumulate(
+                _unbroadcast(grad * xn, scale.shape).reshape(gamma.shape))
+        if beta.requires_grad:
+            beta._accumulate(
+                _unbroadcast(grad, scale.shape).reshape(beta.shape))
+
+    out._backward = backward
+    if capture_recorder() is not None:
+        _retain(neg_mean, scale)
+
+        def replay() -> None:
+            np.negative(mean.data.reshape(shape), out=neg_mean)
+            np.add(var.data.reshape(shape), eps, out=scale)
+            _pow_value(scale, 0.5, out=scale)
+            np.add(x.data, neg_mean, out=value)
+            np.divide(value, scale, out=value)
+            np.multiply(value, gamma.data.reshape(shape), out=value)
+            np.add(value, beta.data.reshape(shape), out=value)
 
         out._replay = replay
     return out

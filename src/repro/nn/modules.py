@@ -142,7 +142,12 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    """Batch normalisation over (B, H, W) per channel with running stats."""
+    """Batch normalisation over (B, H, W) per channel with running stats.
+
+    Eval mode is one graph node (:func:`~repro.nn.functional.batch_norm_eval`,
+    bitwise the chain); training mode keeps the ``Tensor`` chain, whose
+    batch statistics are graph nodes of their own.
+    """
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__()
@@ -156,16 +161,19 @@ class BatchNorm2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects 4-D input, got {x.shape}")
-        if self.training:
-            mean = x.mean(axis=(0, 2, 3), keepdims=True)
-            var = x.var(axis=(0, 2, 3), keepdims=True)
-            self._update_running(mean.data, var.data)
-        else:
-            mean = Tensor(self.running_mean.reshape(1, -1, 1, 1))
-            var = Tensor(self.running_var.reshape(1, -1, 1, 1))
+        if not self.training:
+            # Leaves view the module buffers, so plans count them as the
+            # module's and read them live.
+            return F.batch_norm_eval(
+                x, Tensor(self.running_mean.reshape(1, -1, 1, 1)),
+                Tensor(self.running_var.reshape(1, -1, 1, 1)),
+                self.gamma, self.beta, self.eps)
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        var = x.var(axis=(0, 2, 3), keepdims=True)
+        self._update_running(mean.data, var.data)
         xn = (x - mean) / ((var + self.eps) ** 0.5)
         out = xn * self.gamma.reshape(1, -1, 1, 1) + self.beta.reshape(1, -1, 1, 1)
-        if self.training and capture_recorder() is not None:
+        if capture_recorder() is not None:
             # A captured training step replays the update too.  It hangs
             # on the block output, which replays after every node of the
             # block: ``var`` replays before the outer ``mean`` does.

@@ -17,6 +17,13 @@ This implementation keeps the algorithm's defining mechanics:
 
 The search runs in the normalised unit box; degenerate dimensions
 (``lower == upper``) are pinned and excluded from distances.
+
+The objective is batched, ``(P, *shape) -> (P,)``.  A PSO step fixes
+every particle's position before it scores any, so its probes go out
+as one stack, and the personal/swarm bests are then updated in
+particle order; growth, migration and merge-midpoint probes are
+one-row stacks.  With a row-independent objective every choice, and so
+the result, is that of scoring the particles one at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +35,9 @@ import numpy as np
 
 from ..config import rng_from_seed
 
-Objective = Callable[[np.ndarray], float]
+#: Batched objective: a ``(P, *shape)`` stack of points -> their ``(P,)``
+#: values (higher is better).
+Objective = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -73,7 +82,8 @@ class Nmmso:
     """Multi-modal maximisation over a box.
 
     Args:
-        fun: objective to maximise (physical coordinates).
+        fun: batched objective to maximise (:data:`Objective`, physical
+            coordinates).
         lower / upper: box bounds (arrays of equal shape).
         max_evaluations: total objective evaluation budget.
         swarm_size: particle cap per swarm.
@@ -121,10 +131,14 @@ class Nmmso:
         self.evaluations = 0
 
     # ------------------------------------------------------------------
-    def _evaluate(self, u: np.ndarray) -> float:
-        self.evaluations += 1
+    def _evaluate_rows(self, u: np.ndarray) -> np.ndarray:
+        """Objective values of the ``(P, n)`` unit-box points ``u``."""
+        self.evaluations += u.shape[0]
         x = self._lo + np.clip(u, 0.0, 1.0) * self._span
-        return float(self._fun(x.reshape(self._shape)))
+        return np.asarray(self._fun(x.reshape(-1, *self._shape)), dtype=float)
+
+    def _evaluate(self, u: np.ndarray) -> float:
+        return float(self._evaluate_rows(u[None])[0])
 
     def _distance(self, a: np.ndarray, b: np.ndarray) -> float:
         d = (a - b)[self._active]
@@ -233,10 +247,10 @@ class Nmmso:
         )
         swarm.positions = np.clip(swarm.positions + swarm.velocities, 0.0, 1.0)
         swarm.positions[:, ~self._active] = 0.0
-        for k in range(swarm.size):
-            if self.evaluations >= self.max_evaluations:
-                break
-            value = self._evaluate(swarm.positions[k])
+        m = min(swarm.size, self.max_evaluations - self.evaluations)
+        values = self._evaluate_rows(swarm.positions[:m])
+        for k in range(m):
+            value = float(values[k])
             if value > swarm.pbest_val[k]:
                 swarm.pbest_val[k] = value
                 swarm.pbest_pos[k] = swarm.positions[k].copy()

@@ -28,13 +28,12 @@ no flusher thread.
 
 Fidelity contract (see DESIGN.md "Serving"): a coalesced group of K
 evaluations returns **bitwise** what ``evaluate_batch`` returns for
-those K fills stacked — coalescing adds no arithmetic of its own.  A
-group of one (K = 1) is in turn bitwise-identical to the sequential
-``evaluate`` path by construction: ``evaluate`` *is* the K = 1 stack,
-on the same captured plan.  For K > 1 the repo-wide batched-evaluation
-contract applies (equal up to BLAS contraction order at the last ulp,
-observed ≤ 1e-10).  The batched simulator is bitwise identical to
-looping ``simulate`` at every K.  Requests coalesce only within one
+those K fills stacked — coalescing adds no arithmetic of its own — and
+each row of that stack is bitwise the sequential ``evaluate`` of its
+fill (no network op mixes rows; at K = 1 ``evaluate`` *is* the stack,
+on the same captured plan).  So a served fill is bitwise the one-shot
+fill whatever the grouping.  The batched simulator is bitwise identical
+to looping ``simulate`` at every K.  Requests coalesce only within one
 key, so different layouts/models/designs or physics never mix.
 """
 

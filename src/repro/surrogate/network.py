@@ -519,10 +519,10 @@ class CmpNeuralNetwork:
         axis.  Here the ``(K, L, N, M)`` stack is collapsed into a single
         ``(K * L, C, N, M)`` forward pass, and one backward call (seeded
         with the per-start mask) returns every requested gradient.  The
-        starts never interact (BatchNorm runs in eval mode), so row ``k``
-        matches :meth:`evaluate` on ``fills[k]`` to machine precision —
-        bitwise at K = 1, where it *is* that call; for K > 1 only the
-        BLAS contraction order may differ, at the last-ulp level.
+        starts never interact (BatchNorm runs in eval mode, and no op
+        mixes rows of the stack), so row ``k`` equals :meth:`evaluate`
+        on ``fills[k]`` bitwise, whatever K and the mask are; at K = 1
+        it *is* that call (``tests/surrogate/test_batch_invariance.py``).
 
         Args:
             fills: stacked fill vectors, shape ``(K, L, N, M)``.

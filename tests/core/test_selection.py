@@ -83,9 +83,11 @@ def reference_pkb(problem, network, simulator, num_candidates=9):
 
 def reference_mm(problem, network, simulator, max_evaluations, top_k,
                  seed=0):
-    """MM as a loop: one polish per refined start, first best wins."""
+    """MM as a loop: NMMSO scores its probes one row at a time and the
+    verdict takes one polish per refined start, first best wins."""
     model = QualityModel(problem, network)
-    found = Nmmso(model.quality, lower=problem.lower, upper=problem.upper,
+    found = Nmmso(lambda fills: np.array([model.quality(f) for f in fills]),
+                  lower=problem.lower, upper=problem.upper,
                   max_evaluations=max_evaluations, seed=seed).run()
     outcome = msp_sqp(model, [o.x for o in found.optima[:top_k]],
                       optimizer())

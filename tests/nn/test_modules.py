@@ -13,6 +13,7 @@ from repro.nn import (
     load_module,
     save_module,
 )
+from repro.nn.capture import CapturedGraph
 
 
 def tiny_net(rng=0):
@@ -135,6 +136,120 @@ class TestBatchNorm:
     def test_non_4d_rejected(self):
         with pytest.raises(ValueError):
             BatchNorm2d(2)(Tensor(np.ones((2, 2))))
+
+
+def trained_norm(channels=3, seed=0):
+    """A norm with non-trivial running statistics, gain and shift."""
+    rng = np.random.default_rng(seed)
+    bn = BatchNorm2d(channels, momentum=0.3)
+    for _ in range(3):
+        bn(Tensor(rng.normal(2.0, 1.5, size=(4, channels, 5, 5))))
+    bn.gamma.data[...] = rng.normal(1.0, 0.5, size=channels)
+    bn.beta.data[...] = rng.normal(0.0, 0.5, size=channels)
+    return bn.eval()
+
+
+def chain_norm(bn, x, mean, var):
+    """Batch norm as the explicit ``Tensor`` chain."""
+    return ((x - mean) / (var + bn.eps) ** 0.5 * bn.gamma.reshape(1, -1, 1, 1)
+            + bn.beta.reshape(1, -1, 1, 1))
+
+
+def running_chain(bn, x):
+    return chain_norm(bn, x, Tensor(bn.running_mean.reshape(1, -1, 1, 1)),
+                      Tensor(bn.running_var.reshape(1, -1, 1, 1)))
+
+
+def norm_results(forward, bn, x, seed):
+    """Output and input/gain/shift gradients of one forward+backward."""
+    bn.zero_grad()
+    xt = Tensor(x, requires_grad=True)
+    out = forward(xt)
+    out.backward(seed)
+    return (out.data.copy(), xt.grad.copy(), bn.gamma.grad.copy(),
+            bn.beta.grad.copy())
+
+
+class TestBatchNormEvalNode:
+    """Eval mode is one graph node, bitwise the explicit chain."""
+
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 7), (1, 3, 1, 1),
+                                       (4, 3, 1, 6)])
+    def test_eager_matches_chain(self, shape):
+        bn = trained_norm()
+        rng = np.random.default_rng(1)
+        x, seed = rng.normal(size=shape), rng.normal(size=shape)
+        fused = norm_results(bn, bn, x, seed)
+        chain = norm_results(lambda t: running_chain(bn, t), bn, x, seed)
+        for a, b in zip(fused, chain):
+            assert np.array_equal(a, b)
+
+    def test_eval_is_one_node(self):
+        bn = trained_norm()
+        x = Tensor(np.ones((1, 3, 2, 2)), requires_grad=True)
+        out = bn(x)
+        assert out._parents[0] is x
+        assert bn.gamma in out._parents and bn.beta in out._parents
+
+    @pytest.mark.parametrize("param_grads", [False, True])
+    def test_captured_matches_chain(self, param_grads):
+        bn = trained_norm()
+        rng = np.random.default_rng(2)
+        shape = (2, 3, 4, 6)
+        x0, x1, seed = (rng.normal(size=shape) for _ in range(3))
+        plan = CapturedGraph.trace(lambda t: {"root": bn(t["x"])}, {"x": x0},
+                                   grad_inputs=("x",), seed=seed,
+                                   param_grads=param_grads)
+        for x in (x0, x1):
+            bn.zero_grad()
+            plan.replay({"x": x}, seed=seed)
+            out, gx, gg, gb = norm_results(lambda t: running_chain(bn, t),
+                                           bn, x, seed)
+            assert np.array_equal(plan.outputs["root"].data, out)
+            assert np.array_equal(plan.grad("x"), gx)
+        if param_grads:
+            bn.zero_grad()
+            plan.replay({"x": x1}, seed=seed)
+            assert np.array_equal(bn.gamma.grad, gg)
+            assert np.array_equal(bn.beta.grad, gb)
+
+    def test_replay_reads_running_statistics_live(self):
+        bn = trained_norm()
+        rng = np.random.default_rng(3)
+        x, seed = rng.normal(size=(2, 3, 3, 3)), rng.normal(size=(2, 3, 3, 3))
+        plan = CapturedGraph.trace(lambda t: {"root": bn(t["x"])}, {"x": x},
+                                   grad_inputs=("x",), seed=seed)
+        bn.running_mean[...] += 0.25
+        bn.running_var[...] *= 1.5
+        # Same input, changed leaves: the snapshot forces a forward.
+        assert plan.replay({"x": x}, seed=seed) is False
+        out, gx, _, _ = norm_results(lambda t: running_chain(bn, t), bn, x,
+                                     seed)
+        assert np.array_equal(plan.outputs["root"].data, out)
+        assert np.array_equal(plan.grad("x"), gx)
+
+    def test_training_step_is_the_chain(self):
+        bn = trained_norm().train()
+        twin = trained_norm().train()
+        rng = np.random.default_rng(4)
+        x, seed = rng.normal(size=(3, 3, 4, 4)), rng.normal(size=(3, 3, 4, 4))
+        step = norm_results(bn, bn, x, seed)
+
+        def batch_chain(t):
+            mean = t.mean(axis=(0, 2, 3), keepdims=True)
+            var = t.var(axis=(0, 2, 3), keepdims=True)
+            m = twin.momentum
+            twin.running_mean[...] = ((1 - m) * twin.running_mean
+                                      + m * mean.data.ravel())
+            twin.running_var[...] = ((1 - m) * twin.running_var
+                                     + m * var.data.ravel())
+            return chain_norm(twin, t, mean, var)
+
+        chain = norm_results(batch_chain, twin, x, seed)
+        for a, b in zip(step, chain):
+            assert np.array_equal(a, b)
+        assert np.array_equal(bn.running_mean, twin.running_mean)
+        assert np.array_equal(bn.running_var, twin.running_var)
 
 
 class TestSequentialMisc:

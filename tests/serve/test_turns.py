@@ -265,8 +265,7 @@ class TestServedTurns:
         assert overlap(*run_intervals), run_intervals
         assert histogram.get("2", 0) >= 1, histogram
         for fill in fills:
-            np.testing.assert_allclose(fill, workspace["oneshot"][0],
-                                       rtol=0, atol=1e-8)
+            assert np.array_equal(fill, workspace["oneshot"][0])
 
     def test_max_batch_1_fills_on_one_layout_never_overlap(
             self, workspace, run_intervals):

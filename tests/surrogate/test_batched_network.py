@@ -1,10 +1,10 @@
 """Batched network evaluation vs the sequential per-fill path.
 
 ``evaluate_batch`` stacks K fill vectors into one network pass; every
-row must reproduce ``evaluate`` on the same fill to machine precision
-(BatchNorm runs in eval mode, so samples never interact).  A single
-fill is the K = 1 stack, so at K = 1 the match is bitwise and both
-calls share one captured plan.
+row must reproduce ``evaluate`` on the same fill bit for bit (BatchNorm
+runs in eval mode, so samples never interact;
+``test_batch_invariance.py`` sweeps K and grids).  A single fill is the
+K = 1 stack, so both calls share one captured plan.
 """
 
 import numpy as np
@@ -44,17 +44,14 @@ class TestEvaluateBatch:
         batch = net.evaluate_batch(fills, WEIGHTS)
         for k in range(fills.shape[0]):
             single = net.evaluate(fills[k], WEIGHTS)
-            np.testing.assert_allclose(batch.s_plan[k], single.s_plan,
-                                       rtol=0, atol=1e-10)
-            np.testing.assert_allclose(batch.heights[k], single.heights,
-                                       rtol=0, atol=1e-10)
-            np.testing.assert_allclose(batch.gradient[k], single.gradient,
-                                       rtol=0, atol=1e-10)
+            assert batch.s_plan[k] == single.s_plan
+            np.testing.assert_array_equal(batch.heights[k], single.heights)
+            np.testing.assert_array_equal(batch.gradient[k], single.gradient)
             bd, sd = batch.breakdowns[k], single.breakdown
-            assert bd.sigma == pytest.approx(sd.sigma, abs=1e-10)
-            assert bd.line == pytest.approx(sd.line, abs=1e-10)
-            assert bd.outlier == pytest.approx(sd.outlier, abs=1e-10)
-            assert bd.s_plan == pytest.approx(sd.s_plan, abs=1e-10)
+            assert bd.sigma == sd.sigma
+            assert bd.line == sd.line
+            assert bd.outlier == sd.outlier
+            assert bd.s_plan == sd.s_plan
 
     def test_grad_mask_zeroes_unrequested_rows(self, net, fills):
         mask = np.array([True, False, True])
@@ -62,8 +59,7 @@ class TestEvaluateBatch:
         assert np.all(batch.gradient[1] == 0.0)
         for k in (0, 2):
             single = net.evaluate(fills[k], WEIGHTS)
-            np.testing.assert_allclose(batch.gradient[k], single.gradient,
-                                       rtol=0, atol=1e-10)
+            np.testing.assert_array_equal(batch.gradient[k], single.gradient)
         # Masked rows still get their (forward-only) scores.
         full = net.evaluate_batch(fills, WEIGHTS, want_grad=False)
         np.testing.assert_allclose(batch.s_plan, full.s_plan, rtol=0, atol=0)
@@ -92,8 +88,7 @@ class TestPlanarityScoreBatch:
         for k in range(4):
             single = planarity_terms(Tensor(heights[k:k + 1]), WEIGHTS)
             for name, term in batched.items():
-                assert float(term.data[k]) == pytest.approx(
-                    single[name].item(), abs=1e-10), name
+                assert float(term.data[k]) == single[name].item(), name
 
 
 def _k1_cases():

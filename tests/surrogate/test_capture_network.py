@@ -456,3 +456,18 @@ class TestLeanArena:
         assert stats["arena_bytes"] < sum(stats["plans"].values())
         pool = set(map(id, net._pool._flat.values()))
         assert pool <= set(held)
+
+    def test_inference_sweep_skips_parameter_only_nodes(self, layout):
+        """An inference plan computes no parameter gradients, so its
+        backward sweep holds no node fed only by parameters (each
+        eval-mode norm is one node that reads its gain and shift
+        directly, not through views of them)."""
+        unet = UNet(NUM_FEATURE_CHANNELS, 1, rng=0)  # the default UNet
+        net = CmpNeuralNetwork(layout, unet, HeightNormalizer(2500.0, 300.0))
+        (fill,) = fills_for(layout, 1, seed=32)
+        net.evaluate(fill, WEIGHTS)
+        (plan,) = net._plans.values()
+        params = {id(p) for p in unet.parameters()}
+        fed = [n for n in plan._btopo
+               if n._parents and all(id(p) in params for p in n._parents)]
+        assert fed == []

@@ -13,9 +13,11 @@ weights, and the bitwise-parity guarantee is weight-independent):
 1. Build two networks over the same layout and identical weights, one
    with ``capture=True`` and one with ``capture=False``.
 2. For each entry point (``evaluate``, ``evaluate_batch``,
-   ``evaluate_region``): warm both up, then time repeated calls over a
-   rotating set of fills, asserting every captured result is bitwise
-   equal to its eager counterpart.
+   ``evaluate_region``, and ``probe``: a forward-only
+   ``PROBE_STACK``-row ``evaluate_batch``, the stacks NMMSO scores its
+   swarm in): warm both up, then time repeated calls over a rotating
+   set of fills, asserting every captured result is bitwise equal to
+   its eager counterpart.
 3. In a separate pass (tracemalloc skews timings), measure the
    per-iteration allocation high-water delta for both modes.
 
@@ -35,8 +37,10 @@ Gates:
   steady-state ``evaluate`` replay is **≥1.5× faster** than eager, and
   per-iteration array allocations drop by **≥90 %** after warmup.
 
-Each inference row records its plan's ``arena_bytes``; the report also
-holds the network's total, which counts the shared scratch pool once.
+Each inference row records the ``arena_bytes`` of the plan it replays
+(``probe`` shares the K = 4 plan of ``batch``, as NMMSO's probe stacks
+share the lockstep's); the report also holds the network's total, which
+counts the shared scratch pool once.
 
 Writes ``BENCH_capture.json`` at the repo root.
 """
@@ -51,6 +55,7 @@ import numpy as np
 
 from _common import write_output
 from repro.config import rng_from_seed
+from repro.core.msp_sqp import PROBE_STACK
 from repro.layout.designs import DESIGN_BUILDERS
 from repro.nn import UNet
 from repro.nn.loss import mse_loss
@@ -102,7 +107,8 @@ def make_fills(layout, count, seed, batch=None):
 def assert_bitwise(a, b, mode):
     ok = (np.array_equal(np.asarray(a.s_plan), np.asarray(b.s_plan))
           and np.array_equal(a.heights, b.heights)
-          and np.array_equal(a.gradient, b.gradient))
+          and (a.gradient is None) == (b.gradient is None)
+          and (a.gradient is None or np.array_equal(a.gradient, b.gradient)))
     if not ok:
         raise AssertionError(
             f"{mode}: captured result differs bitwise from eager — the "
@@ -113,6 +119,7 @@ def make_calls(layout, captured, eager):
     """Per-mode callables ``call(net, i) -> result`` plus rotation sets."""
     fills = make_fills(layout, 4, seed=SEED)
     batches = make_fills(layout, 4, seed=SEED + 1, batch=BATCH)
+    probes = make_fills(layout, 4, seed=SEED + 3, batch=PROBE_STACK)
 
     base_fill = fills[0]
     base = eager.predict_heights(base_fill)
@@ -132,6 +139,8 @@ def make_calls(layout, captured, eager):
             batches[i % len(batches)], WEIGHTS),
         "region": lambda net, i: net.evaluate_region(
             trials[i % len(trials)], region, base, WEIGHTS),
+        "probe": lambda net, i: net.evaluate_batch(
+            probes[i % len(probes)], WEIGHTS, want_grad=False),
     }
 
 
@@ -243,12 +252,11 @@ def main() -> None:
     calls = make_calls(layout, captured, eager)
     rows = []
     for mode, call in calls.items():
-        before = set(captured.capture_stats()["plans"])
         # Parity + warmup: every captured result checked against eager.
         for i in range(WARMUP + 2):
             assert_bitwise(call(captured, i), call(eager, i), mode)
         plans = captured.capture_stats()["plans"]
-        (plan_key,) = set(plans) - before
+        plan_key = list(plans)[-1]  # the plan table is in LRU order
 
         t_eager = timed_loop(call, eager, TIMED_ITERS)
         t_captured = timed_loop(call, captured, TIMED_ITERS)

@@ -98,7 +98,9 @@ class QualityModel:
 
         Returns:
             ``(values (K,), gradients (K, L, N, M))``; gradient rows not
-            requested are zero.
+            requested are zero.  When no row is, the gradients are a
+            read-only zero view, so a forward-only stack (an NMMSO probe
+            stack) allocates none.
         """
         fills = np.asarray(fills, dtype=float)
         if fills.ndim != 4:
@@ -109,7 +111,9 @@ class QualityModel:
         clipped = self.problem.clip(fills)
         plan = self.network.evaluate_batch(clipped, self.weights, grad_mask=mask)
         values = np.empty(K)
-        grads = np.zeros_like(fills)
+        grads = (np.zeros_like(fills) if mask.any()
+                 else np.broadcast_to(np.zeros((), dtype=fills.dtype),
+                                      fills.shape))
         for k in range(K):
             pd_breakdown, pd_grad = self.degradation.evaluate(
                 clipped[k], want_grad=bool(mask[k])

@@ -99,7 +99,11 @@ class NeurFill:
         * keeping the refined solution only if the simulator agrees it
           beats the starting point — a guard against surrogate error at
           reduced training budgets (see EXPERIMENTS.md).  The start's
-          score is the one its ranking already produced.
+          score is the one its ranking already produced.  The verdict is
+          recorded: ``extras["pkb_refinement_kept"]`` and
+          ``extras["pkb_refined_quality"]`` next to ``"pkb_quality"``,
+          and ``kept``/``start_quality``/``refined_quality`` on the
+          ``pkb-accept`` ``core.select`` span.
 
         Total extra cost: one batched polish of ``num_candidates``
         layouts plus one polish of the refined fill, i.e. ~1e-4 of one
@@ -116,13 +120,20 @@ class NeurFill:
         pkb = pkb_starting_point(self.problem.layout, scorer, num_candidates)
         outcome = msp_sqp(self.model, [pkb.fill], self.optimizer)
         best_fill = outcome.best_fill
+        extras = {"pkb_targets": pkb.targets.tolist(),
+                  "pkb_quality": pkb.quality}
         if self.simulator is not None:
             with obs_trace.span("core.select", cat="core",
-                                decision="pkb-accept", candidates=1):
-                refined = simulator_qualities(self.problem, self.simulator,
-                                              best_fill[None])[0]
-            if refined < pkb.quality:
+                                decision="pkb-accept", candidates=1) as span:
+                refined = float(simulator_qualities(
+                    self.problem, self.simulator, best_fill[None])[0])
+                kept = not refined < pkb.quality
+                span.set(kept=kept, start_quality=pkb.quality,
+                         refined_quality=refined)
+            if not kept:
                 best_fill = pkb.fill
+            extras.update(pkb_refinement_kept=kept,
+                          pkb_refined_quality=refined)
         self.problem.layout.validate_fill(best_fill)
         final = self.model.evaluate(best_fill, want_grad=False)
         return FillResult(
@@ -134,8 +145,7 @@ class NeurFill:
             runtime_s=time.perf_counter() - t0,
             evaluations=self.model.evaluations - start_evals,
             starts=1,
-            extras={"pkb_targets": pkb.targets.tolist(),
-                    "pkb_quality": pkb.quality},
+            extras=extras,
         )
 
     # ------------------------------------------------------------------

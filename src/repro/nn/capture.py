@@ -64,10 +64,18 @@ also moves batch-norm running statistics, and it keeps no leaf snapshot.
 Lean arena
 ----------
 A plan keeps only what must outlive a kernel call: the graph's forward
-arrays and the arrays closures keep (padded conv inputs, masks, argmax
-indices).  Pure scratch — the shifted-GEMM copies, pre-bias and
-input-gradient correlations, flipped kernels — and the zero-bordered
-dilate-pad maps come from the owner's
+arrays, a few small arrays (batch-norm constants, the sigmoid's
+scratch) and, in a parameter-gradient plan only, each conv's
+channels-last padded input (its weight gradient reads it after later
+convs ran).  A forward
+computes only what its outputs need: state that only a backward reads
+(ReLU and hinge masks, the max-pool pick, the padded input of an
+inference conv's weight gradient) is built by the backward from the
+forward arrays, so a forward-only replay writes none of it.  Pure
+scratch — the shifted-GEMM copies, input-gradient correlations, flipped
+kernels, masks and pooling indices — and the zero-bordered maps (an
+inference conv's padded input, shared by the plan's convs of one
+shape; the dilate-pad maps) come from the owner's
 :class:`~repro.nn.dispatch.ScratchPool`, through per-call-site views
 cached so a warm replay neither allocates nor reshapes.  Gradients
 follow a slot plan built with the plan (:func:`_gradient_slots`): nodes
@@ -101,15 +109,19 @@ class CaptureMiss(RuntimeError):
 
 class GraphRecorder:
     """Collects what a trace's closures keep, and hands out pooled
-    scratch from the owner's pool."""
+    scratch from the owner's pool.  ``param_grads`` tells ops whether
+    the plan computes parameter gradients, whose kernels read state an
+    inference plan never needs (a conv's padded input)."""
 
-    def __init__(self, pool: ScratchPool) -> None:
+    def __init__(self, pool: ScratchPool, param_grads: bool = False) -> None:
         self.pool = pool
+        self.param_grads = param_grads
         self.retained: list[Array] = []
         self.scratches: list[Scratch] = []
 
     def retain(self, *arrays: Array) -> None:
-        """Arrays a closure keeps across calls (padded inputs, masks)."""
+        """Arrays a closure keeps across calls (batch-norm constants, the
+        sigmoid's scratch, a training plan's padded conv inputs)."""
         self.retained.extend(arrays)
 
     def scratch(self) -> Scratch:
@@ -292,6 +304,7 @@ class CapturedGraph:
         arrays += self._param_bufs + self._recorder.retained
         for scratch in self._recorder.scratches:
             arrays += scratch.views.values()
+            arrays += scratch.maps.values()
         arrays.append(self._leaf_values)
         held = {id(owner): owner for owner in map(_owner, arrays)}
         for p in self._params:
@@ -345,7 +358,8 @@ class CapturedGraph:
         weight-gradient kernels.
         """
         grad_names = tuple(grad_inputs)
-        recorder = GraphRecorder(pool if pool is not None else ScratchPool())
+        recorder = GraphRecorder(pool if pool is not None else ScratchPool(),
+                                 param_grads=param_grads)
         tensors = {
             name: Tensor(np.array(value, dtype=float),
                          requires_grad=name in grad_names)

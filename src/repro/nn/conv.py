@@ -3,28 +3,33 @@
 Forward passes and their adjoints all reduce to the two primitives of
 :mod:`repro.nn.dispatch` (valid cross-correlation and its kernel-shaped
 adjoint), which runs each call on im2col-einsum or shifted matmul as a
-pure shape rule decides.  Backward closures deliberately retain **no**
-padded-input copy: the padded map and its windows are recomputed from
-``x.data`` on demand, so the forward graph of a deep network holds one
-set of activations, not two.
+pure shape rule decides.  A padded conv input is a zero-bordered
+channels-last ``(B, H + 2p, W + 2p, C)`` map, the layout the
+shifted-GEMM backend reads, and the bias add rides on the output's
+transposing write; the input gradient's dilate-pad map is channels-last
+too.
 
-Under graph capture the trade flips: a conv keeps its padded input
-(replay refreshes only the interior, and weight gradients read it
-instead of padding again), while pure scratch — shifted-GEMM copies,
-pre-bias and input-gradient correlations, flipped kernels, pooling
-gradients — and the zero-bordered dilate-pad maps come from the owner's
-:class:`~repro.nn.dispatch.ScratchPool`.  Replay closures re-run the
-dispatcher with ``out=`` into the original output buffers.  Replays
-present the same shapes as the trace, so the rule picks the same backend
-and the bit pattern is identical.
+Each forward computes only what its outputs need; state only a backward
+reads (a pooling window's pick, a padded input for the weight gradient)
+is built by the backward from the forward's arrays.  Eager closures
+retain no padded-input copy, so the forward graph of a deep network
+holds one set of activations, not two.
+
+Under graph capture the closures run the same code on pooled buffers
+(:class:`~repro.nn.dispatch.ScratchPool`): pure scratch, the dilate-pad
+maps and, in an inference plan, each conv's padded input, shared by the
+owner's convs of one shape.  A parameter-gradient plan keeps one padded
+input per conv, which its forward refreshes and its weight gradient
+reads.  Replays present the same shapes as the trace, so the rule picks
+the same backend and the bit pattern is identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import dispatch
+from .dispatch import workspace_buffer
 from .tensor import Array, Tensor, capture_recorder
 
 
@@ -33,65 +38,43 @@ def _check_4d(x: Tensor, name: str) -> None:
         raise ValueError(f"{name} must be 4-D (B, C, H, W), got shape {x.shape}")
 
 
-def _pad_spatial(values: Array, padding: int) -> Array:
-    if not padding:
-        return values
-    return np.pad(values, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+def _zero_map(workspace: dispatch.Scratch | None, interior: tuple,
+              shape: tuple, dtype) -> Array:
+    """A zero-bordered map: fresh in eager mode, else the pool's map for
+    ``interior`` (the positions every user writes)."""
+    if workspace is None:
+        return np.zeros(shape, dtype=dtype)
+    return workspace.map(interior, shape, dtype)
 
 
-def _dilate_pad(values: Array, kh: int, kw: int, stride: int) -> Array:
-    """Stride-dilated, (k-1)-padded map — the core of the conv input
-    adjoint.
+def _dilate_pad(values: Array, kh: int, kw: int, stride: int,
+                ws: dispatch.Scratch | None) -> Array:
+    """Stride-dilated, (k-1)-padded map of ``values`` — the core of the
+    conv input adjoint — channels-last, viewed as ``(B, C, H', W')``.
 
     Inserting ``stride - 1`` zeros between entries and padding by the
     kernel size minus one turns a strided scatter into a dense gather:
     correlating the result with the spatially flipped kernel reproduces
     ``out[p] += values[h] * W[i]`` for every ``p = h * stride + i``.
+    A 1x1 stride-1 kernel needs neither, so ``values`` itself is used.
+    Only the stride-spaced interior slots are written; the zero lattice
+    and border never change, so a pooled map (shared only among call
+    sites with equal shape, kernel and stride) needs no clearing.
     """
-    if stride == 1:
-        dilated = values
-    else:
-        B, C, H, W = values.shape
-        dilated = np.zeros(
-            (B, C, (H - 1) * stride + 1, (W - 1) * stride + 1), dtype=values.dtype
-        )
-        dilated[:, :, ::stride, ::stride] = values
-    return np.pad(dilated, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-
-
-def _flip_transpose(weight: Array) -> Array:
-    """``(O, C, kh, kw) -> (C, O, kh, kw)`` with both spatial axes flipped."""
-    return np.ascontiguousarray(weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-
-
-def _dilate_pad_into(values: Array, kh: int, kw: int, stride: int,
-                     ws: dispatch.Scratch | None) -> Array:
-    """:func:`_dilate_pad` into the pooled map under capture.
-
-    The zero dilation lattice and the (k-1) border of the map never
-    change — the pool shares a map only among call sites with equal
-    shape, kernel and stride — so refreshing only the stride-spaced
-    interior slots is value-identical to rebuilding it from scratch.
-    """
-    if ws is None:
-        return _dilate_pad(values, kh, kw, stride)
+    if kh == kw == 1 and stride == 1:
+        return values
     B, C, H, W = values.shape
-    shape = (B, C, (H - 1) * stride + 2 * kh - 1, (W - 1) * stride + 2 * kw - 1)
-    buf = ws.views.get("gdp")
-    if buf is None:
-        buf = ws.views["gdp"] = ws.pool.dilate_pad(shape, kh, kw, stride,
-                                                   values.dtype)
-    buf[:, :, kh - 1 : kh - 1 + (H - 1) * stride + 1 : stride,
-        kw - 1 : kw - 1 + (W - 1) * stride + 1 : stride] = values
-    return buf
+    shape = (B, (H - 1) * stride + 2 * kh - 1, (W - 1) * stride + 2 * kw - 1, C)
+    buf = _zero_map(ws, ("dilate", kh, kw, stride), shape, values.dtype)
+    buf[:, kh - 1 : kh - 1 + (H - 1) * stride + 1 : stride,
+        kw - 1 : kw - 1 + (W - 1) * stride + 1 : stride] = values.transpose(0, 2, 3, 1)
+    return buf.transpose(0, 3, 1, 2)
 
 
 def _flip_transpose_into(weight: Array, ws: dispatch.Scratch | None) -> Array:
-    """:func:`_flip_transpose` into pooled scratch under capture."""
-    if ws is None:
-        return _flip_transpose(weight)
+    """``(O, C, kh, kw) -> (C, O, kh, kw)`` with both spatial axes flipped."""
     O, C, kh, kw = weight.shape
-    buf = ws.get("fw", (C, O, kh, kw), weight.dtype)
+    buf = workspace_buffer(ws, "fw", (C, O, kh, kw), weight.dtype)
     np.copyto(buf, weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
     return buf
 
@@ -113,56 +96,66 @@ def conv2d(
         raise ValueError(f"channel mismatch: input {C}, weight expects {Cw}")
     if H + 2 * padding < kh or W + 2 * padding < kw:
         raise ValueError("kernel larger than padded input")
+    Hp, Wp = H + 2 * padding, W + 2 * padding
+    Ho, Wo = (Hp - kh) // stride + 1, (Wp - kw) // stride + 1
 
     recorder = capture_recorder()
-    fws = bws = None
+    fws = bws = own = None
     if recorder is not None:
         fws, bws = recorder.scratch(), recorder.scratch()
-    xp = _pad_spatial(x.data, padding)
-    corr = dispatch.corr2d(xp, weight.data, stride, tag="fwd", workspace=fws)
-    if bias is not None:
-        out_data = corr + bias.data[None, :, None, None]
-    else:
-        out_data = corr
-    del corr
-    padded_shape = xp.shape
-    # Eager backward recomputes the padded input on demand; a captured
-    # plan keeps it (its forward refreshes the interior in place), so
-    # weight gradients read it instead of calling np.pad.
-    kept = xp if recorder is not None and padding else None
-    del xp
+        if padding and recorder.param_grads:
+            # The weight gradient reads this conv's padded input after
+            # later convs ran, so a training plan keeps one per conv.
+            own = np.zeros((B, Hp, Wp, C), dtype=x.data.dtype)
+            recorder.retain(own)
+
+    def padded() -> Array:
+        """``x.data`` with its zero border, as a channels-last map viewed
+        ``(B, C, Hp, Wp)``, refreshed in place."""
+        if not padding:
+            return x.data
+        buf = own if own is not None else _zero_map(
+            fws, ("pad", padding), (B, Hp, Wp, C), x.data.dtype)
+        np.copyto(buf[:, padding : padding + H, padding : padding + W],
+                  x.data.transpose(0, 2, 3, 1))
+        return buf.transpose(0, 3, 1, 2)
+
+    def forward(out_data: Array) -> None:
+        dispatch.corr2d(padded(), weight.data, stride, tag="fwd",
+                        out=out_data, workspace=fws,
+                        bias=None if bias is None else bias.data)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    out = Tensor(out_data, _parents=parents)
+    out = Tensor(np.empty((B, O, Ho, Wo), dtype=x.data.dtype), _parents=parents)
+    forward(out.data)
 
     def backward(grad: Array) -> None:
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            weight._accumulate(
-                dispatch.corr2d_weight_grad(
-                    grad, _pad_spatial(x.data, padding) if kept is None
-                    else kept, kh, kw, stride, tag="bwd_weight",
-                )
-            )
+            # A training plan's forward refreshed ``own``; otherwise pad
+            # the input again.
+            xp = padded() if own is None else own.transpose(0, 3, 1, 2)
+            weight._accumulate(dispatch.corr2d_weight_grad(
+                grad, xp, kh, kw, stride, tag="bwd_weight"))
         if x.requires_grad:
             # Input gradient as a full correlation of the dilated upstream
             # gradient with the flipped, channel-transposed kernel.
-            gdp = _dilate_pad_into(grad, kh, kw, stride, bws)
+            gdp = _dilate_pad(grad, kh, kw, stride, bws)
             gfull = dispatch.corr2d(
                 gdp, _flip_transpose_into(weight.data, bws), 1,
                 tag="bwd_input",
-                out=None if bws is None else bws.get(
-                    "gfull", (B, C, gdp.shape[2] - kh + 1,
-                              gdp.shape[3] - kw + 1), gdp.dtype),
+                out=workspace_buffer(bws, "gfull", (B, C, gdp.shape[2] - kh + 1,
+                                                    gdp.shape[3] - kw + 1),
+                                     gdp.dtype),
                 workspace=bws,
             )
-            if gfull.shape == padded_shape:
+            if gfull.shape == (B, C, Hp, Wp):
                 gxp = gfull
             else:
                 # Trailing rows/cols of the padded input that no window
                 # covers (when (H - kh) % stride != 0) get zero gradient.
-                gxp = np.zeros(padded_shape, dtype=gfull.dtype)
+                gxp = np.zeros((B, C, Hp, Wp), dtype=gfull.dtype)
                 gxp[:, :, : gfull.shape[2], : gfull.shape[3]] = gfull
             if padding:
                 gxp = gxp[:, :, padding:-padding or None, padding:-padding or None]
@@ -170,97 +163,130 @@ def conv2d(
 
     out._backward = backward
     if recorder is not None:
-        if kept is not None:
-            recorder.retain(kept)
-
-        def replay() -> None:
-            if kept is None:
-                src = x.data
-            else:
-                np.copyto(kept[:, :, padding : padding + H, padding : padding + W],
-                          x.data)
-                src = kept
-            if bias is None:
-                dispatch.corr2d(src, weight.data, stride, tag="fwd",
-                                out=out.data, workspace=fws)
-            else:
-                corr = fws.get("corr", out.data.shape, out.data.dtype)
-                dispatch.corr2d(src, weight.data, stride, tag="fwd", out=corr,
-                                workspace=fws)
-                np.add(corr, bias.data[None, :, None, None], out=out.data)
-
-        out._replay = replay
+        out._replay = lambda: forward(out.data)
     return out
 
 
+def _taps(a: Array, kernel: int, stride: int, Ho: int, Wo: int) -> list[Array]:
+    """The ``kernel²`` strided views of ``a`` that hold element ``(i, j)``
+    of every ``Ho x Wo`` window, in argmax's row-major scan order."""
+    return [a[:, :, i : i + (Ho - 1) * stride + 1 : stride,
+              j : j + (Wo - 1) * stride + 1 : stride]
+            for i in range(kernel) for j in range(kernel)]
+
+
+def _first_max(taps: list[Array], peak: Array, arg: Array, miss: Array) -> Array:
+    """Scan-order index of each window's first element equal to its max
+    ``peak``, into ``arg`` — argmax's pick, NaN windows included (their
+    first NaN)."""
+    nan = bool(np.isnan(peak).any())
+    # Horner form of "number of leading misses": arg = m0 (1 + m1 (1 + ...)).
+    arg.fill(0)
+    for tap in reversed(taps[:-1]):
+        np.not_equal(tap, peak, out=miss)
+        if nan:
+            np.logical_and(miss, tap == tap, out=miss)
+        np.add(arg, 1, out=arg)
+        np.multiply(arg, miss, out=arg)
+    return arg
+
+
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
-    """Max pooling; input H, W must be divisible by the kernel when
-    ``stride == kernel`` (the only mode the UNet uses)."""
+    """Max pooling over ``kernel x kernel`` windows ``stride`` apart
+    (default: ``kernel``, the only mode the UNet uses); trailing rows and
+    columns no window covers are dropped.
+
+    Each output is bitwise argmax's pick of its window: ``np.maximum``
+    returns its second operand on a tie, so folding the window's strided
+    views into the output in scan order keeps the first maximum (a
+    ``+0.0``/``-0.0`` tie included), and a NaN propagates.  The gradient
+    goes to that element, found again by comparisons in the backward.
+    """
     _check_4d(x, "x")
     stride = kernel if stride is None else stride
     B, C, H, W = x.shape
-    windows = sliding_window_view(x.data, (kernel, kernel), axis=(2, 3))[
-        :, :, ::stride, ::stride
-    ]
-    Ho, Wo = windows.shape[2], windows.shape[3]
-    flat = windows.reshape(B, C, Ho, Wo, kernel * kernel)
+    Ho, Wo = (H - kernel) // stride + 1, (W - kernel) // stride + 1
+    offsets = [i * W + j for i in range(kernel) for j in range(kernel)]
     recorder = capture_recorder()
-    if recorder is not None and not flat.flags.writeable:
-        # One window per map reshapes to a read-only view of x; the
-        # replay refreshes a copy of its own.
-        flat = flat.copy()
-    arg = flat.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0],
-                 _parents=(x,))
-
     bws = None if recorder is None else recorder.scratch()
+
+    out = Tensor(np.empty((B, C, Ho, Wo), dtype=x.data.dtype), _parents=(x,))
+    taps = _taps(x.data, kernel, stride, Ho, Wo)
+
+    def forward() -> None:
+        np.copyto(out.data, taps[0])
+        for tap in taps[1:]:
+            np.maximum(tap, out.data, out=out.data)
+
+    forward()
 
     def backward(grad: Array) -> None:
         if not x.requires_grad:
             return
-        if bws is None:
-            gx = np.zeros_like(x.data)
+        arg = _first_max(
+            taps, out.data,
+            workspace_buffer(bws, "pool_arg", out.shape, np.intp),
+            workspace_buffer(bws, "pool_miss", out.shape, bool))
+        # Flat index of each window's pick: its first element's, plus the
+        # pick's offset within the window.
+        idx = workspace_buffer(bws, "pool_idx", out.shape, np.intp)
+        np.take(offsets, arg, out=idx)
+        idx += np.arange(x.data.size).reshape(x.shape)[
+            :, :, : (Ho - 1) * stride + 1 : stride,
+            : (Wo - 1) * stride + 1 : stride]
+        gx = workspace_buffer(bws, "maxpool_gx", x.shape, x.data.dtype)
+        gx.fill(0)
+        if stride >= kernel:
+            # Windows are disjoint: one write per pick, 0 + g as a
+            # scatter-add into zeros would give.
+            gx.reshape(-1)[idx] = grad + 0.0
         else:
-            gx = bws.get("maxpool_gx", x.data.shape, x.data.dtype)
-            gx.fill(0)
-        bi, ci, hi, wi = np.ogrid[:B, :C, :Ho, :Wo]
-        rows = hi * stride + arg // kernel
-        cols = wi * stride + arg % kernel
-        np.add.at(gx, (bi, ci, rows, cols), grad)
+            np.add.at(gx.reshape(-1), idx, grad)
         x._accumulate(gx)
 
     out._backward = backward
     if recorder is not None:
-        recorder.retain(flat, arg)
-
-        def replay() -> None:
-            # `windows` is a strided view of x.data, so it tracks in-place
-            # input updates; `flat` is its contiguous copy, refreshed here.
-            np.copyto(flat.reshape(windows.shape), windows)
-            flat.argmax(axis=-1, out=arg)
-            # max == take_along_axis(flat, argmax): both return the same
-            # window element exactly, so this is bitwise-equal and cheaper.
-            flat.max(axis=-1, out=out.data)
-
-        out._replay = replay
+        out._replay = forward
     return out
 
 
 def upsample2x(x: Tensor) -> Tensor:
     """Nearest-neighbour 2x upsampling (UNet decoder path)."""
     _check_4d(x, "x")
-    out = Tensor(x.data.repeat(2, axis=2).repeat(2, axis=3), _parents=(x,))
     B, C, H, W = x.shape
+    recorder = capture_recorder()
+    bws = None if recorder is None else recorder.scratch()
+
+    out = Tensor(np.empty((B, C, 2 * H, 2 * W), dtype=x.data.dtype),
+                 _parents=(x,))
+    taps = _taps(out.data, 2, 2, H, W)
+
+    def forward() -> None:
+        for tap in taps:
+            np.copyto(tap, x.data)
+
+    forward()
 
     def backward(grad: Array) -> None:
-        if x.requires_grad:
-            x._accumulate(grad.reshape(B, C, H, 2, W, 2).sum(axis=(3, 5)))
+        if not x.requires_grad:
+            return
+        # Bitwise ``grad.reshape(B, C, H, 2, W, 2).sum(axis=(3, 5))``:
+        # numpy adds each row's pair, then the two pairs — or all four in
+        # turn when W == 1 lets it merge the window axes — starting from
+        # +0.0, so four -0.0 sum to +0.0.
+        g00, g01, g10, g11 = _taps(grad, 2, 2, H, W)
+        gx = workspace_buffer(bws, "up_gx", x.shape, grad.dtype)
+        np.add(g00, g01, out=gx)
+        if W == 1:
+            np.add(gx, g10, out=gx)
+            np.add(gx, g11, out=gx)
+        else:
+            pair = workspace_buffer(bws, "up_pair", x.shape, grad.dtype)
+            np.add(gx, np.add(g10, g11, out=pair), out=gx)
+        np.add(gx, 0.0, out=gx)
+        x._accumulate(gx)
 
     out._backward = backward
-    if capture_recorder() is not None:
-
-        def replay() -> None:
-            out.data.reshape(B, C, H, 2, W, 2)[...] = x.data[:, :, :, None, :, None]
-
-        out._replay = replay
+    if recorder is not None:
+        out._replay = forward
     return out

@@ -47,11 +47,13 @@ class ScratchPool:
     """Scratch memory shared by every captured plan of one owner.
 
     Pure scratch — written and read within one kernel call: the
-    shifted-GEMM copies, the pre-bias and input-gradient correlations,
-    the flipped kernels — lives in one flat buffer per role, grown to the
-    largest request, so an owner holds each role once, not once per call
-    site.  Dilate-pad maps keep a zero border between calls, so they are
-    shared only by call sites with equal shape, kernel and stride.
+    shifted-GEMM copies, the input-gradient correlations, the flipped
+    kernels, the pooling and activation masks — lives in one flat buffer
+    per role, grown to the largest request, so an owner holds each role
+    once, not once per call site.  Zero-bordered maps (an inference
+    conv's padded input, the dilate-pad map of a conv input gradient)
+    keep their zeros between calls, so they are shared only by call
+    sites that write the same interior of the same shape (:meth:`map`).
     Captured plans also keep their gradient slots here
     (:mod:`repro.nn.capture`).  Sharing is safe because an owner never
     runs two plans at once: a network's plans replay under its plan
@@ -75,10 +77,11 @@ class ScratchPool:
             self.generation += 1
         return flat[:size].reshape(shape)
 
-    def dilate_pad(self, shape: tuple, kh: int, kw: int, stride: int,
-                   dtype=np.float64) -> Array:
-        """The zero-bordered map for one (shape, kernel, stride)."""
-        key = (shape, kh, kw, stride, np.dtype(dtype))
+    def map(self, interior: tuple, shape: tuple, dtype=np.float64) -> Array:
+        """The zero-initialised map of ``shape`` whose users all write
+        the positions ``interior`` names (e.g. ``("pad", 1)``), so the
+        rest stays zero."""
+        key = (interior, shape, np.dtype(dtype))
         buf = self._maps.get(key)
         if buf is None:
             buf = self._maps[key] = np.zeros(shape, dtype=dtype)
@@ -89,30 +92,43 @@ class Scratch:
     """One call site's handle on its owner's :class:`ScratchPool`.
 
     :meth:`get` caches one view per role, so a warm replay neither
-    allocates nor reshapes; views re-bind after the pool replaces a
-    buffer.
+    allocates nor reshapes; after the pool replaces a flat buffer the
+    cached views re-bind to the current ones.  :meth:`map` caches the
+    call site's zero-bordered maps.
     """
 
-    __slots__ = ("pool", "views", "_generation")
+    __slots__ = ("pool", "views", "maps", "_generation")
 
     def __init__(self, pool: ScratchPool) -> None:
         self.pool = pool
         self.views: dict[str, Array] = {}
+        self.maps: dict[tuple, Array] = {}
         self._generation = pool.generation
 
     def get(self, role: str, shape: tuple, dtype=np.float64) -> Array:
         views = self.views
         if self._generation != self.pool.generation:
-            views.clear()
+            # Flat buffers only grow, so re-taking a cached view never
+            # replaces one.
+            for name, view in views.items():
+                views[name] = self.pool.take(name, view.shape, view.dtype)
             self._generation = self.pool.generation
         view = views.get(role)
         if view is None or view.shape != shape:
             view = views[role] = self.pool.take(role, shape, dtype)
         return view
 
+    def map(self, interior: tuple, shape: tuple, dtype=np.float64) -> Array:
+        """The pool's zero-bordered map (:meth:`ScratchPool.map`)."""
+        key = (interior, shape)
+        buf = self.maps.get(key)
+        if buf is None:
+            buf = self.maps[key] = self.pool.map(interior, shape, dtype)
+        return buf
 
-def _workspace_buffer(workspace: Scratch | None, name: str, shape: tuple,
-                      dtype) -> Array:
+
+def workspace_buffer(workspace: Scratch | None, name: str, shape: tuple,
+                     dtype=np.float64) -> Array:
     """Scratch for one kernel call: a fresh array in eager mode, the call
     site's pooled view under captured replay.  Shape, layout and dtype
     are identical either way, so results are bitwise equal."""
@@ -125,15 +141,32 @@ def _workspace_buffer(workspace: Scratch | None, name: str, shape: tuple,
 # forward primitive: valid cross-correlation
 #   out[b, o, h, w] = sum_{c,i,j} xp[b, c, h*s + i, w*s + j] * w[o, c, i, j]
 # ----------------------------------------------------------------------
+def _bias_write(out: Array | None, result: Array, bias: Array | None) -> Array:
+    """``result`` (+ ``bias`` per output channel) written to ``out``, or
+    to a new C-ordered array: one pass, the bias add fused into the copy."""
+    if out is None:
+        out = np.empty(result.shape, dtype=result.dtype)
+    if bias is None:
+        np.copyto(out, result)
+    else:
+        np.add(result, bias.reshape(1, -1, 1, 1), out=out)
+    return out
+
+
 def _corr_im2col(xp: Array, w: Array, stride: int, out: Array | None = None,
-                 workspace: Scratch | None = None) -> Array:
+                 workspace: Scratch | None = None,
+                 bias: Array | None = None) -> Array:
     kh, kw = w.shape[2:]
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    return np.einsum("bchwij,ocij->bohw", win, w, optimize=True, out=out)
+    res = np.einsum("bchwij,ocij->bohw", win, w, optimize=True, out=out)
+    if bias is not None:
+        res = np.add(res, bias.reshape(1, -1, 1, 1), out=out)
+    return res
 
 
 def _corr_matmul(xp: Array, w: Array, stride: int, out: Array | None = None,
-                 workspace: Scratch | None = None) -> Array:
+                 workspace: Scratch | None = None,
+                 bias: Array | None = None) -> Array:
     O, C, kh, kw = w.shape
     B, _, H, W = xp.shape
     Ho = (H - kh) // stride + 1
@@ -142,20 +175,21 @@ def _corr_matmul(xp: Array, w: Array, stride: int, out: Array | None = None,
     if kh == 1 and kw == 1:
         x = xp[:, :, ::stride, ::stride] if stride > 1 else xp
         res = np.tensordot(w[:, :, 0, 0], x, axes=([1], [1]))  # (O, B, Ho, Wo)
-        if out is not None:
-            np.copyto(out, res.transpose(1, 0, 2, 3))
-            return out
-        return np.ascontiguousarray(res.transpose(1, 0, 2, 3))
-    # Channels-last copy of the input; each kernel tap is then a strided
-    # view feeding one GEMM.  Buffer layouts (and therefore the GEMM
-    # accumulation order and bit patterns) are identical with and without
-    # a workspace.
-    xs = _workspace_buffer(workspace, "mm_xs", (B, H, W, C), xp.dtype)
-    np.copyto(xs, xp.transpose(0, 2, 3, 1))
-    wt = _workspace_buffer(workspace, "mm_wt", (kh, kw, C, O), w.dtype)
+        return _bias_write(out, res.transpose(1, 0, 2, 3), bias)
+    # Channels-last input; each kernel tap is then a strided view feeding
+    # one GEMM.  An input that already is a channels-last map viewed as
+    # (B, C, H, W) is read in place, any other is copied into that
+    # layout first, so the GEMM operands (and therefore the accumulation
+    # order and bit patterns) are the same either way.
+    xs = xp.transpose(0, 2, 3, 1)
+    if not xs.flags.c_contiguous:
+        buf = workspace_buffer(workspace, "mm_xs", (B, H, W, C), xp.dtype)
+        np.copyto(buf, xs)
+        xs = buf
+    wt = workspace_buffer(workspace, "mm_wt", (kh, kw, C, O), w.dtype)
     np.copyto(wt, w.transpose(2, 3, 1, 0))
-    acc = _workspace_buffer(workspace, "mm_acc", (B, Ho, Wo, O), dtype)
-    blk = _workspace_buffer(workspace, "mm_blk", (B, Ho, Wo, O), dtype)
+    acc = workspace_buffer(workspace, "mm_acc", (B, Ho, Wo, O), dtype)
+    blk = workspace_buffer(workspace, "mm_blk", (B, Ho, Wo, O), dtype)
     for i in range(kh):
         for j in range(kw):
             tap = xs[:, i : i + (Ho - 1) * stride + 1 : stride,
@@ -163,12 +197,8 @@ def _corr_matmul(xp: Array, w: Array, stride: int, out: Array | None = None,
             np.matmul(tap, wt[i, j], out=acc if (i, j) == (0, 0) else blk)
             if (i, j) != (0, 0):
                 np.add(acc, blk, out=acc)
-    acc_t = acc.transpose(0, 3, 1, 2)
-    if out is not None:
-        np.copyto(out, acc_t)
-        return out
-    # Never hand a workspace-backed view to the caller.
-    return acc_t.copy() if workspace is not None else np.ascontiguousarray(acc_t)
+    # A new array, never a workspace-backed view, unless ``out`` is given.
+    return _bias_write(out, acc.transpose(0, 3, 1, 2), bias)
 
 
 # ----------------------------------------------------------------------
@@ -273,17 +303,23 @@ def _dispatch(op: str, key: str, kh: int, kw: int,
 # public API
 # ----------------------------------------------------------------------
 def corr2d(xp: Array, w: Array, stride: int = 1, tag: str = "",
-           out: Array | None = None, workspace: Scratch | None = None) -> Array:
-    """Valid cross-correlation ``xp (B,C,H,W) * w (O,C,kh,kw)``.
+           out: Array | None = None, workspace: Scratch | None = None,
+           bias: Array | None = None) -> Array:
+    """Valid cross-correlation ``xp (B,C,H,W) * w (O,C,kh,kw)``, plus
+    ``bias`` (``(O,)``) per output channel when given.
 
-    ``xp`` must already carry any zero padding; the shape rule picks the
+    ``xp`` must already carry any zero padding; it may be a channels-last
+    ``(B, H, W, C)`` map viewed as ``(B, C, H, W)``, which the
+    shifted-GEMM backend reads without a copy.  The shape rule picks the
     backend (see module docstring).  ``tag`` labels the call for
     observability only (``"fwd"`` / ``"bwd_input"`` from the conv
     layers); it never affects dispatch or numerics.  ``out`` receives the
     result in place and ``workspace`` (a call site's :class:`Scratch`)
     supplies pooled scratch under captured replay; values are
     bitwise identical either way — backends that cannot write in place
-    compute normally and copy, backends without scratch ignore it.
+    compute normally and copy, backends without scratch ignore it.  The
+    bias add is the same elementwise add as ``result + bias``, done in
+    the backend's output write.
     """
     B, C, H, W = xp.shape
     O, _, kh, kw = w.shape
@@ -291,7 +327,7 @@ def corr2d(xp: Array, w: Array, stride: int = 1, tag: str = "",
     return _dispatch(
         "corr", key, kh, kw,
         lambda name, dst: _CORR_BACKENDS[name](xp, w, stride, out=dst,
-                                               workspace=workspace),
+                                               workspace=workspace, bias=bias),
         tag=tag, out=out,
     )
 

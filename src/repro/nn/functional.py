@@ -8,17 +8,21 @@ pad) the UNet needs.
 
 Under graph capture (:mod:`repro.nn.capture`) each op additionally
 installs a ``_replay`` closure that recomputes its output — and any
-state its backward closure captured (masks, gate arrays) — in place via
+state its backward closure captured (the sigmoid value) — in place via
 ``out=`` ufuncs.  Every closure applies the same ufuncs to the same
 operands as the eager path, so replayed values are bitwise identical.
-Scratch buffers and masks the closures keep are allocated once at trace
-time and handed to the recorder for arena accounting.
+ReLU and the hinges build their gradient masks in the backward (from
+the forward's arrays, which a plan keeps), so a forward-only replay
+writes no mask; under capture the masks are pooled scratch.  Buffers
+the closures keep are allocated once at trace time and handed to the
+recorder for arena accounting.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .dispatch import workspace_buffer
 from .tensor import Array, Tensor, _pow_value, _unbroadcast, capture_recorder
 
 
@@ -28,23 +32,26 @@ def _retain(*buffers: np.ndarray) -> None:
         recorder.retain(*buffers)
 
 
+def _scratch():
+    """A call site's pooled scratch under capture, ``None`` in eager mode."""
+    recorder = capture_recorder()
+    return None if recorder is None else recorder.scratch()
+
+
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0), _parents=(x,))
-    mask = x.data > 0
+    bws = _scratch()
 
     def backward(grad: Array) -> None:
         if x.requires_grad:
-            x._accumulate(grad * mask)
+            mask = np.greater(x.data, 0, out=workspace_buffer(
+                bws, "relu_mask", x.shape, bool))
+            x._accumulate(np.multiply(grad, mask, out=workspace_buffer(
+                bws, "relu_gx", grad.shape, grad.dtype)))
 
     out._backward = backward
-    if capture_recorder() is not None:
-        _retain(mask)
-
-        def replay() -> None:
-            np.maximum(x.data, 0.0, out=out.data)
-            np.greater(x.data, 0, out=mask)
-
-        out._replay = replay
+    if bws is not None:
+        out._replay = lambda: np.maximum(x.data, 0.0, out=out.data)
     return out
 
 
@@ -74,53 +81,36 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
-def maximum(x: Tensor, other) -> Tensor:
-    """Elementwise max; ties route the gradient to ``x`` (subgradient)."""
+def _hinge(x: Tensor, other, pick, take) -> Tensor:
+    """Elementwise ``pick`` (max or min) of ``x`` and ``other``; the
+    gradient goes where ``take(x, other)`` holds to ``x``, elsewhere to
+    ``other``, with the mask built by the backward."""
     other = Tensor._lift(other)
-    out = Tensor(np.maximum(x.data, other.data), _parents=(x, other))
-    # asarray: comparing 0-d operands yields a numpy scalar, which cannot
-    # serve as the ``out=`` target of the replay refresh below.
-    take_x = np.asarray(x.data >= other.data)
+    out = Tensor(pick(x.data, other.data), _parents=(x, other))
+    bws = _scratch()
 
     def backward(grad: Array) -> None:
+        take_x = take(x.data, other.data, out=workspace_buffer(
+            bws, "hinge_mask", out.shape, bool))
         if x.requires_grad:
             x._accumulate(grad * take_x)
         if other.requires_grad:
             other._accumulate(grad * ~take_x)
 
     out._backward = backward
-    if capture_recorder() is not None:
-        _retain(take_x)
-
-        def replay() -> None:
-            np.maximum(x.data, other.data, out=out.data)
-            np.greater_equal(x.data, other.data, out=take_x)
-
-        out._replay = replay
+    if bws is not None:
+        out._replay = lambda: pick(x.data, other.data, out=out.data)
     return out
+
+
+def maximum(x: Tensor, other) -> Tensor:
+    """Elementwise max; ties route the gradient to ``x`` (subgradient)."""
+    return _hinge(x, other, np.maximum, np.greater_equal)
 
 
 def minimum(x: Tensor, other) -> Tensor:
-    other = Tensor._lift(other)
-    out = Tensor(np.minimum(x.data, other.data), _parents=(x, other))
-    take_x = np.asarray(x.data <= other.data)
-
-    def backward(grad: Array) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * take_x)
-        if other.requires_grad:
-            other._accumulate(grad * ~take_x)
-
-    out._backward = backward
-    if capture_recorder() is not None:
-        _retain(take_x)
-
-        def replay() -> None:
-            np.minimum(x.data, other.data, out=out.data)
-            np.less_equal(x.data, other.data, out=take_x)
-
-        out._replay = replay
-    return out
+    """Elementwise min; ties route the gradient to ``x`` (subgradient)."""
+    return _hinge(x, other, np.minimum, np.less_equal)
 
 
 def batch_norm_eval(x: Tensor, mean: Tensor, var: Tensor, gamma: Tensor,

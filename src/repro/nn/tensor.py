@@ -18,8 +18,9 @@ Graph capture (:mod:`repro.nn.capture`)
 While a recorder is installed via :func:`recording`, every op attaches a
 ``_replay`` closure to its output that recomputes ``out.data`` **in
 place** (``out=``-style ufuncs) from the parents' live ``.data`` arrays
-and refreshes any state the backward closure captured (masks, argmax
-indices).  The retained eager graph then doubles as a preallocated
+and refreshes any state the backward closure captured (the sigmoid
+value); state only a backward reads, such as masks, is built by the
+backward.  The retained eager graph then doubles as a preallocated
 workspace arena: re-running the closures in topological order replays
 the identical forward pass with zero graph construction and zero new
 intermediate arrays, bitwise equal to eager because every closure uses

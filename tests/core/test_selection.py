@@ -16,6 +16,7 @@ from repro.cli import main
 from repro.cmp import CmpSimulator
 from repro.core import (FillProblem, NeurFill, QualityModel, ScoreCoefficients,
                         evaluate_solution, msp_sqp)
+from repro.core import neurfill
 from repro.core.pkb import fill_for_target_density, target_density_range
 from repro.layout import (make_design_a, make_design_b, make_design_c,
                           save_layout)
@@ -64,7 +65,9 @@ def loop_quality(problem, simulator):
 def reference_pkb(problem, network, simulator, num_candidates=9):
     """PKB as a loop: rank the candidates one polish each (first best
     wins), refine the winner, then polish the refined fill and the
-    start again for the accept check."""
+    start again for the accept check.  Returns the fill, the targets,
+    the start's score, the refined fill's score and whether it was
+    kept."""
     quality = loop_quality(problem, simulator)
     lo, hi = target_density_range(problem.layout)
     best = None
@@ -77,8 +80,8 @@ def reference_pkb(problem, network, simulator, num_candidates=9):
     start, targets, score = best
     refined = msp_sqp(QualityModel(problem, network), [start],
                       optimizer()).best_fill
-    fill = start if quality(refined) < quality(start) else refined
-    return fill, targets, score
+    kept = not quality(refined) < quality(start)
+    return refined if kept else start, targets, score, quality(refined), kept
 
 
 def reference_mm(problem, network, simulator, max_evaluations, top_k,
@@ -169,11 +172,17 @@ class TestSameSelection:
         problem = problems[key]
         result = NeurFill(problem, random_network(problem.layout),
                           optimizer(), simulator=simulator).run_pkb()
-        fill, targets, score = reference_pkb(
+        fill, targets, score, refined, kept = reference_pkb(
             problem, random_network(problem.layout), simulator)
         assert result.fill.tobytes() == fill.tobytes()
         assert result.extras["pkb_targets"] == targets.tolist()
         assert result.extras["pkb_quality"] == score
+        # The accept verdict is recorded, and it is False exactly when
+        # the fill is the PKB start.
+        assert result.extras["pkb_refined_quality"] == refined
+        assert result.extras["pkb_refinement_kept"] is kept
+        start = fill_for_target_density(problem.layout, targets)
+        assert kept is (result.fill.tobytes() != start.tobytes())
 
     def test_pkb_accept_check_keeps_start(self, problems, simulator):
         """An untrained surrogate refines away from what the simulator
@@ -184,6 +193,28 @@ class TestSameSelection:
         start = fill_for_target_density(
             problem.layout, np.array(result.extras["pkb_targets"]))
         assert result.fill.tobytes() == start.tobytes()
+
+    def test_pkb_records_a_kept_refinement(self, problems, simulator,
+                                            monkeypatch):
+        """A simulator that scores the refined fill higher keeps it, and
+        the record says so."""
+        real = neurfill.simulator_qualities
+
+        def generous(problem, sim, fills):
+            qualities = real(problem, sim, fills)
+            return qualities + 1.0 if len(fills) == 1 else qualities
+
+        monkeypatch.setattr(neurfill, "simulator_qualities", generous)
+        problem = problems["A"]
+        result = NeurFill(problem, random_network(problem.layout),
+                          optimizer(), simulator=simulator).run_pkb()
+        extras = result.extras
+        start = fill_for_target_density(
+            problem.layout, np.array(extras["pkb_targets"]))
+        assert extras["pkb_refinement_kept"] is True
+        assert result.fill.tobytes() != start.tobytes()
+        assert (extras["pkb_refined_quality"]
+                == real(problem, simulator, result.fill[None])[0] + 1.0)
 
     @pytest.mark.parametrize("key", sorted(DESIGNS))
     def test_mm_matches_loop(self, problems, simulator, key):
@@ -228,6 +259,11 @@ class TestSelectionSpans:
                         if s["parent"] == select["id"]
                         and s["name"] == "cmp.simulate_batch"]
             assert polishes == [entries]
+        # The accept check records its verdict and both qualities.
+        (accept,) = [s["attrs"] for s in selects
+                     if s["attrs"]["decision"] == "pkb-accept"]
+        assert accept["kept"] is (accept["refined_quality"]
+                                  >= accept["start_quality"])
 
         plain = np.load(tmp_path / "plain.npz")["fill"]
         traced = np.load(tmp_path / "traced.npz")["fill"]

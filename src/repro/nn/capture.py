@@ -64,18 +64,15 @@ also moves batch-norm running statistics, and it keeps no leaf snapshot.
 Lean arena
 ----------
 A plan keeps only what must outlive a kernel call: the graph's forward
-arrays, a few small arrays (batch-norm constants, the sigmoid's
-scratch) and, in a parameter-gradient plan only, each conv's
-channels-last padded input (its weight gradient reads it after later
-convs ran).  A forward
-computes only what its outputs need: state that only a backward reads
-(ReLU and hinge masks, the max-pool pick, the padded input of an
-inference conv's weight gradient) is built by the backward from the
-forward arrays, so a forward-only replay writes none of it.  Pure
-scratch — the shifted-GEMM copies, input-gradient correlations, flipped
-kernels, masks and pooling indices — and the zero-bordered maps (an
-inference conv's padded input, shared by the plan's convs of one
-shape; the dilate-pad maps) come from the owner's
+arrays and a few small arrays (batch-norm constants, the sigmoid's
+scratch).  A forward computes only what its outputs need: state that
+only a backward reads (ReLU and hinge masks, the max-pool pick, the
+padded input of a conv's weight gradient) is built by the backward
+from the forward arrays, so a forward-only replay writes none of it.
+Pure scratch — the shifted-GEMM copies, input-gradient correlations,
+flipped kernels, masks and pooling indices — and the zero-bordered maps
+(a conv's padded input, shared by the owner's convs of one shape; the
+dilate-pad maps) come from the owner's
 :class:`~repro.nn.dispatch.ScratchPool`, through per-call-site views
 cached so a warm replay neither allocates nor reshapes.  Gradients
 follow a slot plan built with the plan (:func:`_gradient_slots`): nodes
@@ -109,19 +106,16 @@ class CaptureMiss(RuntimeError):
 
 class GraphRecorder:
     """Collects what a trace's closures keep, and hands out pooled
-    scratch from the owner's pool.  ``param_grads`` tells ops whether
-    the plan computes parameter gradients, whose kernels read state an
-    inference plan never needs (a conv's padded input)."""
+    scratch from the owner's pool."""
 
-    def __init__(self, pool: ScratchPool, param_grads: bool = False) -> None:
+    def __init__(self, pool: ScratchPool) -> None:
         self.pool = pool
-        self.param_grads = param_grads
         self.retained: list[Array] = []
         self.scratches: list[Scratch] = []
 
     def retain(self, *arrays: Array) -> None:
         """Arrays a closure keeps across calls (batch-norm constants, the
-        sigmoid's scratch, a training plan's padded conv inputs)."""
+        sigmoid's scratch)."""
         self.retained.extend(arrays)
 
     def scratch(self) -> Scratch:
@@ -210,6 +204,15 @@ def arena_bytes(plans: Iterable["CapturedGraph"]) -> int:
     for plan in plans:
         held.update(plan.buffers())
     return sum(a.nbytes for a in held.values())
+
+
+def keep_maps(pool: ScratchPool, plans: Iterable["CapturedGraph"]) -> None:
+    """Free ``pool``'s zero-bordered maps that none of ``plans`` uses: an
+    owner that evicts plans keeps the maps of the rest only, so its pool
+    holds no more maps than its live plans view and :func:`arena_bytes`
+    counts them all."""
+    pool.keep_maps(scratch for plan in plans
+                   for scratch in plan._recorder.scratches)
 
 
 class CapturedGraph:
@@ -358,8 +361,7 @@ class CapturedGraph:
         weight-gradient kernels.
         """
         grad_names = tuple(grad_inputs)
-        recorder = GraphRecorder(pool if pool is not None else ScratchPool(),
-                                 param_grads=param_grads)
+        recorder = GraphRecorder(pool if pool is not None else ScratchPool())
         tensors = {
             name: Tensor(np.array(value, dtype=float),
                          requires_grad=name in grad_names)

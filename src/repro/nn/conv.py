@@ -11,16 +11,14 @@ too.
 
 Each forward computes only what its outputs need; state only a backward
 reads (a pooling window's pick, a padded input for the weight gradient)
-is built by the backward from the forward's arrays.  Eager closures
-retain no padded-input copy, so the forward graph of a deep network
-holds one set of activations, not two.
+is built by the backward from the forward's arrays.  Closures retain no
+padded-input copy, so the forward graph of a deep network holds one set
+of activations, not two.
 
 Under graph capture the closures run the same code on pooled buffers
 (:class:`~repro.nn.dispatch.ScratchPool`): pure scratch, the dilate-pad
-maps and, in an inference plan, each conv's padded input, shared by the
-owner's convs of one shape.  A parameter-gradient plan keeps one padded
-input per conv, which its forward refreshes and its weight gradient
-reads.  Replays present the same shapes as the trace, so the rule picks
+maps and each conv's padded input, shared by the owner's convs of one
+shape.  Replays present the same shapes as the trace, so the rule picks
 the same backend and the bit pattern is identical.
 """
 
@@ -100,22 +98,16 @@ def conv2d(
     Ho, Wo = (Hp - kh) // stride + 1, (Wp - kw) // stride + 1
 
     recorder = capture_recorder()
-    fws = bws = own = None
+    fws = bws = None
     if recorder is not None:
         fws, bws = recorder.scratch(), recorder.scratch()
-        if padding and recorder.param_grads:
-            # The weight gradient reads this conv's padded input after
-            # later convs ran, so a training plan keeps one per conv.
-            own = np.zeros((B, Hp, Wp, C), dtype=x.data.dtype)
-            recorder.retain(own)
 
     def padded() -> Array:
         """``x.data`` with its zero border, as a channels-last map viewed
         ``(B, C, Hp, Wp)``, refreshed in place."""
         if not padding:
             return x.data
-        buf = own if own is not None else _zero_map(
-            fws, ("pad", padding), (B, Hp, Wp, C), x.data.dtype)
+        buf = _zero_map(fws, ("pad", padding), (B, Hp, Wp, C), x.data.dtype)
         np.copyto(buf[:, padding : padding + H, padding : padding + W],
                   x.data.transpose(0, 2, 3, 1))
         return buf.transpose(0, 3, 1, 2)
@@ -133,11 +125,9 @@ def conv2d(
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            # A training plan's forward refreshed ``own``; otherwise pad
-            # the input again.
-            xp = padded() if own is None else own.transpose(0, 3, 1, 2)
+            # Later convs may have reused the pooled map: pad again.
             weight._accumulate(dispatch.corr2d_weight_grad(
-                grad, xp, kh, kw, stride, tag="bwd_weight"))
+                grad, padded(), kh, kw, stride, tag="bwd_weight"))
         if x.requires_grad:
             # Input gradient as a full correlation of the dilated upstream
             # gradient with the flipped, channel-transposed kernel.
@@ -175,17 +165,19 @@ def _taps(a: Array, kernel: int, stride: int, Ho: int, Wo: int) -> list[Array]:
             for i in range(kernel) for j in range(kernel)]
 
 
-def _first_max(taps: list[Array], peak: Array, arg: Array, miss: Array) -> Array:
+def _first_max(taps: list[Array], peak: Array, arg: Array, miss: Array,
+               ws: dispatch.Scratch | None) -> Array:
     """Scan-order index of each window's first element equal to its max
     ``peak``, into ``arg`` — argmax's pick, NaN windows included (their
     first NaN)."""
-    nan = bool(np.isnan(peak).any())
+    nan = bool(np.isnan(peak, out=miss).any())
+    num = workspace_buffer(ws, "pool_num", peak.shape, bool) if nan else None
     # Horner form of "number of leading misses": arg = m0 (1 + m1 (1 + ...)).
     arg.fill(0)
     for tap in reversed(taps[:-1]):
         np.not_equal(tap, peak, out=miss)
         if nan:
-            np.logical_and(miss, tap == tap, out=miss)
+            np.logical_and(miss, np.equal(tap, tap, out=num), out=miss)
         np.add(arg, 1, out=arg)
         np.multiply(arg, miss, out=arg)
     return arg
@@ -196,17 +188,20 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     (default: ``kernel``, the only mode the UNet uses); trailing rows and
     columns no window covers are dropped.
 
-    Each output is bitwise argmax's pick of its window: ``np.maximum``
-    returns its second operand on a tie, so folding the window's strided
-    views into the output in scan order keeps the first maximum (a
-    ``+0.0``/``-0.0`` tie included), and a NaN propagates.  The gradient
-    goes to that element, found again by comparisons in the backward.
+    The forward folds the window's strided views into the output with
+    ``np.maximum(tap, out)`` in argmax's scan order, so each output is
+    the window's max and a NaN propagates.  Which operand a tie returns
+    is the platform's: numpy's x86-64 loops return the second, ``out``,
+    so a ``+0.0``/``-0.0`` tie keeps the first maximum's bits, as argmax
+    does, but numpy does not promise it (aarch64's FMAX gives ``+0.0``).
+    A window with NaNs of different payloads outputs its last NaN's.
+    The gradient goes to argmax's pick, which the backward finds again
+    by comparisons, so it does not depend on either rule.
     """
     _check_4d(x, "x")
     stride = kernel if stride is None else stride
     B, C, H, W = x.shape
     Ho, Wo = (H - kernel) // stride + 1, (W - kernel) // stride + 1
-    offsets = [i * W + j for i in range(kernel) for j in range(kernel)]
     recorder = capture_recorder()
     bws = None if recorder is None else recorder.scratch()
 
@@ -226,20 +221,22 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
         arg = _first_max(
             taps, out.data,
             workspace_buffer(bws, "pool_arg", out.shape, np.intp),
-            workspace_buffer(bws, "pool_miss", out.shape, bool))
-        # Flat index of each window's pick: its first element's, plus the
-        # pick's offset within the window.
-        idx = workspace_buffer(bws, "pool_idx", out.shape, np.intp)
-        np.take(offsets, arg, out=idx)
-        idx += np.arange(x.data.size).reshape(x.shape)[
-            :, :, : (Ho - 1) * stride + 1 : stride,
-            : (Wo - 1) * stride + 1 : stride]
+            workspace_buffer(bws, "pool_miss", out.shape, bool), bws)
+        # Flat index in ``x`` of each window's pick: the pick's offset
+        # within its window, plus the window's top-left corner within its
+        # map, plus the map's first element.
+        offsets = (np.arange(kernel)[:, None] * W + np.arange(kernel)).ravel()
+        idx = np.take(offsets, arg,
+                      out=workspace_buffer(bws, "pool_idx", out.shape, np.intp))
+        idx += np.arange(Ho)[:, None] * (stride * W) + np.arange(Wo) * stride
+        idx += np.arange(0, B * C * H * W, H * W).reshape(B, C, 1, 1)
         gx = workspace_buffer(bws, "maxpool_gx", x.shape, x.data.dtype)
         gx.fill(0)
         if stride >= kernel:
             # Windows are disjoint: one write per pick, 0 + g as a
             # scatter-add into zeros would give.
-            gx.reshape(-1)[idx] = grad + 0.0
+            gx.reshape(-1)[idx] = np.add(grad, 0.0, out=workspace_buffer(
+                bws, "pool_g", grad.shape, grad.dtype))
         else:
             np.add.at(gx.reshape(-1), idx, grad)
         x._accumulate(gx)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,14 +50,17 @@ class ScratchPool:
     shifted-GEMM copies, the input-gradient correlations, the flipped
     kernels, the pooling and activation masks — lives in one flat buffer
     per role, grown to the largest request, so an owner holds each role
-    once, not once per call site.  Zero-bordered maps (an inference
-    conv's padded input, the dilate-pad map of a conv input gradient)
-    keep their zeros between calls, so they are shared only by call
-    sites that write the same interior of the same shape (:meth:`map`).
-    Captured plans also keep their gradient slots here
-    (:mod:`repro.nn.capture`).  Sharing is safe because an owner never
-    runs two plans at once: a network's plans replay under its plan
-    lock, and a training run's plans one after another.
+    once, not once per call site.  Zero-bordered maps (a conv's padded
+    input, the dilate-pad map of a conv input gradient) keep their zeros
+    between calls, so they are shared only by call sites that write the
+    same interior of the same shape (:meth:`map`).  Captured plans also
+    keep their gradient slots here (:mod:`repro.nn.capture`).  A flat
+    buffer is bounded by its role's largest request, but there is one
+    map per shape, so an owner that drops plans keeps only the maps of
+    the call sites it keeps (:meth:`keep_maps`).  Sharing is safe
+    because an owner never runs two plans at once: a network's plans
+    replay under its plan lock, and a training run's plans one after
+    another.
     ``generation`` changes whenever a flat buffer is replaced, which
     tells cached views to re-bind.
     """
@@ -86,6 +89,14 @@ class ScratchPool:
         if buf is None:
             buf = self._maps[key] = np.zeros(shape, dtype=dtype)
         return buf
+
+    def keep_maps(self, scratches: Iterable["Scratch"]) -> None:
+        """Drop every map none of ``scratches`` holds, so the maps of the
+        call sites an owner let go (an evicted plan's) go with them."""
+        held = {id(buf) for scratch in scratches
+                for buf in scratch.maps.values()}
+        self._maps = {key: buf for key, buf in self._maps.items()
+                      if id(buf) in held}
 
 
 class Scratch:

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..layout.layout import Layout
 from ..nn import functional as F
-from ..nn.capture import CaptureMiss, CapturedGraph, arena_bytes
+from ..nn.capture import CaptureMiss, CapturedGraph, arena_bytes, keep_maps
 from ..nn.dispatch import ScratchPool
 from ..nn.modules import Module
 from ..nn.tensor import Tensor
@@ -284,8 +284,11 @@ class CmpNeuralNetwork:
                     self._plans[key] = _BROKEN
                     return None
                 self._plans[key] = plan
-                while len(self._plans) > MAX_CAPTURE_PLANS:
-                    self._plans.popitem(last=False)
+                if len(self._plans) > MAX_CAPTURE_PLANS:
+                    while len(self._plans) > MAX_CAPTURE_PLANS:
+                        self._plans.popitem(last=False)
+                    keep_maps(self._pool, (p for p in self._plans.values()
+                                           if p is not _BROKEN))
                 self._capture_counts["trace"] += 1
                 if tracer is not None:
                     obs_metrics.registry().set_gauge(

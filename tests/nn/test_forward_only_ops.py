@@ -360,15 +360,18 @@ class TestForwardOnlyState:
         assert ([a.shape for a in plans[0]._recorder.retained]
                 == [a.shape for a in plans[1]._recorder.retained])
 
-    def test_training_plan_keeps_one_padded_input_per_conv(self):
-        unet = self.unet.train()
-        plan = CapturedGraph.trace(unet_graph(unet), {"x": self.xs[0]},
-                                   param_grads=True)
-        padded = [a for a in plan._recorder.retained if a.ndim == 4
-                  and a.shape[0] == 6 and a.shape[1] > 1]
-        convs = [m for m in (unet.encoders + [unet.bottleneck] + unet.decoders)
-                 for _ in range(2)] + unet.up_convs
-        assert len(padded) == len(convs)
-        # Channels-last (B, H + 2, W + 2, C) at the three levels of the
-        # 16x8 map the 13x7 input is padded to.
-        assert {a.shape[1:3] for a in padded} == {(18, 10), (10, 6), (6, 4)}
+    def test_training_plan_pads_into_the_pool(self):
+        """A parameter-gradient plan keeps no padded input either: its
+        weight gradients pad again, into the maps its forward used."""
+        pool = ScratchPool()
+        plan = CapturedGraph.trace(unet_graph(self.unet.train()),
+                                   {"x": self.xs[0]}, param_grads=True,
+                                   pool=pool)
+        assert not [a for a in plan._recorder.retained
+                    if a.ndim == 4 and a.shape[0] == 6]
+        # Channels-last (B, H + 2, W + 2, C) maps at the three levels of
+        # the 16x8 map the 13x7 input is padded to.
+        pads = [shape for interior, shape, _ in pool._maps
+                if interior == ("pad", 1)]
+        assert {shape[1:3] for shape in pads} == {(18, 10), (10, 6), (6, 4)}
+        assert all(shape[0] == 6 for shape in pads)

@@ -303,6 +303,29 @@ class TestPlanLifecycle:
         assert len(stats["plans"]) == MAX_CAPTURE_PLANS  # oldest evicted
         assert not any("(1, 3," in key for key in stats["plans"])
 
+    def test_evicted_plans_free_their_maps(self, layout):
+        """The pool keeps only the zero-bordered maps of live plans, so
+        tracing more signatures than the LRU holds does not grow it, and
+        the arena counts every map it keeps."""
+        net = build_net(layout, True)
+        counts = []
+        for k in range(1, 2 * MAX_CAPTURE_PLANS + 1):
+            (batch,) = fills_for(layout, 1, seed=13, batch=k)
+            net.evaluate_batch(batch, WEIGHTS)
+            counts.append(len(net._pool._maps))
+        assert counts[-1] == counts[MAX_CAPTURE_PLANS - 1] > 0
+        maps = {id(buf): buf for buf in net._pool._maps.values()}
+        viewed = {id(buf) for plan in net._plans.values()
+                  for scratch in plan._recorder.scratches
+                  for buf in scratch.maps.values()}
+        assert set(maps) == viewed
+        held = {}
+        for plan in net._plans.values():
+            held.update(plan.buffers())
+        assert set(maps) <= set(held)
+        assert (sum(buf.nbytes for buf in maps.values())
+                < net.capture_stats()["arena_bytes"])
+
     def test_contended_lock_waits_and_replays(self, nets):
         """A call that finds another thread on the plan lock waits for
         it and replays, rather than running eagerly beside it."""

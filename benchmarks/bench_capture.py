@@ -32,6 +32,8 @@ Gates:
 * parity, in both modes: every captured result is bitwise the eager
   one, and the ``train`` row's checkpoint (parameters and running
   statistics) and epoch losses equal the eager loop's;
+* in both modes: the network arena of the K = 1..4 plans is the same
+  whichever order they were traced in;
 * full mode only (``NEURFILL_BENCH_SMOKE=1`` shrinks the grids and
   iteration counts and records but does not enforce these):
   steady-state ``evaluate`` replay is **≥1.5× faster** than eager, and
@@ -40,7 +42,10 @@ Gates:
 Each inference row records the ``arena_bytes`` of the plan it replays
 (``probe`` shares the K = 4 plan of ``batch``, as NMMSO's probe stacks
 share the lockstep's); the report also holds the network's total, which
-counts the shared scratch pool once.
+counts the shared pool once.  A fresh network then traces the same
+K = 1..4 plans largest first and, on another, smallest first; its arena
+must not depend on the order (gated in both modes): the plans view one
+pool sized by the largest of them.
 
 Writes ``BENCH_capture.json`` at the repo root.
 """
@@ -85,6 +90,8 @@ TIMED_ITERS = 5 if SMOKE else 30
 ALLOC_ITERS = 3 if SMOKE else 8
 # the perfbench `train` workload's shape (its tiny size in smoke mode)
 TRAIN_GRID, TRAIN_SAMPLES, TRAIN_EPOCHS = (8, 6, 2) if SMOKE else (12, 12, 20)
+#: Trace orders of the K = 1..4 plans whose network arenas must agree.
+TRACE_ORDERS = ((4, 3, 2, 1), (1, 2, 3, 4))
 MIN_SPEEDUP = 1.5
 MIN_ALLOC_REDUCTION = 0.90
 WEIGHTS = PlanarityWeights(1.0, 20000.0, 1.0, 20000.0, 1.0, 20000.0)
@@ -199,6 +206,20 @@ def eager_train(unet, dataset, config):
     return losses
 
 
+def arena_by_trace_order(layout) -> dict[str, int]:
+    """Network arena of the same K = 1..4 plans traced in each of
+    :data:`TRACE_ORDERS`, one fresh network per order."""
+    stacks = {k: make_fills(layout, 1, seed=SEED + 10 + k, batch=k)[0]
+              for k in TRACE_ORDERS[0]}
+    arenas = {}
+    for order in TRACE_ORDERS:
+        net = bind_network(layout, capture=True)
+        for k in order:
+            net.evaluate_batch(stacks[k], WEIGHTS)
+        arenas["-".join(map(str, order))] = net.capture_stats()["arena_bytes"]
+    return arenas
+
+
 def train_row() -> dict:
     """Eager loop vs ``train_unet``: ms per step and checkpoint parity."""
     layout = DESIGN_BUILDERS["A"](rows=TRAIN_GRID, cols=TRAIN_GRID)
@@ -295,6 +316,10 @@ def main() -> None:
           f"speedup {train['speedup']:5.2f}x  checkpoint bitwise ok")
 
     stats = captured.capture_stats()
+    by_order = arena_by_trace_order(layout)
+    order_equal = len(set(by_order.values())) == 1
+    print("  arena by trace order: " + ", ".join(
+        f"{order} {arena / 1e6:.2f} MB" for order, arena in by_order.items()))
     gated = [r for r in rows if r["gated"]]
     gate_passed = None
     if not SMOKE:
@@ -321,9 +346,11 @@ def main() -> None:
             "miss": stats["miss"], "bypass": stats["bypass"],
             "arena_bytes": stats["arena_bytes"],
         },
+        "arena_by_trace_order": by_order,
         "gate": {"min_speedup": MIN_SPEEDUP,
                  "min_alloc_reduction": MIN_ALLOC_REDUCTION,
-                 "enforced": not SMOKE, "passed": gate_passed},
+                 "enforced": not SMOKE, "passed": gate_passed,
+                 "arena_order_equal": order_equal},
     }
     JSON_PATH.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -345,8 +372,15 @@ def main() -> None:
             f"{alloc} {arena} {'ok' if r['bitwise'] else 'FAIL':>8}")
     lines.append(f"network arena (shared pool counted once): "
                  f"{stats['arena_bytes'] / 1e6:.2f} MB")
+    lines.append("network arena of the K = 1..4 plans by trace order: "
+                 + ", ".join(f"{order} {arena / 1e6:.2f} MB"
+                             for order, arena in by_order.items()))
     write_output("capture", "\n".join(lines))
     print(f"wrote {JSON_PATH}")
+
+    if not order_equal:
+        raise AssertionError(
+            f"gate failed: the network arena depends on trace order {by_order}")
 
     if not SMOKE and not gate_passed:
         raise AssertionError(

@@ -179,9 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="longest a parked evaluation or simulation "
                             "waits for a job busy elsewhere, in "
                             "milliseconds")
-    serve.add_argument("--no-coalesce", action="store_true",
-                       help="shorthand for --max-batch 1 (every "
-                            "evaluation runs alone)")
     serve.add_argument("--journal", default=None, metavar="PATH",
                        help="crash-safe job journal; resumes unfinished "
                             "jobs recorded by a previous run")
@@ -436,9 +433,7 @@ def _cmd_serve(args) -> int:
         overrides["workers"] = args.workers
     if args.queue_capacity is not None:
         overrides["queue_capacity"] = args.queue_capacity
-    if args.no_coalesce:
-        overrides["max_batch"] = 1
-    elif args.max_batch is not None:
+    if args.max_batch is not None:
         overrides["max_batch"] = args.max_batch
     if args.flush_ms is not None:
         overrides["flush_ms"] = args.flush_ms

@@ -21,7 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..layout.fill_regions import SlackRegions, allocate_fill_by_priority, compute_slack_regions
+from ..layout.fill_regions import (
+    SlackRegions,
+    allocate_fill_by_priority,
+    allocate_into,
+    compute_slack_regions,
+)
 from ..layout.layout import Layout
 from .problem import ScoreCoefficients
 
@@ -46,7 +51,12 @@ def fill_amount(fill: np.ndarray) -> float:
 
 def overlay_area(fill: np.ndarray, regions: SlackRegions) -> tuple[float, float, float]:
     """Eqs. 13-15: ``(ov, ov_dummy_wire, ov_dummy_dummy)``."""
-    parts = allocate_fill_by_priority(fill, regions)
+    return _overlay(fill, allocate_fill_by_priority(fill, regions), regions)
+
+
+def _overlay(fill: np.ndarray, parts: np.ndarray,
+             regions: SlackRegions) -> tuple[float, float, float]:
+    """:func:`overlay_area` from the fill's allocation ``parts``."""
     x1, x2, x3, x4 = parts
     ov_dw = float((x2 + x3 + 2.0 * x4).sum())
     L = fill.shape[0]
@@ -69,8 +79,14 @@ def overlay_gradient(fill: np.ndarray, regions: SlackRegions) -> np.ndarray:
       its linear region (Eq. 14 involves ``x1`` of layers ``l`` and
       ``l+1``, so a type-1 unit can appear in the term above *and* below).
     """
-    parts = allocate_fill_by_priority(fill, regions)
-    caps = regions.stacked()
+    return _overlay_gradient(fill, allocate_fill_by_priority(fill, regions),
+                             regions.stacked(), regions)
+
+
+def _overlay_gradient(fill: np.ndarray, parts: np.ndarray, caps: np.ndarray,
+                      regions: SlackRegions) -> np.ndarray:
+    """:func:`overlay_gradient` from the fill's allocation ``parts`` into
+    the stacked capacity ``caps``."""
     L = fill.shape[0]
 
     # Active type per window: first with spare capacity; saturated windows
@@ -115,12 +131,20 @@ def overlay_gradient_paper(fill: np.ndarray, regions: SlackRegions) -> np.ndarra
 
 
 class PerformanceDegradation:
-    """``S_PD`` evaluator bound to one layout (Eqs. 5c, 12-17)."""
+    """``S_PD`` evaluator bound to one layout (Eqs. 5c, 12-17).
+
+    The layout's stacked slack capacity and its sum are built once, and
+    each evaluation allocates its fill once for the overlay and its
+    gradient: the same arithmetic as :func:`overlay_area` and
+    :func:`overlay_gradient`, so the same bits.
+    """
 
     def __init__(self, layout: Layout, coefficients: ScoreCoefficients):
         self.layout = layout
         self.coefficients = coefficients
         self.regions = compute_slack_regions(layout)
+        self._capacity = self.regions.stacked()
+        self._capacity_total = self._capacity.sum(axis=0)
 
     def evaluate(self, fill: np.ndarray,
                  want_grad: bool = True) -> tuple[DegradationBreakdown, np.ndarray | None]:
@@ -132,7 +156,8 @@ class PerformanceDegradation:
         """
         c = self.coefficients
         fa = fill_amount(fill)
-        ov, ov_dw, ov_dd = overlay_area(fill, self.regions)
+        parts = allocate_into(fill, self._capacity, self._capacity_total)
+        ov, ov_dw, ov_dd = _overlay(fill, parts, self.regions)
         f_fa = min(1.0, max(0.0, 1.0 - fa / c.beta_fill))
         f_ov = min(1.0, max(0.0, 1.0 - ov / c.beta_overlay))
         s_pd = c.alpha_fill * f_fa + c.alpha_overlay * f_ov
@@ -147,7 +172,6 @@ class PerformanceDegradation:
         if 0.0 < f_fa < 1.0:
             grad -= c.alpha_fill / c.beta_fill  # Eq. 12 folded in
         if 0.0 < f_ov < 1.0:
-            grad -= (c.alpha_overlay / c.beta_overlay) * overlay_gradient(
-                fill, self.regions
-            )
+            grad -= (c.alpha_overlay / c.beta_overlay) * _overlay_gradient(
+                fill, parts, self._capacity, self.regions)
         return breakdown, grad

@@ -96,7 +96,15 @@ def allocate_fill_by_priority(
         ``(4, L, N, M)`` array ``x^1..x^4`` with ``sum == fill``.
     """
     capacity = regions.stacked()
-    if np.any(fill > capacity.sum(axis=0) + atol):
+    return allocate_into(fill, capacity, capacity.sum(axis=0), atol)
+
+
+def allocate_into(fill: np.ndarray, capacity: np.ndarray, total: np.ndarray,
+                  atol: float = 1e-9) -> np.ndarray:
+    """:func:`allocate_fill_by_priority` with the stacked ``(4, L, N, M)``
+    ``capacity`` and its sum over the types, ``total``, already built (an
+    evaluator bound to one layout builds them once)."""
+    if np.any(fill > total + atol):
         raise ValueError("fill exceeds total four-type slack capacity")
     remaining = np.clip(fill, 0.0, None)
     parts = np.zeros_like(capacity)

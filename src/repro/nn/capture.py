@@ -19,20 +19,25 @@ arrays are the workspace arena; replaying a call is:
 Backward-only replay
 --------------------
 An optimiser often asks for the gradient at the very point it has just
-evaluated forward-only (the accepted line-search trial).  The arena still
-holds that forward, so a gradient call skips steps 1 and 2 and runs only
-the backward sweep when (a) every input is bitwise equal to the inputs
-of the plan's last *completed* forward and (b) every non-input leaf the
-forward read (parameters, batch-norm running statistics, constants)
-still holds the values it had then.  (b) is checked against a value
-snapshot taken at the end of every forward, so in-place writes to a
-parameter or running statistic are caught; re-binds are the plan key's
-job (``_state_version``).  Inputs are validated before any is copied,
-and the forward is marked current only after its last closure returns,
-so a :class:`CaptureMiss` or an exception mid-replay never leaves a
-stale arena behind.  The backward sweep never writes a forward result
-(its scratch and gradient slots are separate buffers), so re-running it
-reproduces the full replay's gradient bit for bit.
+evaluated forward-only (the accepted line-search trial).  If no other
+forward has run since, the arena still holds that forward, so a gradient
+call skips steps 1 and 2 and runs only the backward sweep when (a) the
+plan ran its owner's latest completed forward (the pool's
+``forward_owner``: plans of one owner share their forward buffers, so
+another plan's forward overwrites them), (b) every input is bitwise
+equal to that forward's inputs and (c) every non-input leaf the forward
+read (parameters, batch-norm running statistics, constants) still holds
+the values it had then.  (c) is checked against a value snapshot taken
+at the end of every forward, into the owner's one snapshot buffer, so
+in-place writes to a parameter or running statistic are caught; re-binds
+are the plan key's job (``_state_version``).  Inputs are validated before
+any is copied, and a forward is owned only after its last closure
+returns, so a :class:`CaptureMiss` or an exception mid-replay never
+leaves a stale arena behind.  Any other gradient call replays forward
+and backward, which gives the same bits.  The backward sweep never
+writes a forward result (its scratch and gradient slots are separate
+buffers), so re-running it reproduces the full replay's gradient bit for
+bit.
 
 Fidelity
 --------
@@ -63,26 +68,36 @@ also moves batch-norm running statistics, and it keeps no leaf snapshot.
 
 Lean arena
 ----------
-A plan keeps only what must outlive a kernel call: the graph's forward
-arrays and a few small arrays (batch-norm constants, the sigmoid's
-scratch).  A forward computes only what its outputs need: state that
-only a backward reads (ReLU and hinge masks, the max-pool pick, the
-padded input of a conv's weight gradient) is built by the backward
-from the forward arrays, so a forward-only replay writes none of it.
-Pure scratch — the shifted-GEMM copies, input-gradient correlations,
-flipped kernels, masks and pooling indices — and the zero-bordered maps
-(a conv's padded input, shared by the owner's convs of one shape; the
-dilate-pad maps) come from the owner's
-:class:`~repro.nn.dispatch.ScratchPool`, through per-call-site views
-cached so a warm replay neither allocates nor reshapes.  Gradients
-follow a slot plan built with the plan (:func:`_gradient_slots`): nodes
-whose gradients are never live at the same time share one slot of the
-pool, while inputs keep their own buffers and parameters borrow the
-plan's.  One pool per owner is safe because an owner never runs two
-plans at once (a network's replay under its plan lock; a training run's
-one after another), so after a sweep only input and parameter ``.grad``
-values are meaningful.  :attr:`CapturedGraph.arena_bytes` and
-:func:`arena_bytes` count each distinct buffer once.
+Every buffer of a plan, bar its inputs, their gradients and a few small
+arrays (batch-norm constants, the sigmoid's scratch), is a view of its
+owner's :class:`~repro.nn.dispatch.ScratchPool`, so the plans of one
+owner overlap in memory instead of adding up:
+
+* *forward arrays by trace position*: under capture each op output that
+  owns its memory is moved into the pool's buffer for its position in
+  the trace (:meth:`GraphRecorder.adopt`), in the output's own memory
+  order, and each position's buffer grows to the largest plan's array;
+* *scratch and zero-bordered maps*: a forward computes only what its
+  outputs need (ReLU and hinge masks, the max-pool pick and the padded
+  input of a conv's weight gradient are built by the backward), and the
+  scratch of one kernel call and the padded maps come from the pool,
+  through per-call-site views cached so a warm replay neither allocates
+  nor reshapes; a smaller batch pads into the first images of the
+  largest batch's map;
+* *gradient slots*: nodes whose gradients are never live at the same
+  time share a slot (:func:`_gradient_slots`), while inputs keep their
+  own buffers and parameters borrow the plan's;
+* *one leaf snapshot*, written by the plan that ran the latest forward.
+
+This is safe because an owner never runs two plans at once (a network's
+replay under its plan lock; a training run's one after another): only
+the plan that ran the latest forward needs its forward arrays intact,
+and after a sweep only input and parameter ``.grad`` values are
+meaningful.  A call that grows a pool buffer re-binds every plan on the
+pool to the grown one, so the superseded buffer dies with that call and
+the arena does not depend on the order plans were traced in.
+:attr:`CapturedGraph.arena_bytes` and :func:`arena_bytes` count each
+distinct buffer once.
 
 Any structural mismatch (shape, missing input) raises
 :class:`CaptureMiss`; callers fall back to eager execution, which is
@@ -91,6 +106,7 @@ always safe because eager and replay agree bitwise.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -105,13 +121,17 @@ class CaptureMiss(RuntimeError):
 
 
 class GraphRecorder:
-    """Collects what a trace's closures keep, and hands out pooled
-    scratch from the owner's pool."""
+    """Collects what a trace's closures keep, moves op outputs into the
+    owner's pool, and hands out pooled scratch."""
 
     def __init__(self, pool: ScratchPool) -> None:
         self.pool = pool
         self.retained: list[Array] = []
         self.scratches: list[Scratch] = []
+        #: The flat buffer prefix each adopted output views, by position.
+        self.positions: list[Array] = []
+        #: The pool's generation when the trace began.
+        self.generation = pool.generation
 
     def retain(self, *arrays: Array) -> None:
         """Arrays a closure keeps across calls (batch-norm constants, the
@@ -123,6 +143,25 @@ class GraphRecorder:
         scratch = Scratch(self.pool)
         self.scratches.append(scratch)
         return scratch
+
+    def adopt(self, array: Array) -> Array:
+        """``array``, an op output that owns its memory, copied into the
+        pool's buffer for its trace position.  The view keeps the array's
+        memory order: a ufunc on transposed views returns a transposed
+        layout, and later reductions add in that layout."""
+        flat = self.pool.take(("fwd", len(self.positions)), (array.size,),
+                              array.dtype)
+        self.positions.append(flat)
+        if array.flags.c_contiguous:
+            view = flat.reshape(array.shape)
+        else:
+            order = sorted(range(array.ndim),
+                           key=lambda axis: -array.strides[axis])
+            view = flat.reshape([array.shape[axis] for axis in order])
+            view = view.transpose([order.index(axis)
+                                   for axis in range(array.ndim)])
+        np.copyto(view, array)
+        return view
 
 
 def _full_topo(roots: Iterable[Tensor]) -> list[Tensor]:
@@ -197,22 +236,39 @@ def _owner(array: Array) -> Array:
     return array
 
 
-def arena_bytes(plans: Iterable["CapturedGraph"]) -> int:
-    """Bytes ``plans`` hold together, each distinct buffer counted once
-    (plans of one owner share its scratch pool)."""
+def _address(array: Array) -> int:
+    return array.__array_interface__["data"][0]
+
+
+def arena_buffers(plans: Iterable["CapturedGraph"]) -> dict[int, Array]:
+    """Every array ``plans`` hold, each distinct buffer once (plans of
+    one owner share its pool), keyed by identity."""
     held: dict[int, Array] = {}
     for plan in plans:
         held.update(plan.buffers())
-    return sum(a.nbytes for a in held.values())
+    return held
 
 
-def keep_maps(pool: ScratchPool, plans: Iterable["CapturedGraph"]) -> None:
-    """Free ``pool``'s zero-bordered maps that none of ``plans`` uses: an
-    owner that evicts plans keeps the maps of the rest only, so its pool
-    holds no more maps than its live plans view and :func:`arena_bytes`
-    counts them all."""
-    pool.keep_maps(scratch for plan in plans
-                   for scratch in plan._recorder.scratches)
+def arena_bytes(plans: Iterable["CapturedGraph"]) -> int:
+    """Bytes ``plans`` hold together, each distinct buffer counted once."""
+    return sum(a.nbytes for a in arena_buffers(plans).values())
+
+
+def keep_plans(pool: ScratchPool, plans: Iterable["CapturedGraph"]) -> None:
+    """Keep only ``plans`` on ``pool``: an owner that evicts plans frees
+    the buffers none of the rest views, and the pool stops re-binding
+    the evicted ones, so it holds no more than its live plans view and
+    :func:`arena_bytes` counts it all."""
+    plans = list(plans)
+    pool.plans = weakref.WeakSet(plans)
+    pool.keep(arena_buffers(plans).values())
+
+
+def _rebind_all(pool: ScratchPool) -> None:
+    """Point every plan on ``pool`` at its current buffers, so the ones
+    a call replaced are freed now."""
+    for plan in list(pool.plans):
+        plan._rebind()
 
 
 class CapturedGraph:
@@ -263,9 +319,20 @@ class CapturedGraph:
         for node in self._btopo:
             if id(node) in input_ids:
                 node._grad_buf = np.empty(node.data.shape, node.data.dtype)
-        self._pool = recorder.pool
+        self._pool = pool = recorder.pool
+        self._recorder = recorder
         self._slot_of, self._slot_sizes = _gradient_slots(self._btopo[::-1])
-        self._bind_slots()
+
+        # Every node whose data views an adopted output's buffer, with
+        # that buffer's trace position, so a re-bind can move the view to
+        # the same offset of the grown buffer.
+        positions = {id(_owner(flat)): (("fwd", k), flat.size)
+                     for k, flat in enumerate(recorder.positions)}
+        self._forward_views = []
+        for node in everything:
+            found = positions.get(id(_owner(node.data)))
+            if found is not None:
+                self._forward_views.append((node, *found))
 
         # Non-input leaves the forward reads (parameters, batch-norm
         # running statistics, constants), snapshotted after every forward
@@ -274,26 +341,50 @@ class CapturedGraph:
         self._leaves = [] if param_grads else [
             n for n in everything
             if not n._parents and n._replay is None and id(n) not in input_ids]
-        self._leaf_values = np.empty(sum(n.data.size for n in self._leaves))
+        # The trace re-binds the plan if its own build replaced a buffer.
+        self._generation = recorder.generation
+        self._take_buffers()
+        pool.plans.add(self)
+        # The trace itself was a completed eager forward on these inputs.
+        self._weak = weakref.ref(self)
+        self._snapshot_leaves()
+        pool.forward_owner = self._weak
+
+    def _rebind(self) -> None:
+        """Point the plan's views at the pool's current buffers after the
+        pool replaced some: forward arrays (each view to the same byte
+        offset), the leaf snapshot, gradient slots and the call sites'
+        scratch."""
+        pool = self._pool
+        if self._generation == pool.generation:
+            return
+        for node, role, size in self._forward_views:
+            owner = _owner(node.data)
+            flat = pool.take(role, (size,), node.data.dtype)
+            if _owner(flat) is not owner:
+                node.data = np.ndarray(
+                    node.data.shape, node.data.dtype, flat,
+                    _address(node.data) - _address(owner), node.data.strides)
+        self._take_buffers()
+        for scratch in self._recorder.scratches:
+            scratch.rebind()
+        self._generation = pool.generation
+
+    def _take_buffers(self) -> None:
+        """Take the leaf snapshot and the gradient slots from the pool."""
+        pool = self._pool
+        self._leaf_values = pool.take(
+            "leaves", (sum(n.data.size for n in self._leaves),))
         self._leaf_views, offset = [], 0
         for n in self._leaves:
             self._leaf_views.append(
                 self._leaf_values[offset:offset + n.data.size]
                 .reshape(n.data.shape))
             offset += n.data.size
-        self._snapshot_leaves()
-        # The trace itself was a completed eager forward on these inputs.
-        self._forward_current = True
-        self._recorder = recorder
-
-    def _bind_slots(self) -> None:
-        """Point every slot holder's gradient buffer at the pool's current
-        slot buffers (again after the pool replaced one)."""
-        flats = [self._pool.take(("grad", k), (size,), dtype)
+        flats = [pool.take(("grad", k), (size,), dtype)
                  for k, (size, dtype) in enumerate(self._slot_sizes)]
         for node, k in self._slot_of:
             node._grad_buf = flats[k][:node.data.size].reshape(node.data.shape)
-        self._generation = self._pool.generation
 
     def buffers(self) -> dict[int, Array]:
         """Every array the plan holds, keyed by identity of the array that
@@ -361,18 +452,24 @@ class CapturedGraph:
         weight-gradient kernels.
         """
         grad_names = tuple(grad_inputs)
-        recorder = GraphRecorder(pool if pool is not None else ScratchPool())
+        pool = pool if pool is not None else ScratchPool()
+        recorder = GraphRecorder(pool)
         tensors = {
             name: Tensor(np.array(value, dtype=float),
                          requires_grad=name in grad_names)
             for name, value in inputs.items()
         }
-        with recording(recorder):
-            outputs = build(dict(tensors))
-        plan = cls(tensors, outputs, outputs[root], recorder,
-                   param_grads=param_grads)
-        if grad_names or param_grads:
-            plan._replay_backward(plan._seed_array(seed))
+        # The build writes the forward buffers the pool's plans share.
+        pool.forward_owner = None
+        try:
+            with recording(recorder):
+                outputs = build(dict(tensors))
+            plan = cls(tensors, outputs, outputs[root], recorder,
+                       param_grads=param_grads)
+            if grad_names or param_grads:
+                plan._replay_backward(plan._seed_array(seed))
+        finally:
+            _rebind_all(pool)
         return plan
 
     # ------------------------------------------------------------------
@@ -408,25 +505,31 @@ class CapturedGraph:
                 )
             arrays.append((tensor, value))
         seed_arr = self._seed_array(seed) if want_grad else None
-        if (want_grad and not self.param_grads
-                and self._holds_forward(arrays)):
-            self._replay_backward(seed_arr)
-            return True
-        self._forward_current = False
-        for tensor, value in arrays:
-            np.copyto(tensor.data, value)
-        for node in self._forward_nodes:
-            node._replay()
-        self._snapshot_leaves()
-        self._forward_current = True
-        if want_grad:
-            self._replay_backward(seed_arr)
-        else:
-            # Invalidate gradients from earlier passes: they describe a
-            # previous input, and :meth:`grad` promises None here.
-            for node in self._btopo:
-                node.grad = None
-        return False
+        pool = self._pool
+        generation = pool.generation
+        try:
+            if (want_grad and not self.param_grads
+                    and self._holds_forward(arrays)):
+                self._replay_backward(seed_arr)
+                return True
+            pool.forward_owner = None
+            for tensor, value in arrays:
+                np.copyto(tensor.data, value)
+            for node in self._forward_nodes:
+                node._replay()
+            self._snapshot_leaves()
+            pool.forward_owner = self._weak
+            if want_grad:
+                self._replay_backward(seed_arr)
+            else:
+                # Invalidate gradients from earlier passes: they describe
+                # a previous input, and :meth:`grad` promises None here.
+                for node in self._btopo:
+                    node.grad = None
+            return False
+        finally:
+            if pool.generation != generation:
+                _rebind_all(pool)
 
     def _snapshot_leaves(self) -> None:
         """Copy every non-input leaf's value into the snapshot (reading
@@ -435,9 +538,9 @@ class CapturedGraph:
             np.copyto(view, n.data)
 
     def _holds_forward(self, arrays: list[tuple[Tensor, Array]]) -> bool:
-        """Whether the arena holds a completed forward on exactly these
-        inputs, with every non-input leaf unchanged since."""
-        if not self._forward_current:
+        """Whether the arena holds this plan's completed forward on exactly
+        these inputs, with every non-input leaf unchanged since."""
+        if self._pool.forward_owner is not self._weak:
             return False
         if not all(same_bits(value, tensor.data) for tensor, value in arrays):
             return False
@@ -459,8 +562,6 @@ class CapturedGraph:
         return seed_arr
 
     def _replay_backward(self, seed_arr: Array) -> None:
-        if self._generation != self._pool.generation:
-            self._bind_slots()
         for node in self._btopo:
             node.grad = None
         params = self._params

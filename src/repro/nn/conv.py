@@ -18,8 +18,11 @@ of activations, not two.
 Under graph capture the closures run the same code on pooled buffers
 (:class:`~repro.nn.dispatch.ScratchPool`): pure scratch, the dilate-pad
 maps and each conv's padded input, shared by the owner's convs of one
-shape.  Replays present the same shapes as the trace, so the rule picks
-the same backend and the bit pattern is identical.
+per-image shape.  Closures keep no view of a forward array across calls
+(a pool that grows re-binds ``.data`` to the grown buffer), so pooling
+and upsampling take their strided taps per call.  Replays present the
+same shapes as the trace, so the rule picks the same backend and the
+bit pattern is identical.
 """
 
 from __future__ import annotations
@@ -206,9 +209,9 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     bws = None if recorder is None else recorder.scratch()
 
     out = Tensor(np.empty((B, C, Ho, Wo), dtype=x.data.dtype), _parents=(x,))
-    taps = _taps(x.data, kernel, stride, Ho, Wo)
 
     def forward() -> None:
+        taps = _taps(x.data, kernel, stride, Ho, Wo)
         np.copyto(out.data, taps[0])
         for tap in taps[1:]:
             np.maximum(tap, out.data, out=out.data)
@@ -219,7 +222,7 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
         if not x.requires_grad:
             return
         arg = _first_max(
-            taps, out.data,
+            _taps(x.data, kernel, stride, Ho, Wo), out.data,
             workspace_buffer(bws, "pool_arg", out.shape, np.intp),
             workspace_buffer(bws, "pool_miss", out.shape, bool), bws)
         # Flat index in ``x`` of each window's pick: the pick's offset
@@ -256,10 +259,9 @@ def upsample2x(x: Tensor) -> Tensor:
 
     out = Tensor(np.empty((B, C, 2 * H, 2 * W), dtype=x.data.dtype),
                  _parents=(x,))
-    taps = _taps(out.data, 2, 2, H, W)
 
     def forward() -> None:
-        for tap in taps:
+        for tap in _taps(out.data, 2, 2, H, W):
             np.copyto(tap, x.data)
 
     forward()

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from typing import Callable, Iterable
 
 import numpy as np
@@ -44,31 +45,37 @@ Array = np.ndarray
 
 
 class ScratchPool:
-    """Scratch memory shared by every captured plan of one owner.
+    """The memory every captured plan of one owner views.
 
-    Pure scratch — written and read within one kernel call: the
-    shifted-GEMM copies, the input-gradient correlations, the flipped
-    kernels, the pooling and activation masks — lives in one flat buffer
-    per role, grown to the largest request, so an owner holds each role
-    once, not once per call site.  Zero-bordered maps (a conv's padded
-    input, the dilate-pad map of a conv input gradient) keep their zeros
-    between calls, so they are shared only by call sites that write the
-    same interior of the same shape (:meth:`map`).  Captured plans also
-    keep their gradient slots here (:mod:`repro.nn.capture`).  A flat
-    buffer is bounded by its role's largest request, but there is one
-    map per shape, so an owner that drops plans keeps only the maps of
-    the call sites it keeps (:meth:`keep_maps`).  Sharing is safe
-    because an owner never runs two plans at once: a network's plans
-    replay under its plan lock, and a training run's plans one after
-    another.
-    ``generation`` changes whenever a flat buffer is replaced, which
-    tells cached views to re-bind.
+    An owner never runs two plans at once (a network's plans replay under
+    its plan lock, a training run's one after another), so one buffer
+    can serve each role for all of them:
+
+    * flat buffers (:meth:`take`), one per role, grown to the largest
+      request: pure scratch, written and read within one kernel call (the
+      shifted-GEMM copies, the input-gradient correlations, the flipped
+      kernels, the pooling and activation masks); and, for
+      :mod:`repro.nn.capture`, the gradient slots, the forward array of
+      each trace position and the leaf snapshot;
+    * zero-bordered maps (:meth:`map`: a conv's padded input, the
+      dilate-pad map of a conv input gradient), which keep their zeros
+      between calls, one per interior and per-image shape, holding the
+      largest batch; a smaller batch views its first images.
+
+    When a request outgrows a buffer the pool replaces it and bumps
+    ``generation``; the capture module then re-binds every plan in
+    ``plans`` to the new buffer, so the superseded one is freed with the
+    call that replaced it.  ``forward_owner`` is a weak reference to the
+    plan whose forward the forward buffers hold (``None`` while a forward
+    is in flight).  :meth:`keep` frees what the live plans do not view.
     """
 
     def __init__(self) -> None:
         self._flat: dict[tuple, Array] = {}
         self._maps: dict[tuple, Array] = {}
         self.generation = 0
+        self.plans: weakref.WeakSet = weakref.WeakSet()
+        self.forward_owner: weakref.ref | None = None
 
     def take(self, role, shape: tuple, dtype=np.float64) -> Array:
         """A C-ordered ``shape`` view of the role's flat buffer."""
@@ -76,25 +83,31 @@ class ScratchPool:
         key = (role, np.dtype(dtype))
         flat = self._flat.get(key)
         if flat is None or flat.size < size:
+            if flat is not None:
+                self.generation += 1
             flat = self._flat[key] = np.empty(size, dtype=dtype)
-            self.generation += 1
         return flat[:size].reshape(shape)
 
     def map(self, interior: tuple, shape: tuple, dtype=np.float64) -> Array:
-        """The zero-initialised map of ``shape`` whose users all write
-        the positions ``interior`` names (e.g. ``("pad", 1)``), so the
-        rest stays zero."""
-        key = (interior, shape, np.dtype(dtype))
+        """The zero-initialised ``(B, ...)`` map whose users all write the
+        positions ``interior`` names (e.g. ``("pad", 1)``), so the rest
+        stays zero: the first ``B`` images of the map for this interior
+        and per-image shape, so every image keeps its zero border."""
+        key = (interior, shape[1:], np.dtype(dtype))
         buf = self._maps.get(key)
-        if buf is None:
+        if buf is None or len(buf) < shape[0]:
+            if buf is not None:
+                self.generation += 1
             buf = self._maps[key] = np.zeros(shape, dtype=dtype)
-        return buf
+        return buf[:shape[0]]
 
-    def keep_maps(self, scratches: Iterable["Scratch"]) -> None:
-        """Drop every map none of ``scratches`` holds, so the maps of the
-        call sites an owner let go (an evicted plan's) go with them."""
-        held = {id(buf) for scratch in scratches
-                for buf in scratch.maps.values()}
+    def keep(self, owners: Iterable[Array]) -> None:
+        """Free every buffer that is not one of ``owners`` (the arrays
+        the live plans' views belong to), so the buffers only evicted
+        plans viewed go with them."""
+        held = {id(owner) for owner in owners}
+        self._flat = {key: buf for key, buf in self._flat.items()
+                      if id(buf) in held}
         self._maps = {key: buf for key, buf in self._maps.items()
                       if id(buf) in held}
 
@@ -102,31 +115,23 @@ class ScratchPool:
 class Scratch:
     """One call site's handle on its owner's :class:`ScratchPool`.
 
-    :meth:`get` caches one view per role, so a warm replay neither
-    allocates nor reshapes; after the pool replaces a flat buffer the
-    cached views re-bind to the current ones.  :meth:`map` caches the
-    call site's zero-bordered maps.
+    :meth:`get` caches one view per role and :meth:`map` the call site's
+    zero-bordered maps, so a warm replay neither allocates nor reshapes;
+    :meth:`rebind` points them at the pool's current buffers after it
+    replaced some.
     """
 
-    __slots__ = ("pool", "views", "maps", "_generation")
+    __slots__ = ("pool", "views", "maps")
 
     def __init__(self, pool: ScratchPool) -> None:
         self.pool = pool
         self.views: dict[str, Array] = {}
         self.maps: dict[tuple, Array] = {}
-        self._generation = pool.generation
 
     def get(self, role: str, shape: tuple, dtype=np.float64) -> Array:
-        views = self.views
-        if self._generation != self.pool.generation:
-            # Flat buffers only grow, so re-taking a cached view never
-            # replaces one.
-            for name, view in views.items():
-                views[name] = self.pool.take(name, view.shape, view.dtype)
-            self._generation = self.pool.generation
-        view = views.get(role)
+        view = self.views.get(role)
         if view is None or view.shape != shape:
-            view = views[role] = self.pool.take(role, shape, dtype)
+            view = self.views[role] = self.pool.take(role, shape, dtype)
         return view
 
     def map(self, interior: tuple, shape: tuple, dtype=np.float64) -> Array:
@@ -136,6 +141,15 @@ class Scratch:
         if buf is None:
             buf = self.maps[key] = self.pool.map(interior, shape, dtype)
         return buf
+
+    def rebind(self) -> None:
+        """Re-take every cached view and map from the pool (flat buffers
+        and maps only grow, so this never replaces one)."""
+        for role, view in self.views.items():
+            self.views[role] = self.pool.take(role, view.shape, view.dtype)
+        for (interior, shape), buf in self.maps.items():
+            self.maps[interior, shape] = self.pool.map(interior, shape,
+                                                       buf.dtype)
 
 
 def workspace_buffer(workspace: Scratch | None, name: str, shape: tuple,

@@ -7,10 +7,11 @@ and this module holds the rest the surrogate runs: ``sigmoid``, the
 pad) the UNet needs.
 
 Under graph capture (:mod:`repro.nn.capture`) each op additionally
-installs a ``_replay`` closure that recomputes its output — and any
-state its backward closure captured (the sigmoid value) — in place via
-``out=`` ufuncs.  Every closure applies the same ufuncs to the same
-operands as the eager path, so replayed values are bitwise identical.
+installs a ``_replay`` closure that recomputes its whole output in place
+via ``out=`` ufuncs; the output lives in the owner's pool, so closures
+read ``out.data`` (the sigmoid's backward reads its value there).  Every
+closure applies the same ufuncs to the same operands as the eager path,
+so replayed values are bitwise identical.
 ReLU and the hinges build their gradient masks in the backward (from
 the forward's arrays, which a plan keeps), so a forward-only replay
 writes no mask; under capture the masks are pooled scratch.  Buffers
@@ -56,26 +57,24 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    value = 1.0 / (1.0 + np.exp(-np.clip(x.data, -60.0, 60.0)))
-    out = Tensor(value, _parents=(x,))
+    out = Tensor(1.0 / (1.0 + np.exp(-np.clip(x.data, -60.0, 60.0))),
+                 _parents=(x,))
 
     def backward(grad: Array) -> None:
         if x.requires_grad:
-            x._accumulate(grad * value * (1.0 - value))
+            x._accumulate(grad * out.data * (1.0 - out.data))
 
     out._backward = backward
     if capture_recorder() is not None:
-        tmp = np.empty_like(value)
+        tmp = np.empty_like(out.data)
         _retain(tmp)
 
         def replay() -> None:
-            # `value` is out.data (same-dtype construction), so refreshing
-            # the output also refreshes the backward state.
             np.clip(x.data, -60.0, 60.0, out=tmp)
             np.negative(tmp, out=tmp)
             np.exp(tmp, out=tmp)
             np.add(1.0, tmp, out=tmp)
-            np.divide(1.0, tmp, out=value)
+            np.divide(1.0, tmp, out=out.data)
 
         out._replay = replay
     return out
@@ -159,6 +158,7 @@ def batch_norm_eval(x: Tensor, mean: Tensor, var: Tensor, gamma: Tensor,
         _retain(neg_mean, scale)
 
         def replay() -> None:
+            value = out.data
             np.negative(mean.data.reshape(shape), out=neg_mean)
             np.add(var.data.reshape(shape), eps, out=scale)
             _pow_value(scale, 0.5, out=scale)
@@ -219,8 +219,11 @@ def pad2d(x: Tensor, pad: tuple[int, int, int, int]) -> Tensor:
 
     out._backward = backward
     if capture_recorder() is not None:
-        # The zero border never changes; only the interior is refreshed.
-        out._replay = lambda: np.copyto(
-            out.data[..., top : top + h, left : left + w], x.data
-        )
+        # Other plans of the owner write this output's pooled buffer, so
+        # the border is zeroed again, then the interior refreshed.
+        def replay() -> None:
+            out.data.fill(0.0)
+            np.copyto(out.data[..., top : top + h, left : left + w], x.data)
+
+        out._replay = replay
     return out

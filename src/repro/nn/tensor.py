@@ -24,9 +24,12 @@ backward.  The retained eager graph then doubles as a preallocated
 workspace arena: re-running the closures in topological order replays
 the identical forward pass with zero graph construction and zero new
 intermediate arrays, bitwise equal to eager because every closure uses
-the same ufunc on the same operands.  Ops whose output is a numpy *view*
-of a parent (reshape/transpose/basic slicing) need no closure at all —
-in-place parent updates propagate through the view.
+the same ufunc on the same operands.  Each op output that owns its
+memory is moved into the owner's scratch pool as it is built
+(:meth:`repro.nn.capture.GraphRecorder.adopt`), so closures read
+``out.data``, never an array the op computed before.  Ops whose output
+is a numpy *view* of a parent (reshape/transpose/basic slicing) need no
+closure at all — in-place parent updates propagate through the view.
 """
 
 from __future__ import annotations
@@ -124,6 +127,12 @@ class Tensor:
         _backward: Callable[[Array], None] | None = None,
     ):
         self.data = _as_array(data)
+        if _parents and self.data.base is None:
+            recorder = capture_recorder()
+            if recorder is not None:
+                # Under capture an op output lives in the owner's pool,
+                # at its trace position; closures read ``out.data``.
+                self.data = recorder.adopt(self.data)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad) or any(
             p.requires_grad for p in _parents
@@ -413,17 +422,14 @@ class Tensor:
         return out
 
     def exp(self) -> "Tensor":
-        value = np.exp(self.data)
-        out = Tensor(value, _parents=(self,))
+        out = Tensor(np.exp(self.data), _parents=(self,))
 
         def backward(grad: Array) -> None:
             if self.requires_grad:
-                self._accumulate(grad * value)
+                self._accumulate(grad * out.data)
 
         out._backward = backward
         if capture_recorder() is not None:
-            # `value` is out.data (same dtype => _as_array kept the array),
-            # so the in-place refresh also updates the backward state.
             out._replay = lambda: np.exp(self.data, out=out.data)
         return out
 

@@ -99,26 +99,6 @@ class JobJournal:
                 pending.pop(job_id, None)
         return list(pending.values())
 
-    @staticmethod
-    def read_dones(path: str | Path) -> list[dict]:
-        """All terminal entries in order (id, status)."""
-        path = Path(path)
-        if not path.is_file():
-            return []
-        dones = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(entry, dict) \
-                    and entry.get("event") == _TERMINAL_EVENT:
-                dones.append(entry)
-        return dones
-
     @classmethod
     def recover(cls, path: str | Path) -> tuple[list[dict], "JobJournal"]:
         """Read pending specs, truncate, and reopen the journal.

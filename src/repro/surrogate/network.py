@@ -24,7 +24,7 @@ import numpy as np
 
 from ..layout.layout import Layout
 from ..nn import functional as F
-from ..nn.capture import CaptureMiss, CapturedGraph, arena_bytes, keep_maps
+from ..nn.capture import CaptureMiss, CapturedGraph, arena_bytes, keep_plans
 from ..nn.dispatch import ScratchPool
 from ..nn.modules import Module
 from ..nn.tensor import Tensor
@@ -43,10 +43,10 @@ from .objectives import (
 #: permanently instead of re-tracing (and re-failing) every call.
 _BROKEN = object()
 
-#: Captured plans retained per network (LRU).  Each plan holds the
-#: forward arrays of one pass at its input shape; scratch and gradient
-#: slots come from the network's shared pool.  MSP-SQP's shrinking
-#: lockstep batches are the main consumer of several live keys.
+#: Captured plans retained per network (LRU).  Each plan's forward
+#: arrays, scratch and gradient slots are views of the network's shared
+#: pool, sized by its largest plan.  MSP-SQP's shrinking lockstep
+#: batches are the main consumer of several live keys.
 MAX_CAPTURE_PLANS: int = 8
 
 #: Named outputs of every evaluation graph: the ``(K,)`` planarity terms
@@ -196,7 +196,7 @@ class CmpNeuralNetwork:
         self.capture = bool(capture)
         self._plans: OrderedDict[tuple, object] = OrderedDict()
         self._plans_lock = threading.Lock()
-        # One scratch pool for all plans: they replay under the plan lock.
+        # One pool for all plans' buffers: they replay under the plan lock.
         self._pool = ScratchPool()
         self._capture_counts = {"trace": 0, "replay": 0, "reuse": 0,
                                 "miss": 0, "bypass": 0}
@@ -287,8 +287,8 @@ class CmpNeuralNetwork:
                 if len(self._plans) > MAX_CAPTURE_PLANS:
                     while len(self._plans) > MAX_CAPTURE_PLANS:
                         self._plans.popitem(last=False)
-                    keep_maps(self._pool, (p for p in self._plans.values()
-                                           if p is not _BROKEN))
+                    keep_plans(self._pool, (p for p in self._plans.values()
+                                            if p is not _BROKEN))
                 self._capture_counts["trace"] += 1
                 if tracer is not None:
                     obs_metrics.registry().set_gauge(

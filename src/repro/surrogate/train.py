@@ -81,7 +81,9 @@ def train_unet(unet: Module, dataset: SurrogateDataset,
     one parameter-gradient :class:`~repro.nn.capture.CapturedGraph`, a
     training step in eager mode; later steps copy their batch in and
     replay forward and backward, which hands Adam the eager gradients
-    bit for bit.  The plans share one scratch pool.
+    bit for bit.  The plans view one pool, sized by the full batch's
+    plan, so the remainder's forward arrays, scratch and gradient slots
+    overlap the full batch's instead of adding to them.
     """
     config = config or TrainConfig()
     if config.epochs <= 0 or config.batch_size <= 0:

@@ -153,3 +153,50 @@ class TestPerformanceDegradation:
         pd = PerformanceDegradation(layout, ScoreCoefficients())
         breakdown, grad = pd.evaluate(np.zeros(layout.shape), want_grad=False)
         assert grad is None
+
+
+def module_evaluate(pd, fill):
+    """``PerformanceDegradation.evaluate`` written with the module
+    functions, each allocating the fill on its own: the reference the
+    evaluator's one allocation per call must match bit for bit."""
+    c = pd.coefficients
+    fa = fill_amount(fill)
+    ov, dw, dd = overlay_area(fill, pd.regions)
+    f_fa = min(1.0, max(0.0, 1.0 - fa / c.beta_fill))
+    f_ov = min(1.0, max(0.0, 1.0 - ov / c.beta_overlay))
+    grad = np.zeros(fill.shape)
+    if 0.0 < f_fa < 1.0:
+        grad -= c.alpha_fill / c.beta_fill
+    if 0.0 < f_ov < 1.0:
+        grad -= (c.alpha_overlay / c.beta_overlay) * overlay_gradient(
+            fill, pd.regions)
+    return (fa, ov, dw, dd, f_fa, f_ov,
+            c.alpha_fill * f_fa + c.alpha_overlay * f_ov), grad
+
+
+class TestOneAllocationPerEvaluation:
+    @pytest.mark.parametrize("scale", [0.2, 0.6, 1.0])
+    def test_matches_module_functions_bitwise(self, layout, scale):
+        pd = PerformanceDegradation(
+            layout, ScoreCoefficients(beta_fill=5e6, beta_overlay=5e6))
+        rng = np.random.default_rng(int(10 * scale))
+        slack = layout.slack_stack()
+        for _ in range(4):
+            fill = scale * rng.random(layout.shape) * slack
+            breakdown, grad = pd.evaluate(fill)
+            values, want = module_evaluate(pd, fill)
+            assert (breakdown.fill_amount, breakdown.overlay,
+                    breakdown.overlay_dummy_wire,
+                    breakdown.overlay_dummy_dummy, breakdown.score_fill,
+                    breakdown.score_overlay, breakdown.s_pd) == values
+            assert grad.tobytes() == want.tobytes()
+            assert pd.evaluate(fill, want_grad=False)[0] == breakdown
+
+    def test_capacity_exceeded_raises(self, layout):
+        pd = PerformanceDegradation(layout, ScoreCoefficients())
+        fill = layout.slack_stack().copy()
+        fill[0, 0, 0] += 1.0
+        with pytest.raises(ValueError, match="capacity"):
+            pd.evaluate(fill)
+        with pytest.raises(ValueError, match="capacity"):
+            pd.evaluate(fill, want_grad=False)

@@ -334,6 +334,25 @@ class TestBackwardOnlyReplay:
         assert plan.replay(second) is False
         self.assert_matches_eager(build, plan, second)
 
+    def test_another_plans_forward_forces_forward(self):
+        """Plans of one pool share their forward buffers: after another
+        plan's forward, a gradient call replays forward and backward."""
+        build, plan, _ = self._plan()
+        other = CapturedGraph.trace(build, self._values(38),
+                                    grad_inputs=("x",), pool=plan._pool)
+        assert np.shares_memory(plan.outputs["root"].data,
+                                other.outputs["root"].data)
+        values = self._values(39)
+        assert plan.replay(values, want_grad=False) is False
+        assert other.replay(self._values(40), want_grad=False) is False
+        assert plan._pool.forward_owner() is other
+        runs = []
+        for node in plan._forward_nodes:
+            node._replay = (lambda f: lambda: runs.append(f()))(node._replay)
+        assert plan.replay(values) is False
+        assert len(runs) == len(plan._forward_nodes)
+        self.assert_matches_eager(build, plan, values)
+
     def test_exception_in_forward_closure_voids_arena(self):
         build, plan, _ = self._plan()
         values = self._values(37)
@@ -434,6 +453,53 @@ def sweep_intervals(plan):
             if id(parent) in step and id(parent) not in intervals:
                 intervals[id(parent)] = [i, step[id(parent)]]
     return [(n, intervals[id(n)]) for n in sweep if n._parents]
+
+
+class TestSharedPool:
+    """Plans of one pool view its buffers: forward arrays by trace
+    position, scratch, maps and gradient slots."""
+
+    def test_outputs_keep_their_memory_order(self):
+        """An output moved into the pool keeps its layout: a product of
+        transposed views is transposed, and the sum over it adds in that
+        order, as eager does."""
+        def build(tensors):
+            xt = tensors["x"].transpose(1, 0, 2)
+            prod = xt * xt
+            return {"root": prod.sum(axis=0).sum(), "prod": prod}
+
+        (x0,) = rng_arrays((2, 3, 4), seed=60)
+        eager_prod = x0.transpose(1, 0, 2) * x0.transpose(1, 0, 2)
+        plan = CapturedGraph.trace(build, {"x": x0}, grad_inputs=("x",))
+        prod = plan.outputs["prod"].data
+        assert prod.strides == eager_prod.strides
+        assert any(owner(prod) is buf for buf in plan._pool._flat.values())
+
+    @pytest.mark.parametrize("param_grads", [False, True])
+    def test_arena_does_not_depend_on_trace_order(self, param_grads):
+        """Traced small first, the large plan's trace grows the pool and
+        re-binds the small plan to the grown buffers, so the two plans
+        hold what they hold when traced large first."""
+        arenas = []
+        for batches in ((3, 2), (2, 3)):
+            gc.collect()
+            _, _, plans = unet_plans(param_grads, batches)
+            arenas.append(arena_bytes(plans))
+        assert arenas[0] == arenas[1]
+
+    def test_rebound_plan_matches_eager(self):
+        _, build, (small, big) = unet_plans(False, batches=(2, 3))
+        pool = small._pool
+        current = {id(buf) for buf in pool._flat.values()}
+        assert {id(owner(n.data)) for n, *_ in small._forward_views} <= current
+        for k, plan in enumerate((small, big, small)):
+            x, y = rng_arrays(plan.inputs["x"].shape, plan.inputs["y"].shape,
+                              seed=61 + k, lo=-1.0)
+            values = {"x": x, "y": y}
+            plan.replay(values)
+            value, grad = eager_reference(build, values)
+            assert np.array_equal(plan.outputs["root"].data, value)
+            assert np.array_equal(plan.grad("x"), grad)
 
 
 class TestGradientSlots:

@@ -369,9 +369,10 @@ class TestForwardOnlyState:
                                    pool=pool)
         assert not [a for a in plan._recorder.retained
                     if a.ndim == 4 and a.shape[0] == 6]
-        # Channels-last (B, H + 2, W + 2, C) maps at the three levels of
-        # the 16x8 map the 13x7 input is padded to.
-        pads = [shape for interior, shape, _ in pool._maps
+        # Channels-last (B, H + 2, W + 2, C) maps, keyed by their
+        # per-image shape, at the three levels of the 16x8 map the 13x7
+        # input is padded to.
+        pads = [buf.shape for (interior, _, _), buf in pool._maps.items()
                 if interior == ("pad", 1)]
         assert {shape[1:3] for shape in pads} == {(18, 10), (10, 6), (6, 4)}
         assert all(shape[0] == 6 for shape in pads)

@@ -315,9 +315,11 @@ class TestPlanLifecycle:
             counts.append(len(net._pool._maps))
         assert counts[-1] == counts[MAX_CAPTURE_PLANS - 1] > 0
         maps = {id(buf): buf for buf in net._pool._maps.values()}
-        viewed = {id(buf) for plan in net._plans.values()
+        # A call site views the first images of the map for its interior
+        # and per-image shape.
+        viewed = {id(view.base) for plan in net._plans.values()
                   for scratch in plan._recorder.scratches
-                  for buf in scratch.maps.values()}
+                  for view in scratch.maps.values()}
         assert set(maps) == viewed
         held = {}
         for plan in net._plans.values():
@@ -325,6 +327,9 @@ class TestPlanLifecycle:
         assert set(maps) <= set(held)
         assert (sum(buf.nbytes for buf in maps.values())
                 < net.capture_stats()["arena_bytes"])
+        # The flat buffers too, and the pool re-binds live plans only.
+        assert {id(buf) for buf in net._pool._flat.values()} <= set(held)
+        assert set(net._pool.plans) == set(net._plans.values())
 
     def test_contended_lock_waits_and_replays(self, nets):
         """A call that finds another thread on the plan lock waits for
@@ -408,9 +413,9 @@ class TestAllocationRegression:
 
 
 class TestLeanArena:
-    """Every plan of a network draws scratch and gradient slots from one
-    pool; interleaving plans must never leak one plan's pass into
-    another's result."""
+    """Every plan of a network views one pool for its forward arrays,
+    scratch, maps and gradient slots; interleaving plans must never leak
+    one plan's pass into another's result."""
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -449,9 +454,10 @@ class TestLeanArena:
         trial = base_fill.copy()
         trial[:, active] = (rng.random(slack.shape) * slack)[:, active]
         calls.insert(1, region_call(trial))
-        # Every plan runs a forward-only call, then (after the other
-        # plans have replayed) a gradient call at the same inputs, which
-        # replays its backward only; then everything once more.
+        # Every plan runs a forward-only call, twice over, then a gradient
+        # call at the same inputs.  The plans share their forward buffers,
+        # so each gradient call follows another plan's forward and
+        # replays forward and backward.
         for call in calls + calls:
             call(captured, want_grad=False)
         for call in calls:
@@ -459,7 +465,77 @@ class TestLeanArena:
             assert np.array_equal(got.s_plan, want.s_plan)
             assert np.array_equal(got.heights, want.heights)
             assert np.array_equal(got.gradient, want.gradient)
-        assert captured.capture_stats()["reuse"] == len(calls)
+        assert captured.capture_stats()["reuse"] == 0
+
+    def test_gradient_after_another_plans_forward(self, nets):
+        """Another plan's forward overwrites the buffers the plans share,
+        so a gradient call at the first plan's inputs replays forward and
+        backward, and gives the eager bits."""
+        captured, eager = nets
+        (fill,) = fills_for(captured.layout, 1, seed=33)
+        (stack,) = fills_for(captured.layout, 1, seed=34, batch=2)
+        captured.evaluate(fill, WEIGHTS, want_grad=False)
+        captured.evaluate_batch(stack, WEIGHTS, want_grad=False)
+        before = captured.capture_stats()
+        assert_same_eval(captured.evaluate(fill, WEIGHTS),
+                         eager.evaluate(fill, WEIGHTS))
+        after = captured.capture_stats()
+        assert after["replay"] == before["replay"] + 1
+        assert after["reuse"] == before["reuse"]
+        # Without another forward between, the same call reuses.
+        captured.evaluate(fill, WEIGHTS, want_grad=False)
+        assert_same_eval(captured.evaluate(fill, WEIGHTS),
+                         eager.evaluate(fill, WEIGHTS))
+        assert captured.capture_stats()["reuse"] == after["reuse"] + 1
+
+    def test_arena_does_not_depend_on_trace_order(self, layout):
+        """The same K = 1..4 plans hold the same arena whether traced
+        largest first, in the order 1-4-3-2 or smallest first, right
+        after tracing and once each plan has run again: a trace that
+        grows a pool buffer re-binds the other plans to the grown one,
+        so no superseded buffer survives it."""
+        stacks = {k: fills_for(layout, 1, seed=40 + k, batch=k)[0]
+                  for k in range(1, 5)}
+        traced, rerun = [], []
+        for order in ((4, 3, 2, 1), (1, 4, 3, 2), (1, 2, 3, 4)):
+            gc.collect()
+            net = build_net(layout, True)
+            for k in order:
+                net.evaluate_batch(stacks[k], WEIGHTS)
+            traced.append(net.capture_stats()["arena_bytes"])
+            for k in order:
+                net.evaluate_batch(stacks[k], WEIGHTS, want_grad=k % 2 == 0)
+            stats = net.capture_stats()
+            assert stats["trace"] == 4 and len(stats["plans"]) == 4
+            rerun.append(stats["arena_bytes"])
+        assert traced[0] == traced[1] == traced[2]
+        assert rerun == traced
+
+    def test_small_batch_pads_into_the_large_batch_map(self, nets):
+        """A K = 1 plan traced after a K = 4 plan pads into the first
+        images of the K = 4 plan's maps, and its results are the eager
+        bits, before and after the K = 4 plan runs again."""
+        captured, eager = nets
+        (stack,) = fills_for(captured.layout, 1, seed=35, batch=4)
+        fills = fills_for(captured.layout, 2, seed=36)
+        captured.evaluate_batch(stack, WEIGHTS)
+        maps = {id(buf): buf for buf in captured._pool._maps.values()}
+        assert_same_eval(captured.evaluate(fills[0], WEIGHTS),
+                         eager.evaluate(fills[0], WEIGHTS))
+        assert {id(buf) for buf in captured._pool._maps.values()} == set(maps)
+        single = list(captured._plans.values())[-1]
+        views = [view for scratch in single._recorder.scratches
+                 for view in scratch.maps.values()]
+        layers = captured.grid_shape[0]
+        assert views
+        for view in views:
+            assert id(view.base) in maps
+            assert view.shape[0] == layers
+            assert view.base.shape[0] == 4 * layers
+            assert view.base[:layers].ctypes.data == view.ctypes.data
+        captured.evaluate_batch(stack, WEIGHTS)
+        assert_same_eval(captured.evaluate(fills[1], WEIGHTS),
+                         eager.evaluate(fills[1], WEIGHTS))
 
     def test_arena_bytes_counts_shared_buffers_once(self, layout):
         net = build_net(layout, True)
